@@ -28,11 +28,10 @@ from .designs import (
     steiner_truncate,
     sts_generate,
 )
-from .gf import Field, FieldElement, FieldError, field_new, field_of_order
+from .gf import Field, FieldError, field_new, field_of_order
 from .graphs import (
     BipartiteGraph,
     bb_check,
-    degrees,
     diameter,
     distance_sets,
     from_dimacs,

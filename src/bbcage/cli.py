@@ -11,19 +11,13 @@ import argparse
 import json
 import sys
 
-from .bounds import (
-    BoundsError,
-    excess_of,
-    improved_bound,
-    polygon_family_table,
-)
+from .bounds import excess_of, improved_bound, polygon_family_table
 from .deletions import NAMED_FAMILIES, construct_named
-from .designs import DesignError, sts_generate, steiner_truncate
-from .gf import FieldError, field_of_order
+from .designs import sts_generate, steiner_truncate
+from .gf import field_of_order
 from .graphs import (
     BipartiteGraph,
     GraphError,
-    bipartition,
     diameter,
     from_dimacs,
     from_graph6,
@@ -35,22 +29,12 @@ from .graphs import (
     to_graph6,
 )
 from .polygons import ConstructionError, gq_q4, gq_q5, split_cayley_hexagon
-from .projective import GeometryError
 from .prune import (
     affine_girth6_graph,
     affine_slab_graph,
     find_free_edge,
     induced_branch_graph,
     mixed_degree_prune,
-)
-
-_USAGE_ERRORS = (
-    ValueError,
-    FieldError,
-    GeometryError,
-    GraphError,
-    DesignError,
-    BoundsError,
 )
 
 HOSTS = ("q4", "q5", "hexagon")
@@ -140,7 +124,6 @@ def _graph_report(g: BipartiteGraph, family: str, params: dict) -> dict:
     }
     if len(da) == 1 and len(db) == 1 and gi != float("inf"):
         report.update(excess_of(g).to_dict())
-        report["schema"] = 1
     return report
 
 
@@ -185,9 +168,6 @@ def _cmd_verify(args) -> int:
         n, edges = from_graph6(data)
     if n == 0:
         raise GraphError("empty graph")
-    parts = bipartition(n, edges)
-    if parts is None:
-        raise GraphError("input graph is not bipartite")
     g = graph_from_edges(n, edges)
     report = _graph_report(g, "verify", {"infile": args.infile})
     failures = []
@@ -301,10 +281,9 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"bbcage: assertion failed: {exc}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
-        print(f"bbcage: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # every domain error class (FieldError, GeometryError, GraphError,
+        # DesignError, BoundsError) subclasses ValueError
         print(f"bbcage: error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,13 +159,10 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
         raise ConstructionError(
             f"violated invariant: order {g.n_vertices} != {expected}"
         )
-    da, db = g.degree_sets()
-    if not ((da == {n + 1} and db == {m}) or (da == {m} and db == {n + 1})):
-        raise ConstructionError(
-            f"violated invariant: degrees {sorted(da)}/{sorted(db)} "
-            f"are not {{{m}}}/{{{n + 1}}}"
-        )
     gi = girth(g)
+    rep = bb_check(g, m, n + 1, gi)
+    if not rep.passed:
+        raise ConstructionError(f"violated invariant: {rep.violation}")
     if gi < 2 * r:
         raise ConstructionError(
             f"violated invariant: deletion decreased girth to {gi} from {2 * r}"

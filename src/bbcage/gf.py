@@ -11,7 +11,6 @@ element index, and hence every downstream coordinate, reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_ORDER = 1 << 16
@@ -225,43 +224,6 @@ class Field:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a specific Field; raises on mixed-field arithmetic."""
-
-    field: Field
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.field.q:
-            raise FieldError(f"index {self.index} out of range for {self.field}")
-
-    def _peer(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise FieldError(f"cannot combine {self} with {other!r}")
-        if other.field != self.field:
-            raise FieldError(f"mixed-field operands: {self.field} vs {other.field}")
-        return other.index
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.index, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.index, self._peer(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.index, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __int__(self):
-        return self.index
 
 
 @lru_cache(maxsize=None)

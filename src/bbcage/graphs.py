@@ -38,9 +38,11 @@ class BipartiteGraph:
             cleaned.append(tuple(t))
         if len(cleaned) != n_a:
             raise GraphError("adjacency length does not match class size")
-        self.adj_a = cleaned
+        self.adj_a = tuple(cleaned)
         self.meta = dict(meta) if meta else {}
         self._adj = None
+        self._girth = None
+        self._diameter = None
 
     @classmethod
     def from_edges(cls, n_a: int, n_b: int, edges, meta=None) -> "BipartiteGraph":
@@ -127,9 +129,17 @@ def is_connected(g: BipartiteGraph) -> bool:
 def girth(g: BipartiteGraph) -> int | float:
     """Exact girth via per-root BFS; math.inf for forests.
 
-    Every cycle alternates classes, so roots in class A suffice; a BFS stops
-    once its level can no longer beat the best cycle found.
+    Measured on the first call and stored on the graph; adj_a is a tuple, so
+    the graph cannot change under the stored value.
     """
+    if g._girth is None:
+        g._girth = _girth_search(g)
+    return g._girth
+
+
+def _girth_search(g: BipartiteGraph) -> int | float:
+    """Every cycle alternates classes, so roots in class A suffice; a BFS
+    stops once its level can no longer beat the best cycle found."""
     adj = g.adjacency()
     n = len(adj)
     best = math.inf
@@ -160,19 +170,18 @@ def girth(g: BipartiteGraph) -> int | float:
 
 
 def diameter(g: BipartiteGraph) -> int:
-    adj = g.adjacency()
-    diam = 0
-    for v in range(len(adj)):
-        dist = bfs_distances(adj, v)
-        m = max(dist)
-        if -1 in dist:
-            raise GraphError("diameter of a disconnected graph")
-        diam = max(diam, m)
-    return diam
-
-
-def degrees(g: BipartiteGraph) -> tuple[set[int], set[int]]:
-    return g.degree_sets()
+    """Largest BFS eccentricity; raises GraphError on a disconnected graph.
+    Measured on the first call and stored on the graph, like girth."""
+    if g._diameter is None:
+        adj = g.adjacency()
+        diam = 0
+        for v in range(len(adj)):
+            dist = bfs_distances(adj, v)
+            if -1 in dist:
+                raise GraphError("diameter of a disconnected graph")
+            diam = max(diam, max(dist))
+        g._diameter = diam
+    return g._diameter
 
 
 def distance_sets(g: BipartiteGraph, u: int, v: int, i: int, j: int) -> list[int]:
@@ -323,16 +332,16 @@ def from_graph6(data) -> tuple[int, list[tuple[int, int]]]:
     if any(not 0 <= v <= 63 for v in raw):
         raise GraphError("invalid graph6 byte")
     if raw[0] != 63:
-        n = raw[0]
-        body = raw[1:]
-    elif len(raw) >= 2 and raw[1] != 63:
-        n = (raw[1] << 12) | (raw[2] << 6) | raw[3]
-        body = raw[4:]
+        n, head = raw[0], 1
     else:
+        # "~" and 3 bytes of 6 bits, or "~~" and 6 bytes
+        start, head = (1, 4) if len(raw) > 1 and raw[1] != 63 else (2, 8)
+        if len(raw) < head:
+            raise GraphError("graph6 size prefix truncated")
         n = 0
-        for v in raw[2:8]:
+        for v in raw[start:head]:
             n = (n << 6) | v
-        body = raw[8:]
+    body = raw[head:]
     need = n * (n - 1) // 2
     bits = []
     for v in body:
@@ -360,27 +369,39 @@ def to_dimacs(g: BipartiteGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _dimacs_ints(ln: str, fields: list[str]) -> list[int]:
+    """The fields of a DIMACS line as non-negative integers, or GraphError."""
+    if not all(f.isdecimal() for f in fields):
+        raise GraphError(f"bad DIMACS line: {ln!r}")
+    return [int(f) for f in fields]
+
+
 def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
     if isinstance(data, bytes):
         text = data.decode("ascii")
     else:
         text = data
-    n = None
+    n = problem = None
     edges = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("c"):
             continue
-        if ln.startswith("p"):
-            parts = ln.split()
+        parts = ln.split()
+        if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"bad DIMACS problem line: {ln!r}")
-            n = int(parts[2])
-        elif ln.startswith("e"):
+            if problem is not None:
+                raise GraphError(f"second DIMACS problem line: {ln!r}")
+            problem = ln
+            n, m = _dimacs_ints(ln, parts[2:])
+        elif parts[0] == "e":
             if n is None:
                 raise GraphError("DIMACS edge before problem line")
-            _, u, v = ln.split()
-            a, b = int(u) - 1, int(v) - 1
+            if len(parts) != 3:
+                raise GraphError(f"bad DIMACS line: {ln!r}")
+            u, v = _dimacs_ints(ln, parts[1:])
+            a, b = u - 1, v - 1
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphError(f"DIMACS edge out of range: {ln!r}")
             edges.append((min(a, b), max(a, b)))
@@ -388,6 +409,10 @@ def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
             raise GraphError(f"unrecognized DIMACS line: {ln!r}")
     if n is None:
         raise GraphError("missing DIMACS problem line")
+    if len(edges) != m:
+        raise GraphError(
+            f"DIMACS problem line {problem!r} declares {m} edges, found {len(edges)}"
+        )
     return n, sorted(edges)
 
 
@@ -422,7 +447,7 @@ def graph_from_edges(n: int, edges) -> BipartiteGraph:
     """Wrap a raw bipartite edge list as a BipartiteGraph via 2-coloring."""
     parts = bipartition(n, edges)
     if parts is None:
-        raise GraphError("graph is not bipartite")
+        raise GraphError("input graph is not bipartite")
     class0, class1 = parts
     index0 = {v: i for i, v in enumerate(class0)}
     index1 = {v: i for i, v in enumerate(class1)}

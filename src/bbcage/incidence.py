@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 
 class IncidenceStructure:
     """Points with optional payloads, blocks as sorted tuples of point indices.
 
-    The tag dict carries construction metadata (family, q, order pair,
-    gonality, field) used by downstream contracts.
+    The tag mapping carries construction metadata (family, q, order pair,
+    gonality, field) used by downstream contracts.  Points, blocks,
+    point_blocks and tag are read-only, so cached structures can be shared.
     """
 
     def __init__(self, points, blocks, tag=None):
-        self.points = list(points)
+        self.points = tuple(points)
         n = len(self.points)
         clean = []
         for bi, blk in enumerate(blocks):
@@ -23,12 +26,13 @@ class IncidenceStructure:
             if list(t) != sorted(t):
                 t = tuple(sorted(t))
             clean.append(t)
-        self.blocks = clean
-        self.tag = dict(tag) if tag else {}
-        self.point_blocks = [[] for _ in range(n)]
+        self.blocks = tuple(clean)
+        self.tag = MappingProxyType(dict(tag) if tag else {})
+        point_blocks = [[] for _ in range(n)]
         for bi, blk in enumerate(self.blocks):
             for x in blk:
-                self.point_blocks[x].append(bi)
+                point_blocks[x].append(bi)
+        self.point_blocks = tuple(map(tuple, point_blocks))
 
     @property
     def num_points(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import Field
-from .graphs import BipartiteGraph, diameter, girth, is_connected, levi
+from .graphs import diameter, girth, is_connected, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
@@ -54,6 +54,12 @@ class PolygonCertificate:
 
 def quadric_structure(tag: str, field: Field) -> IncidenceStructure:
     """Points and full line set of a named quadric, locally re-indexed."""
+    return _quadric_structure(tag, field)
+
+
+def _quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
+    """quadric_structure with further tag entries (a polygon's family, order
+    and gonality) set at construction, since the tag is read-only."""
     form = form_by_tag(tag, field)
     pts = quadric_points(form, field)
     local = {p.id: i for i, p in enumerate(pts)}
@@ -61,7 +67,7 @@ def quadric_structure(tag: str, field: Field) -> IncidenceStructure:
     return IncidenceStructure(
         [p.coords for p in pts],
         blocks,
-        tag={"family": f"quadric:{tag}", "q": field.q, "field": field},
+        tag={"family": f"quadric:{tag}", "q": field.q, "field": field, **tags},
     )
 
 
@@ -72,8 +78,9 @@ def gq_q4(field: Field) -> IncidenceStructure:
     q = field.q
     if q > GQ_MAX_Q:
         raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = quadric_structure("parabolic-4", field)
-    s.tag.update(family="Q(4,q)", order=(q, q), gonality=4)
+    s = _quadric_structure(
+        "parabolic-4", field, family="Q(4,q)", order=(q, q), gonality=4
+    )
     _expect(s.num_points == (q + 1) * (q * q + 1), "Q(4,q) point count")
     _expect(s.num_blocks == (q + 1) * (q * q + 1), "Q(4,q) line count")
     return s
@@ -86,8 +93,9 @@ def gq_q5(field: Field) -> IncidenceStructure:
     q = field.q
     if q > GQ_MAX_Q:
         raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = quadric_structure("elliptic-5", field)
-    s.tag.update(family="Q(5,q)", order=(q, q * q), gonality=4)
+    s = _quadric_structure(
+        "elliptic-5", field, family="Q(5,q)", order=(q, q * q), gonality=4
+    )
     _expect(s.num_points == (q + 1) * (q ** 3 + 1), "Q(5,q) point count")
     _expect(s.num_blocks == (q * q + 1) * (q ** 3 + 1), "Q(5,q) line count")
     return s
@@ -233,10 +241,6 @@ def ovoid_of_q4(field: Field) -> list[int]:
                     raise ConstructionError("ovoid candidate has collinear points")
         return ovoid
     raise ConstructionError(f"no ovoid section found on Q(4,{q})")
-
-
-def levi_graph(structure: IncidenceStructure) -> BipartiteGraph:
-    return levi(structure)
 
 
 def _expect(cond: bool, what: str):

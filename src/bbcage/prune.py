@@ -20,7 +20,6 @@ from .graphs import (
     diameter,
     girth,
     induced_subgraph,
-    is_connected,
     levi,
 )
 from .incidence import IncidenceStructure
@@ -30,12 +29,11 @@ from .projective import GeometryError, conic_oval, projective_space
 
 def _certify_prune_host(g: BipartiteGraph) -> int:
     """Require a connected biregular host with girth = 2 * diameter (the
-    incidence graph of a generalized r-gon); returns r."""
+    incidence graph of a generalized r-gon); returns r.  A disconnected host
+    fails in diameter with GraphError, a ValueError."""
     da, db = g.degree_sets()
     if len(da) != 1 or len(db) != 1:
         raise ValueError(f"host is not biregular: degrees {sorted(da)}/{sorted(db)}")
-    if not is_connected(g):
-        raise ValueError("host graph is disconnected")
     r = diameter(g)
     if girth(g) != 2 * r:
         raise ValueError(f"host girth {girth(g)} != 2 * diameter {2 * r}")

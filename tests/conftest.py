@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 
 def brute_girth(graph, cap: int = 24):
     """Girth by exhaustive simple-cycle enumeration (DFS with canonical
@@ -46,3 +48,20 @@ def tree_count_oracle(m: int, n: int, r: int) -> int:
     if top % m:
         total += -(-n // m)
     return total
+
+
+@pytest.fixture
+def girth_searches(monkeypatch):
+    """Every graph the girth search runs on, in call order.  The list keeps
+    the graphs alive, so a repeated id means one graph searched twice."""
+    from bbcage import graphs
+
+    searched = []
+    search = graphs._girth_search
+
+    def counting(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(graphs, "_girth_search", counting)
+    return searched

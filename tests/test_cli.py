@@ -172,6 +172,38 @@ def test_verify_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "name,data",
+    [
+        ("truncated-size.g6", b"~A\n"),
+        ("negative-order.dimacs", b"p edge -2 0\n"),
+        ("missing-edges.dimacs", b"p edge 4 9\ne 1 2\n"),
+        ("short-edge.dimacs", b"p edge 2 1\ne 1\n"),
+    ],
+)
+def test_verify_malformed_exit2(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, stdout, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("bbcage: error: ")
+
+
+def test_verify_searches_girth_once(tmp_path, capsys, girth_searches):
+    from bbcage.gf import field_new
+    from bbcage.graphs import levi, to_graph6
+    from bbcage.polygons import gq_q4
+
+    path = tmp_path / "q43.g6"
+    path.write_bytes(to_graph6(levi(gq_q4(field_new(3, 1)))))
+    code, stdout, _ = run(capsys, "verify", "--in", str(path), "--expect-girth", "8")
+    assert code == 0
+    assert json.loads(stdout)["girth"] == 8
+    assert len(girth_searches) == 1
+
+
 def test_verify_irregular_reports_without_bounds(tmp_path, capsys):
     from bbcage.graphs import BipartiteGraph, to_graph6
 

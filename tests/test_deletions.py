@@ -248,3 +248,11 @@ def test_deletion_monotone_girth():
     host_girth = girth(levi(gq_q4(F3)))
     for family in ("q4-hyperbolic-prune", "q4-ovoid-delete"):
         assert girth(construct_named(family, 3)) >= host_girth
+
+
+def test_named_construction_searches_girth_once_per_graph(girth_searches):
+    g = construct_named("hexagon-hyperbolic-prune", 3)
+    assert girth(g) == 12
+    ids = [id(x) for x in girth_searches]
+    assert len(ids) == len(set(ids))
+    assert any(x is g for x in girth_searches)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bbcage.gf import Field, FieldElement, FieldError, field_new, field_of_order
+from bbcage.gf import Field, FieldError, field_new, field_of_order
 
 
 def test_prime_field_modulus_is_x():
@@ -89,20 +89,6 @@ def test_identity_indices():
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a
             assert f.mul(a, 0) == 0
-
-
-def test_field_element_wrapper():
-    f9 = field_new(3, 2)
-    a = FieldElement(f9, 4)
-    b = FieldElement(f9, 7)
-    assert (a + b).index == f9.add(4, 7)
-    assert (a * b).index == f9.mul(4, 7)
-    assert (-a + a).index == 0
-    assert (a * a.inverse()).index == 1
-    with pytest.raises(FieldError):
-        _ = a + FieldElement(field_new(3, 1), 1)
-    with pytest.raises(FieldError):
-        FieldElement(f9, 9)
 
 
 def test_field_of_order():

@@ -12,7 +12,6 @@ from bbcage.graphs import (
     GraphError,
     bb_check,
     bipartition,
-    degrees,
     diameter,
     distance_sets,
     from_dimacs,
@@ -44,7 +43,7 @@ def test_levi_fano_is_heawood():
     assert g.num_edges == 21
     assert girth(g) == 6
     assert diameter(g) == 3
-    assert degrees(g) == ({3}, {3})
+    assert g.degree_sets() == ({3}, {3})
 
 
 def test_levi_empty_rejected():
@@ -59,7 +58,7 @@ def test_levi_q42():
     assert g.n_vertices == 30
     assert g.num_edges == 45
     assert diameter(g) == 4
-    assert degrees(g) == ({3}, {3})
+    assert g.degree_sets() == ({3}, {3})
 
 
 def test_girth_cycles_and_forest():
@@ -68,6 +67,19 @@ def test_girth_cycles_and_forest():
     path = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
     assert girth(path) == math.inf
     assert diameter(path) == 2
+
+
+def test_girth_and_diameter_measured_once(monkeypatch):
+    g = levi(gq_q4(F2))
+    assert (girth(g), diameter(g)) == (8, 4)
+    with pytest.raises(AttributeError):
+        g.adj_a.append((0,))
+
+    def no_adjacency(self):
+        raise AssertionError("adjacency read again")
+
+    monkeypatch.setattr(BipartiteGraph, "adjacency", no_adjacency)
+    assert (girth(g), diameter(g)) == (8, 4)
 
 
 def test_girth_q43():
@@ -164,6 +176,13 @@ def test_graph6_empty_rejected():
         from_graph6("")
 
 
+def test_graph6_truncated_size_prefix_rejected():
+    # "~" must be followed by 3 size bytes and "~~" by 6
+    for data in ("~A", "~", "~AB", "~~AAAAA"):
+        with pytest.raises(GraphError, match="size prefix truncated"):
+            from_graph6(data)
+
+
 def test_dimacs_roundtrip():
     g = levi(sts_generate(7).to_structure())
     n, edges = from_dimacs(to_dimacs(g))
@@ -171,6 +190,25 @@ def test_dimacs_roundtrip():
     assert sorted(edges) == sorted(tuple(sorted(e)) for e in g.edges())
     with pytest.raises(GraphError):
         from_dimacs("e 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text,offending",
+    [
+        ("p edge -2 0\n", "p edge -2 0"),
+        ("p edge 3 x\n", "p edge 3 x"),
+        ("p edge 4 9\ne 1 2\n", "p edge 4 9"),
+        ("p edge 2 1\ne 1\n", "e 1"),
+        ("p edge 2 1\ne 1 y\n", "e 1 y"),
+        ("p edge 3 1\ne 1 2 3\n", "e 1 2 3"),
+        ("p edge 2 1\ne 1 2\np edge 1 1\n", "p edge 1 1"),
+        ("pe edge 2 1\n", "pe edge 2 1"),
+        ("p edge 2 1\nedge 1 2\n", "edge 1 2"),
+    ],
+)
+def test_dimacs_malformed_rejected(text, offending):
+    with pytest.raises(GraphError, match=repr(offending)):
+        from_dimacs(text)
 
 
 def test_bipartition_and_wrapping():

@@ -1,5 +1,6 @@
 import pytest
 
+from bbcage.deletions import construct_named
 from bbcage.gf import field_new
 from bbcage.graphs import girth, levi
 from bbcage.polygons import (
@@ -102,3 +103,15 @@ def test_ovoid(field, q):
 def test_levi_of_polygons_girth():
     assert girth(levi(gq_q4(F2))) == 8
     assert girth(levi(gq_q5(F2))) == 8
+
+
+def test_cached_structures_are_read_only():
+    s = gq_q4(F3)
+    assert s.tag["order"] == (3, 3) and s.tag["gonality"] == 4
+    with pytest.raises(AttributeError):
+        s.blocks.pop()
+    with pytest.raises(AttributeError):
+        s.point_blocks[0].append(0)
+    with pytest.raises(TypeError):
+        s.tag["order"] = (2, 2)
+    assert construct_named("q4-hyperbolic-prune", 3).n_vertices == 56
