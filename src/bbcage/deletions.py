@@ -10,7 +10,14 @@ from fractions import Fraction
 from .gf import Field, field_of_order
 from .graphs import BipartiteGraph, bb_check, girth, levi
 from .incidence import IncidenceStructure
-from .polygons import ConstructionError, gq_q4, gq_q5, ovoid_of_q4, split_cayley_hexagon
+from .polygons import (
+    ConstructionError,
+    expect_biregular,
+    gq_q4,
+    gq_q5,
+    ovoid_of_q4,
+    split_cayley_hexagon,
+)
 from .projective import Hyperplane, hyperplane_section
 
 log = logging.getLogger(__name__)
@@ -117,15 +124,9 @@ def delete_subquadrangle(
         delete_blocks(structure, doomed_blocks), doomed_pts
     )
     g = levi(remaining, meta={"construction": "subquadrangle-delete"})
-    order_expected = (m + n + 1) * (m * m - 1) * n // m
-    if g.n_vertices != order_expected:
-        raise ConstructionError(
-            f"violated invariant: order {g.n_vertices} != {order_expected}"
-        )
-    rep = bb_check(g, m, n + 1, 8)
-    if not rep.passed:
-        raise ConstructionError(f"violated invariant: {rep.violation}")
-    return g
+    return expect_biregular(
+        g, m, n + 1, 8, (m + n + 1) * (m * m - 1) * n // m, "subquadrangle deletion"
+    )
 
 
 def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> BipartiteGraph:
@@ -171,44 +172,21 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     return g
 
 
-def _marquee_section(structure: IncidenceStructure, h: Hyperplane, expect_pts: int):
-    field = structure.tag["field"]
-    pts_in, blocks_inside, _ = hyperplane_section(
-        structure.points, structure.blocks, h, field
-    )
-    if len(pts_in) != expect_pts:
-        raise ConstructionError(
-            f"violated invariant: section has {len(pts_in)} points, "
-            f"expected {expect_pts}"
-        )
-    return pts_in, blocks_inside
-
-
 def _named_q4_hyperbolic(q: int) -> BipartiteGraph:
-    field = field_of_order(q)
-    s = gq_q4(field)
-    h = Hyperplane((1, 0, 0, 0, 0))
-    _marquee_section(s, h, (q + 1) ** 2)
-    g = hyperplane_delete(s, h)
+    g = hyperplane_delete(gq_q4(field_of_order(q)), Hyperplane((1, 0, 0, 0, 0)))
     return _check_named(g, q, q + 1, 8, (2 * q + 1) * (q * q - 1), "q4-hyperbolic-prune")
 
 
 def _named_q5_parabolic(q: int) -> BipartiteGraph:
-    field = field_of_order(q)
-    s = gq_q5(field)
-    h = Hyperplane((0, 0, 0, 0, 1, 0))
-    _marquee_section(s, h, q ** 3 + q * q + q + 1)
-    g = hyperplane_delete(s, h)
+    g = hyperplane_delete(gq_q5(field_of_order(q)), Hyperplane((0, 0, 0, 0, 1, 0)))
     return _check_named(
         g, q, q * q + 1, 8, (q * q + q + 1) * (q ** 3 - q), "q5-parabolic-prune"
     )
 
 
 def _named_hexagon_hyperbolic(q: int) -> BipartiteGraph:
-    field = field_of_order(q)
-    s = split_cayley_hexagon(field)
-    h = Hyperplane((1, 0, 0, 0, 0, 0, 0))
-    g = hyperplane_delete(s, h)
+    s = split_cayley_hexagon(field_of_order(q))
+    g = hyperplane_delete(s, Hyperplane((1, 0, 0, 0, 0, 0, 0)))
     # At q = 2 every hexagon 12-cycle meets the hyperbolic section, for every
     # hyperbolic hyperplane (exhaustively checked, cycle-enumeration verified):
     # the result is the subdivided Coxeter graph of girth 14.  For q >= 3 the
@@ -235,28 +213,23 @@ def _named_q4_ovoid(q: int) -> BipartiteGraph:
 
 
 def _named_q5_subgq(q: int) -> BipartiteGraph:
+    # delete_subquadrangle has already checked the (q, q^2+1; 8) contract and
+    # the order (q^2+q+1)(q^3-q); the section size is fixed by that order.
     field = field_of_order(q)
     s = gq_q5(field)
-    pts_in, blocks_inside = _marquee_section(
-        s, Hyperplane((0, 0, 0, 0, 1, 0)), q ** 3 + q * q + q + 1
+    pts_in, blocks_inside, _ = hyperplane_section(
+        s.points, s.blocks, Hyperplane((0, 0, 0, 0, 1, 0)), field
     )
     g = delete_subquadrangle(s, pts_in, blocks_inside)
-    g.meta["construction"] = "q5-subgq-delete"
-    return _check_named(
-        g, q, q * q + 1, 8, (q * q + q + 1) * (q ** 3 - q), "q5-subgq-delete"
-    )
+    family = "q5-subgq-delete"
+    g.meta.update(construction=family, family=family, m=q, n=q * q + 1)
+    return g
 
 
 def _check_named(
     g: BipartiteGraph, m: int, n: int, girth_expected: int, order: int, family: str
 ) -> BipartiteGraph:
-    if g.n_vertices != order:
-        raise ConstructionError(
-            f"violated invariant: {family} order {g.n_vertices} != {order}"
-        )
-    rep = bb_check(g, m, n, girth_expected)
-    if not rep.passed:
-        raise ConstructionError(f"violated invariant: {family}: {rep.violation}")
+    expect_biregular(g, m, n, girth_expected, order, family)
     g.meta.update(family=family, m=m, n=n)
     return g
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .graphs import BipartiteGraph, bb_check, levi
+from .graphs import BipartiteGraph, levi
 from .incidence import IncidenceStructure
-from .polygons import ConstructionError
+from .polygons import ConstructionError, expect_biregular
 
 
 class DesignError(ValueError):
@@ -180,14 +180,7 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
     )
     g = levi(structure, meta={"construction": "steiner-cage", "m": m, "n": n})
     order = (n + m) * ((n + 1) // m) * (m - 1)
-    if g.n_vertices != order:
-        raise ConstructionError(
-            f"violated invariant: truncation order {g.n_vertices} != {order}"
-        )
-    rep = bb_check(g, m, n, 6)
-    if not rep.passed:
-        raise ConstructionError(f"violated invariant: {rep.violation}")
-    return g
+    return expect_biregular(g, m, n, 6, order, "truncation")
 
 
 def design_save(design: Design) -> str:
@@ -210,6 +203,8 @@ def design_load(text: str) -> Design:
         v, b, k = (int(x) for x in head)
     except ValueError as exc:
         raise DesignError(f"malformed header {lines[0]!r}") from exc
+    if min(v, b, k) < 0:
+        raise DesignError(f"negative count in header {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != b:
         raise DesignError(f"expected {b} blocks, found {len(body)}")

@@ -191,6 +191,19 @@ class Field:
             return self._mul_t[a][b]
         return self._mul_slow(a, b)
 
+    def dot(self, u, v) -> int:
+        """The field sum of u[i] * v[i], read straight from the tables when
+        the field has them."""
+        acc = 0
+        add_t, mul_t = self._add_t, self._mul_t
+        if add_t is None:
+            for x, y in zip(u, v):
+                acc = self.add(acc, self.mul(x, y))
+        else:
+            for x, y in zip(u, v):
+                acc = add_t[acc][mul_t[x][y]]
+        return acc
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("0 has no multiplicative inverse")
@@ -209,9 +222,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other):
         return (

@@ -78,9 +78,6 @@ class BipartiteGraph:
             self._adj = adj
         return self._adj
 
-    def class_of(self, v: int) -> str:
-        return "A" if v < self.n_a else "B"
-
     def degree_sets(self) -> tuple[set[int], set[int]]:
         adj = self.adjacency()
         da = {len(adj[v]) for v in range(self.n_a)}
@@ -317,13 +314,18 @@ def to_graph6(g: BipartiteGraph) -> bytes:
     return bytes(out)
 
 
+def _ascii_text(data) -> str:
+    """Graph file contents (bytes or str) as ASCII text, or GraphError."""
+    text = data.decode("latin-1") if isinstance(data, bytes) else data
+    if not text.isascii():
+        pos = next(i for i, c in enumerate(text) if not c.isascii())
+        raise GraphError(f"non-ASCII input at offset {pos}")
+    return text
+
+
 def from_graph6(data) -> tuple[int, list[tuple[int, int]]]:
     """Decode graph6 into (n, sorted edge list); accepts the optional header."""
-    if isinstance(data, bytes):
-        text = data.decode("ascii")
-    else:
-        text = data
-    s = text.strip()
+    s = _ascii_text(data).strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :].strip()
     if not s:
@@ -377,13 +379,9 @@ def _dimacs_ints(ln: str, fields: list[str]) -> list[int]:
 
 
 def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
-    if isinstance(data, bytes):
-        text = data.decode("ascii")
-    else:
-        text = data
     n = problem = None
     edges = []
-    for ln in text.splitlines():
+    for ln in _ascii_text(data).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("c"):
             continue

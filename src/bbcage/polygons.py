@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import Field
-from .graphs import diameter, girth, is_connected, levi
+from .graphs import BipartiteGraph, bb_check, diameter, girth, is_connected, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
@@ -120,23 +120,16 @@ def _cross(u, v, field: Field):
     )
 
 
-def _dot(u, v, field: Field):
-    acc = 0
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 def _zorn_mul(x, y, field: Field):
     a1, v1, w1, b1 = x
     a2, v2, w2, b2 = y
     m, add, sub = field.mul, field.add, field.sub
     cw = _cross(w1, w2, field)
     cv = _cross(v1, v2, field)
-    a = add(m(a1, a2), _dot(v1, w2, field))
+    a = add(m(a1, a2), field.dot(v1, w2))
     v = tuple(sub(add(m(a1, v2[i]), m(b2, v1[i])), cw[i]) for i in range(3))
     w = tuple(add(add(m(a2, w1[i]), m(b1, w2[i])), cv[i]) for i in range(3))
-    b = add(m(b1, b2), _dot(w1, v2, field))
+    b = add(m(b1, b2), field.dot(w1, v2))
     return a, v, w, b
 
 
@@ -246,3 +239,14 @@ def ovoid_of_q4(field: Field) -> list[int]:
 def _expect(cond: bool, what: str):
     if not cond:
         raise ConstructionError(f"violated invariant: {what}")
+
+
+def expect_biregular(
+    g: BipartiteGraph, m: int, n: int, girth_expected: int, order: int, what: str
+) -> BipartiteGraph:
+    """The contract of a construction: order vertices, degrees {m}/{n} and
+    girth exactly girth_expected (bb_check); anything else aborts."""
+    _expect(g.n_vertices == order, f"{what} order {g.n_vertices} != {order}")
+    rep = bb_check(g, m, n, girth_expected)
+    _expect(rep.passed, f"{what}: {rep.violation}")
+    return g

@@ -102,11 +102,7 @@ class ProjectiveSpace:
         return [Hyperplane(p.coords) for p in self.points]
 
     def on_hyperplane(self, h: Hyperplane, coords) -> bool:
-        F = self.field
-        acc = 0
-        for a, x in zip(h.coeffs, coords):
-            acc = F.add(acc, F.mul(a, x))
-        return acc == 0
+        return self.field.dot(h.coeffs, coords) == 0
 
 
 @lru_cache(maxsize=None)
@@ -122,16 +118,10 @@ def pg_points(d: int, field: Field) -> list[ProjectivePoint]:
 
 
 def evaluate_form(form: QuadraticForm, coords, field: Field) -> int:
-    acc = 0
-    for i, row in enumerate(form.matrix):
-        xi = coords[i]
-        if xi == 0:
-            continue
-        for j in range(i, form.dim + 1):
-            m = row[j]
-            if m:
-                acc = field.add(acc, field.mul(m, field.mul(xi, coords[j])))
-    return acc
+    """Q(x) = sum over i <= j of m_ij x_i x_j, i.e. x . (M x) for the
+    upper-triangular M."""
+    dot = field.dot
+    return dot(coords, [dot(row, coords) for row in form.matrix])
 
 
 def _blank(d: int) -> list[list[int]]:
@@ -225,15 +215,9 @@ def hyperplane_section(
     meeting h in exactly one point).  Any block meeting h in between 2 and
     size-1 points is a geometric violation and raises.
     """
-    inside_pts = []
-    acc_on = set()
-    for i, coords in enumerate(point_coords):
-        s = 0
-        for a, x in zip(h.coeffs, coords):
-            s = field.add(s, field.mul(a, x))
-        if s == 0:
-            inside_pts.append(i)
-            acc_on.add(i)
+    dot, coeffs = field.dot, h.coeffs
+    inside_pts = [i for i, coords in enumerate(point_coords) if dot(coeffs, coords) == 0]
+    acc_on = set(inside_pts)
     blocks_inside, blocks_tangent = [], []
     for bi, blk in enumerate(blocks):
         cnt = sum(1 for x in blk if x in acc_on)

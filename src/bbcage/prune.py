@@ -13,18 +13,10 @@ from collections import deque
 
 from .bounds import moore_odd
 from .gf import Field
-from .graphs import (
-    BipartiteGraph,
-    bb_check,
-    bfs_distances,
-    diameter,
-    girth,
-    induced_subgraph,
-    levi,
-)
+from .graphs import BipartiteGraph, diameter, distance_sets, girth, induced_subgraph, levi
 from .incidence import IncidenceStructure
-from .polygons import ConstructionError
-from .projective import GeometryError, conic_oval, projective_space
+from .polygons import ConstructionError, expect_biregular
+from .projective import conic_oval, projective_space
 
 
 def _certify_prune_host(g: BipartiteGraph) -> int:
@@ -96,30 +88,14 @@ def induced_branch_graph(
             f"hypothesis fails: order {order} is not below the girth-{2 * (r + 1)} "
             f"bound {ceiling}"
         )
-    dist_v = bfs_distances(adj, v)
-    dist_u = bfs_distances(adj, u)
     keep = set()
-    for root in roots_v:
-        d = bfs_distances(adj, root)
-        keep.update(
-            w for w in range(len(adj)) if dist_v[w] == r - 1 and d[w] == r - 2
-        )
-    for root in roots_u:
-        d = bfs_distances(adj, root)
-        keep.update(
-            w for w in range(len(adj)) if dist_u[w] == r - 1 and d[w] == r - 2
-        )
+    for anchor, roots in ((v, roots_v), (u, roots_u)):
+        for root in roots:
+            keep.update(distance_sets(g, anchor, root, r - 1, r - 2))
     out = induced_subgraph(
         g, keep, meta={"construction": "branch-prune", "m1": m1, "n1": n1}
     )
-    if out.n_vertices != order:
-        raise ConstructionError(
-            f"violated invariant: branch prune order {out.n_vertices} != {order}"
-        )
-    rep = bb_check(out, m1, n1, 2 * r)
-    if not rep.passed:
-        raise ConstructionError(f"violated invariant: {rep.violation}")
-    return out
+    return expect_biregular(out, m1, n1, 2 * r, order, "branch prune")
 
 
 def mixed_degree_prune(
@@ -140,34 +116,15 @@ def mixed_degree_prune(
         raise ValueError(f"anchor ({u}, {v}) is not an edge")
     s = len(adj[v]) - 1
     t = len(adj[u]) - 1
-    dist_u = bfs_distances(adj, u)
-    dist_v = bfs_distances(adj, v)
-    nv = len(adj)
     keep = set()
     for j in (1, 2, 3):
-        keep.update(
-            w
-            for w in range(nv)
-            if dist_u[w] == r - j and dist_v[w] == r + 1 - j
-        )
+        keep.update(distance_sets(g, u, v, r - j, r + 1 - j))
     for root in [w for w in adj[v] if w != u][1:]:
-        d = bfs_distances(adj, root)
-        keep.update(
-            w for w in range(nv) if dist_v[w] == r - 1 and d[w] == r - 2
-        )
-        keep.update(
-            w for w in range(nv) if dist_v[w] == r - 2 and d[w] == r - 3
-        )
+        keep.update(distance_sets(g, v, root, r - 1, r - 2))
+        keep.update(distance_sets(g, v, root, r - 2, r - 3))
     out = induced_subgraph(g, keep, meta={"construction": "mixed-prune"})
     order = (s * t) ** (r // 2 - 1) * (s + t + 1)
-    if out.n_vertices != order:
-        raise ConstructionError(
-            f"violated invariant: mixed prune order {out.n_vertices} != {order}"
-        )
-    rep = bb_check(out, s, t + 1, 2 * r)
-    if not rep.passed:
-        raise ConstructionError(f"violated invariant: {rep.violation}")
-    return out
+    return expect_biregular(out, s, t + 1, 2 * r, order, "mixed prune")
 
 
 def find_free_edge(structure: IncidenceStructure) -> tuple[int, int]:
@@ -352,8 +309,8 @@ def affine_slab_graph(
 def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     """Bipartite graph from AG(2, p), p prime: V1 the points of m1 horizontal
     lines, V2 the affine lines through n1 non-horizontal directions; degrees
-    (n1, m1), no 4-cycles.  Girth is measured, exactly 6 once triangles fit
-    (m1, n1 >= 3)."""
+    (n1, m1), no 4-cycles.  The girth is not measured here: it is at least 6,
+    and exactly 6 once triangles fit (m1, n1 >= 3)."""
     if field.k != 1:
         raise ValueError("affine construction needs a prime field")
     p = field.p

@@ -179,6 +179,8 @@ def test_verify_parse_error(tmp_path, capsys):
         ("negative-order.dimacs", b"p edge -2 0\n"),
         ("missing-edges.dimacs", b"p edge 4 9\ne 1 2\n"),
         ("short-edge.dimacs", b"p edge 2 1\ne 1\n"),
+        ("non-ascii.g6", b"\xff\xfe\n"),
+        ("non-ascii.dimacs", b"p edge 2 1\ne 1 \xb2\n"),
     ],
 )
 def test_verify_malformed_exit2(tmp_path, capsys, name, data):

@@ -13,7 +13,7 @@ from bbcage.deletions import (
 from bbcage.gf import field_new
 from bbcage.graphs import bb_check, girth, levi
 from bbcage.incidence import IncidenceStructure
-from bbcage.polygons import ConstructionError, gq_q4, gq_q5, ovoid_of_q4
+from bbcage.polygons import ConstructionError, expect_biregular, gq_q4, gq_q5, ovoid_of_q4
 from bbcage.projective import Hyperplane, hyperplane_section
 
 F2 = field_new(2, 1)
@@ -256,3 +256,46 @@ def test_named_construction_searches_girth_once_per_graph(girth_searches):
     ids = [id(x) for x in girth_searches]
     assert len(ids) == len(set(ids))
     assert any(x is g for x in girth_searches)
+
+
+def test_q5_subgq_meta_names_the_family():
+    g = construct_named("q5-subgq-delete", 2)
+    assert (g.meta["construction"], g.meta["family"]) == ("q5-subgq-delete",) * 2
+    assert (g.meta["m"], g.meta["n"]) == (2, 5)
+
+
+@pytest.mark.parametrize("family,q", [("q4-hyperbolic-prune", 3), ("q5-parabolic-prune", 2)])
+def test_named_deletion_sections_once(monkeypatch, family, q):
+    from bbcage import deletions
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return hyperplane_section(*args)
+
+    monkeypatch.setattr(deletions, "hyperplane_section", counted)
+    construct_named(family, q)
+    assert len(calls) == 1
+
+
+def test_named_deletion_wrong_section_fails_its_order(monkeypatch):
+    # the tangent hyperplane X2 = 0 cuts Q(4,3) in a 13-point cone, not the
+    # 16-point hyperbolic section: hyperplane_delete's own u-dependent order
+    # holds, the named family's closed form does not
+    from bbcage import deletions
+
+    monkeypatch.setattr(deletions, "Hyperplane", lambda _: Hyperplane((0, 0, 1, 0, 0)))
+    with pytest.raises(ConstructionError, match="q4-hyperbolic-prune order 63 != 56"):
+        construct_named("q4-hyperbolic-prune", 3)
+
+
+def test_expect_biregular_rejects_wrong_order_and_girth():
+    g = levi(gq_q4(F2))  # 30 vertices, degrees 3/3, girth 8
+    assert expect_biregular(g, 3, 3, 8, 30, "Q(4,2)") is g
+    with pytest.raises(ConstructionError, match="Q\\(4,2\\) order 30 != 31"):
+        expect_biregular(g, 3, 3, 8, 31, "Q(4,2)")
+    with pytest.raises(ConstructionError, match="girth 8 != expected 6"):
+        expect_biregular(g, 3, 3, 6, 30, "Q(4,2)")
+    with pytest.raises(ConstructionError, match="degree sets"):
+        expect_biregular(g, 3, 4, 8, 30, "Q(4,2)")

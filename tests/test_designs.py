@@ -112,6 +112,9 @@ def test_file_errors():
         design_load("4 2 3\n0 1 2\n")  # block count mismatch
     with pytest.raises(DesignError):
         design_load("4 1 3\n0 1 1\n")  # repeated point
+    for header in ("-1 0 3", "3 -1 3", "0 0 -2"):
+        with pytest.raises(DesignError, match="negative"):
+            design_load(header + "\n")
 
 
 def test_pg23_as_design():

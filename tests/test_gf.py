@@ -108,3 +108,18 @@ def test_slow_path_beyond_table_limit():
         assert f.mul(a, b) == f.mul(b, a)
     a = rng.randrange(1, f.q)
     assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (2, 10)])
+def test_dot_matches_add_mul_fold(p, k):
+    # GF(4) and GF(5) read the tables, GF(1024) takes the slow path
+    f = field_new(p, k)
+    q = f.q
+    rng = random.Random(q)
+    for n in (0, 1, 5, 7):
+        u = [rng.randrange(q) for _ in range(n)]
+        v = [rng.randrange(q) for _ in range(n)]
+        acc = 0
+        for x, y in zip(u, v):
+            acc = f.add(acc, f.mul(x, y))
+        assert f.dot(u, v) == acc

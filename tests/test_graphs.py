@@ -183,6 +183,20 @@ def test_graph6_truncated_size_prefix_rejected():
             from_graph6(data)
 
 
+@pytest.mark.parametrize(
+    "decode,data",
+    [
+        (from_graph6, b"\xff"),
+        (from_graph6, b"Bw\xc3\xa9\n"),
+        (from_dimacs, b"p edge 2 1\ne 1 \xb2\n"),
+        (from_dimacs, "p edge \u0663 0\n"),  # an Arabic-Indic digit three
+    ],
+)
+def test_non_ascii_rejected(decode, data):
+    with pytest.raises(GraphError, match="non-ASCII"):
+        decode(data)
+
+
 def test_dimacs_roundtrip():
     g = levi(sts_generate(7).to_structure())
     n, edges = from_dimacs(to_dimacs(g))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bbcage.gf import field_new
+from bbcage.gf import field_new, field_of_order
 from bbcage.projective import (
     GeometryError,
     Hyperplane,
@@ -117,6 +117,18 @@ def test_quadric_lines_lie_on_quadric():
     for line in quadric_lines(form, F3):
         for x in line:
             assert evaluate_form(form, space.points[x].coords, F3) == 0
+
+
+@pytest.mark.parametrize("q", [2, 4, 5])
+def test_evaluate_form_matches_double_sum(q):
+    f = field_of_order(q)
+    for form in (parabolic_form(4, f), parabolic_form(6, f), elliptic_form(f)):
+        for pt in projective_space(form.dim, f).points[::7]:
+            x = pt.coords
+            acc = 0
+            for i, j in itertools.combinations_with_replacement(range(form.dim + 1), 2):
+                acc = f.add(acc, f.mul(form.matrix[i][j], f.mul(x[i], x[j])))
+            assert evaluate_form(form, x, f) == acc
 
 
 def test_form_by_tag():
