@@ -124,7 +124,8 @@ def is_connected(g: BipartiteGraph) -> bool:
 
 
 def girth(g: BipartiteGraph) -> int | float:
-    """Exact girth via per-root BFS; math.inf for forests.
+    """Exact girth by bit-parallel search from every class-A root at once;
+    math.inf for forests.
 
     Measured on the first call and stored on the graph; adj_a is a tuple, so
     the graph cannot change under the stored value.
@@ -134,63 +135,101 @@ def girth(g: BipartiteGraph) -> int | float:
     return g._girth
 
 
+# Roots share one Python-int bitset per vertex, ROOT_CHUNK roots at a time,
+# so the girth and diameter searches hold O(n * ROOT_CHUNK) bits, not n^2.
+ROOT_CHUNK = 1024
+
+
 def _girth_search(g: BipartiteGraph) -> int | float:
-    """Every cycle alternates classes, so roots in class A suffice; a BFS
-    stops once its level can no longer beat the best cycle found."""
+    """Every cycle alternates classes, so roots in class A suffice.  Each
+    level propagates the previous level's frontier bitsets; a vertex newly
+    reached from one root through two neighbours closes a cycle of twice the
+    level (Itai and Rodeh, 1978).  Later chunks stop at the best level."""
     adj = g.adjacency()
     n = len(adj)
     best = math.inf
-    dist = [-1] * n
-    parent = [-1] * n
-    for root in range(g.n_a):
-        for i in range(n):
-            dist[i] = -1
-        dist[root] = 0
-        parent[root] = -1
-        q = deque([root])
-        while q:
-            x = q.popleft()
-            dx = dist[x]
-            if 2 * dx >= best:
+    for start in range(0, g.n_a, ROOT_CHUNK):
+        seen = [0] * n
+        for i, root in enumerate(range(start, min(start + ROOT_CHUNK, g.n_a))):
+            seen[root] = 1 << i
+        frontier = seen[:]
+        level = 1
+        while 2 * level < best:
+            nxt = [0] * n
+            grown = False
+            # Levels alternate classes: odd levels reach B, even levels A.
+            for v in range(g.n_a, n) if level % 2 else range(g.n_a):
+                once = twice = 0
+                for w in adj[v]:
+                    f = frontier[w]
+                    if f:
+                        twice |= once & f
+                        once |= f
+                new = once & ~seen[v]
+                if new:
+                    if twice & new:
+                        best = 2 * level
+                        break
+                    nxt[v] = new
+                    seen[v] |= new
+                    grown = True
+            if not grown:
                 break
-            px = parent[x]
-            for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dx + 1
-                    parent[y] = x
-                    q.append(y)
-                elif y != px:
-                    c = dx + dist[y] + 1
-                    if c < best:
-                        best = c
+            frontier = nxt
+            level += 1
     return best
 
 
 def diameter(g: BipartiteGraph) -> int:
-    """Largest BFS eccentricity; raises GraphError on a disconnected graph.
-    Measured on the first call and stored on the graph, like girth."""
+    """Largest eccentricity, found by growing every root's reach bitset one
+    step per round, ROOT_CHUNK roots at a time; raises GraphError on a
+    disconnected graph.  Measured on the first call and stored on the graph,
+    like girth."""
     if g._diameter is None:
         adj = g.adjacency()
+        n = len(adj)
         diam = 0
-        for v in range(len(adj)):
-            dist = bfs_distances(adj, v)
-            if -1 in dist:
-                raise GraphError("diameter of a disconnected graph")
-            diam = max(diam, max(dist))
+        for start in range(0, n, ROOT_CHUNK):
+            width = min(ROOT_CHUNK, n - start)
+            full = (1 << width) - 1
+            reach = [0] * n
+            for i in range(width):
+                reach[start + i] = 1 << i
+            rounds = 0
+            while reach.count(full) < n:
+                nxt = []
+                for nbrs, r in zip(adj, reach):
+                    for w in nbrs:
+                        r |= reach[w]
+                    nxt.append(r)
+                if nxt == reach:
+                    raise GraphError("diameter of a disconnected graph")
+                reach = nxt
+                rounds += 1
+            diam = max(diam, rounds)
         g._diameter = diam
     return g._diameter
 
 
-def distance_sets(g: BipartiteGraph, u: int, v: int, i: int, j: int) -> list[int]:
-    """Vertices at distance i from u and j from v (sorted global ids)."""
+def distance_sets(
+    g: BipartiteGraph, u: int, v: int, i: int, j: int, rows: dict | None = None
+) -> list[int]:
+    """Vertices at distance i from u and j from v (sorted global ids).
+
+    Several calls on one graph may share a `rows` dict, which keeps each
+    anchor's BFS distances, so each distinct anchor is searched once.
+    """
     n = g.n_vertices
     if not (0 <= u < n and 0 <= v < n):
         raise GraphError("vertex out of range")
     if u == v:
         raise GraphError("distance sets need two distinct anchor vertices")
-    adj = g.adjacency()
-    du = bfs_distances(adj, u)
-    dv = bfs_distances(adj, v)
+    if rows is None:
+        rows = {}
+    for s in (u, v):
+        if s not in rows:
+            rows[s] = bfs_distances(g.adjacency(), s)
+    du, dv = rows[u], rows[v]
     return [w for w in range(n) if du[w] == i and dv[w] == j]
 
 
@@ -294,24 +333,19 @@ def to_graph6(g: BipartiteGraph) -> bytes:
     n = g.n_vertices
     if n == 0:
         raise GraphError("cannot export an empty graph")
-    nbr = [set() for _ in range(n)]
+    # Bit p = j(j-1)/2 + i of the upper triangle, column by column, is edge
+    # (i, j); six bits per byte, high bit first, each byte offset by 63.
+    body = bytearray(-(-n * (n - 1) // 12))
     for a, b in g.edges():
-        nbr[a].add(b)
-        nbr[b].add(a)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if j in nbr[i] else 0)
-    out = bytearray(_g6_size_bytes(n))
-    for pos in range(0, len(bits), 6):
-        group = bits[pos : pos + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(val + 63)
-    out.extend(b"\n")
-    return bytes(out)
+        p = b * (b - 1) // 2 + a
+        body[p // 6] |= 32 >> p % 6
+    return _g6_size_bytes(n) + body.translate(_G6_CHARS) + b"\n"
+
+
+# Translation tables between graph6 characters and their 6-bit values.
+_G6_CHARS = bytes(range(63, 127)) + bytes(192)
+_G6_VALUES = bytes(63) + bytes(range(64)) + bytes(129)
+_G6_BITS = [format(v, "06b") for v in range(64)]
 
 
 def _ascii_text(data) -> str:
@@ -324,15 +358,17 @@ def _ascii_text(data) -> str:
 
 
 def from_graph6(data) -> tuple[int, list[tuple[int, int]]]:
-    """Decode graph6 into (n, sorted edge list); accepts the optional header."""
+    """Decode graph6 into (n, edges); accepts the optional header.  Edges are
+    (i, j) pairs with i < j in graph6 bit order: by j, then by i."""
     s = _ascii_text(data).strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :].strip()
     if not s:
         raise GraphError("empty graph6 input")
-    raw = [ord(c) - 63 for c in s]
-    if any(not 0 <= v <= 63 for v in raw):
+    raw = s.encode("ascii")
+    if min(raw) < 63 or max(raw) > 126:
         raise GraphError("invalid graph6 byte")
+    raw = raw.translate(_G6_VALUES)
     if raw[0] != 63:
         n, head = raw[0], 1
     else:
@@ -343,21 +379,16 @@ def from_graph6(data) -> tuple[int, list[tuple[int, int]]]:
         n = 0
         for v in raw[start:head]:
             n = (n << 6) | v
-    body = raw[head:]
     need = n * (n - 1) // 2
-    bits = []
-    for v in body:
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
-    if len(bits) < need:
+    if 6 * (len(raw) - head) < need:
         raise GraphError("graph6 data truncated")
+    bits = "".join(map(_G6_BITS.__getitem__, raw[head:]))
     edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
+    p = bits.find("1", 0, need)
+    while p >= 0:
+        j = (1 + math.isqrt(8 * p + 1)) // 2
+        edges.append((p - j * (j - 1) // 2, j))
+        p = bits.find("1", p + 1, need)
     return n, edges
 
 
@@ -375,7 +406,10 @@ def _dimacs_ints(ln: str, fields: list[str]) -> list[int]:
     """The fields of a DIMACS line as non-negative integers, or GraphError."""
     if not all(f.isdecimal() for f in fields):
         raise GraphError(f"bad DIMACS line: {ln!r}")
-    return [int(f) for f in fields]
+    try:
+        return [int(f) for f in fields]
+    except ValueError:  # past int()'s digit limit
+        raise GraphError(f"DIMACS number too long: {ln[:40]!r}") from None
 
 
 def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:

@@ -89,9 +89,10 @@ def induced_branch_graph(
             f"bound {ceiling}"
         )
     keep = set()
+    rows = {}
     for anchor, roots in ((v, roots_v), (u, roots_u)):
         for root in roots:
-            keep.update(distance_sets(g, anchor, root, r - 1, r - 2))
+            keep.update(distance_sets(g, anchor, root, r - 1, r - 2, rows))
     out = induced_subgraph(
         g, keep, meta={"construction": "branch-prune", "m1": m1, "n1": n1}
     )
@@ -117,11 +118,12 @@ def mixed_degree_prune(
     s = len(adj[v]) - 1
     t = len(adj[u]) - 1
     keep = set()
+    rows = {}
     for j in (1, 2, 3):
-        keep.update(distance_sets(g, u, v, r - j, r + 1 - j))
+        keep.update(distance_sets(g, u, v, r - j, r + 1 - j, rows))
     for root in [w for w in adj[v] if w != u][1:]:
-        keep.update(distance_sets(g, v, root, r - 1, r - 2))
-        keep.update(distance_sets(g, v, root, r - 2, r - 3))
+        keep.update(distance_sets(g, v, root, r - 1, r - 2, rows))
+        keep.update(distance_sets(g, v, root, r - 2, r - 3, rows))
     out = induced_subgraph(g, keep, meta={"construction": "mixed-prune"})
     order = (s * t) ** (r // 2 - 1) * (s + t + 1)
     return expect_biregular(out, s, t + 1, 2 * r, order, "mixed prune")

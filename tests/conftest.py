@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import pytest
 
 
@@ -25,6 +28,56 @@ def brute_girth(graph, cap: int = 24):
                 elif y > s and y not in seen and plen < best - 1:
                     stack.append((y, plen + 1, seen | {y}))
     return best if best <= cap else None
+
+
+def _bfs(adj, src):
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    q = deque([src])
+    while q:
+        x = q.popleft()
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                q.append(y)
+    return dist
+
+
+def bfs_girth(graph):
+    """Girth by one BFS per class-A root, math.inf for forests: a non-tree
+    edge x-y seen from the root closes a walk of dist[x] + dist[y] + 1, and
+    the shortest such walk over all roots is a shortest cycle."""
+    adj = graph.adjacency()
+    best = math.inf
+    for root in range(graph.n_a):
+        dist = [-1] * len(adj)
+        parent = [-1] * len(adj)
+        dist[root] = 0
+        q = deque([root])
+        while q:
+            x = q.popleft()
+            if 2 * dist[x] >= best:
+                break
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    q.append(y)
+                elif y != parent[x]:
+                    best = min(best, dist[x] + dist[y] + 1)
+    return best
+
+
+def bfs_diameter(graph):
+    """Largest BFS eccentricity; None for a disconnected graph."""
+    adj = graph.adjacency()
+    diam = 0
+    for v in range(len(adj)):
+        dist = _bfs(adj, v)
+        if -1 in dist:
+            return None
+        diam = max(diam, max(dist))
+    return diam
 
 
 def edge_count_conserved(graph) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brute_girth
 
+from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
 from bbcage.gf import field_new
 from bbcage.graphs import (
@@ -24,7 +25,7 @@ from bbcage.graphs import (
     to_graph6,
 )
 from bbcage.incidence import IncidenceStructure
-from bbcage.polygons import gq_q4
+from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -105,6 +106,16 @@ def test_diameter_disconnected_rejected():
     assert not is_connected(g)
     with pytest.raises(GraphError):
         diameter(g)
+
+
+def test_kernels_match_networkx_on_named_families():
+    nx = pytest.importorskip("networkx")
+    # q = 2 is the smallest q every host and named family allows.
+    hosts = [levi(build(F2)) for build in (gq_q4, gq_q5, split_cayley_hexagon)]
+    for g in hosts + [construct_named(family, 2) for family in sorted(NAMED_FAMILIES)]:
+        ref = nx.Graph(g.edges())
+        ref.add_nodes_from(range(g.n_vertices))
+        assert (girth(g), diameter(g)) == (nx.girth(ref), nx.diameter(ref))
 
 
 def test_distance_sets_basic():
@@ -218,6 +229,7 @@ def test_dimacs_roundtrip():
         ("p edge 2 1\ne 1 2\np edge 1 1\n", "p edge 1 1"),
         ("pe edge 2 1\n", "pe edge 2 1"),
         ("p edge 2 1\nedge 1 2\n", "edge 1 2"),
+        ("p edge " + "9" * 5000 + " 0\n", "p edge " + "9" * 33),  # past int()'s limit
     ],
 )
 def test_dimacs_malformed_rejected(text, offending):

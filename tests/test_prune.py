@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from conftest import brute_girth, edge_count_conserved
 
+from bbcage import graphs
 from bbcage.gf import field_new
-from bbcage.graphs import bb_check, girth, levi
+from bbcage.graphs import bb_check, girth, levi, to_graph6
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.prune import (
     affine_girth6_graph,
@@ -73,6 +76,35 @@ def test_mixed_prune_orders_and_parameters():
         assert out.n_vertices == order
         assert bb_check(out, m, n, g).passed
         assert edge_count_conserved(out)
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """The source of every bfs_distances call, in call order."""
+    sources = []
+    bfs = graphs.bfs_distances
+
+    def counting(adj, src):
+        sources.append(src)
+        return bfs(adj, src)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counting)
+    return sources
+
+
+def test_prunes_search_each_anchor_once(bfs_sources):
+    # u, v and the three branch roots at v; one BFS each.  The digests pin
+    # the graph6 bytes the prunes wrote when every shell ran its own BFS.
+    g = mixed_degree_prune(levi(gq_q5(F4)))
+    assert len(bfs_sources) == len(set(bfs_sources)) == 5
+    digest = hashlib.sha256(to_graph6(g)).hexdigest()
+    assert digest == "fb3ae77aff5e56c37cfaeb71d890def2a87e3e2db4d1cf48975d26aa28f9da9d"
+    bfs_sources.clear()
+    # Both anchors, three roots at v, and three at u besides v itself.
+    g = induced_branch_graph(levi(gq_q4(F3)), 3, 4)
+    assert len(bfs_sources) == len(set(bfs_sources)) == 2 + 3 + 3
+    digest = hashlib.sha256(to_graph6(g)).hexdigest()
+    assert digest == "da510f3f3319d34884adb7c0017518d3005048029815a3e121d8f5d7068cea45"
 
 
 def test_mixed_prune_girth_never_decreases():
