@@ -193,32 +193,37 @@ def design_save(design: Design) -> str:
 def design_load(text: str) -> Design:
     """Parse the design file format; syntactic checks only (run
     design_validate for the combinatorial ones)."""
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise DesignError("empty design file")
     head = lines[0].split()
     if len(head) != 3:
         raise DesignError(f"malformed header {lines[0]!r}, expected 'v b k'")
-    try:
-        v, b, k = (int(x) for x in head)
-    except ValueError as exc:
-        raise DesignError(f"malformed header {lines[0]!r}") from exc
-    if min(v, b, k) < 0:
-        raise DesignError(f"negative count in header {lines[0]!r}")
+    v, b, k = _decimals(head, lines[0], "header")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != b:
         raise DesignError(f"expected {b} blocks, found {len(body)}")
     blocks = []
     for ln in body:
-        try:
-            ids = tuple(sorted(int(x) for x in ln.split()))
-        except ValueError as exc:
-            raise DesignError(f"malformed block line {ln!r}") from exc
+        ids = tuple(sorted(_decimals(ln.split(), ln, "block line")))
         if len(ids) != k:
             raise DesignError(f"block {ln!r} does not have {k} entries")
         if len(set(ids)) != k:
             raise DesignError(f"block {ln!r} repeats a point")
-        if any(not 0 <= x < v for x in ids):
+        if any(x >= v for x in ids):
             raise DesignError(f"block {ln!r} has an index out of range")
         blocks.append(ids)
     return Design(v, tuple(blocks))
+
+
+def _decimals(fields: list[str], line: str, what: str) -> list[int]:
+    """The fields of one line as ints; each must be ASCII digits only, so a
+    sign, an underscore or a non-ASCII digit is malformed."""
+    if not all(f.isascii() and f.isdecimal() for f in fields):
+        raise DesignError(
+            f"malformed {what} {line!r}: fields are non-negative ASCII decimals"
+        )
+    try:
+        return [int(f) for f in fields]
+    except ValueError as exc:  # past int()'s digit limit
+        raise DesignError(f"malformed {what} {line!r}") from exc

@@ -246,6 +246,8 @@ def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, factoring q as p^k."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")
+    if q > MAX_ORDER:  # before factoring: trial division of a huge q never ends
+        raise FieldError(f"field order {q} exceeds cap {MAX_ORDER}")
     p = q
     for d in range(2, int(q ** 0.5) + 1):
         if q % d == 0:

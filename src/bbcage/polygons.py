@@ -20,6 +20,7 @@ from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
     form_by_tag,
+    hyperplane_section,
     projective_space,
     quadric_lines,
     quadric_points,
@@ -213,20 +214,10 @@ def ovoid_of_q4(field: Field) -> list[int]:
     the first hyperplane containing no line of the quadrangle."""
     q = field.q
     s = gq_q4(field)
-    space = projective_space(4, field)
-    coord_index = {c: i for i, c in enumerate(s.points)}
-    for h in space.hyperplanes():
-        inside = [
-            coord_index[c]
-            for c in s.points
-            if space.on_hyperplane(h, c)
-        ]
-        if len(inside) != q * q + 1:
+    for h in projective_space(4, field).hyperplanes():
+        ovoid, lines_inside, _ = hyperplane_section(s.points, s.blocks, h, field)
+        if len(ovoid) != q * q + 1 or lines_inside:
             continue
-        inset = set(inside)
-        if any(all(x in inset for x in blk) for blk in s.blocks):
-            continue
-        ovoid = sorted(inside)
         for i, a in enumerate(ovoid):
             blocks_a = set(s.point_blocks[a])
             for b in ovoid[i + 1 :]:

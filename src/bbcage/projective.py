@@ -70,32 +70,49 @@ class ProjectiveSpace:
     def id_of(self, coords) -> int:
         return self._id[self.normalize(coords)]
 
+    def _rest_of_line(self, a_id: int, b_id: int):
+        """The q - 1 point ids a + lam * b (lam = 1..q-1) of line ab other
+        than a and b, one at a time."""
+        F = self.field
+        a = self.points[a_id].coords
+        b = self.points[b_id].coords
+        for lam in range(1, F.q):
+            c = tuple(F.add(x, F.mul(lam, y)) for x, y in zip(a, b))
+            yield self._id[self.normalize(c)]
+
     def line_through(self, a_id: int, b_id: int) -> tuple[int, ...]:
         """The q+1 point ids of the line spanned by two distinct points."""
         if a_id == b_id:
             raise GeometryError("line_through needs two distinct points")
-        F = self.field
-        a = self.points[a_id].coords
-        b = self.points[b_id].coords
-        ids = [a_id, b_id]
-        for lam in range(1, F.q):
-            c = tuple(F.add(x, F.mul(lam, y)) for x, y in zip(a, b))
-            ids.append(self._id[self.normalize(c)])
-        return tuple(sorted(ids))
+        return tuple(sorted((a_id, b_id, *self._rest_of_line(a_id, b_id))))
 
-    def all_lines(self) -> list[tuple[int, ...]]:
-        """Every line, as sorted id tuples, deduped over point pairs."""
-        n = len(self.points)
+    def lines_in(self, ids) -> list[tuple[int, ...]]:
+        """Every line whose q+1 points all lie in ids, as sorted id tuples in
+        sorted order.
+
+        The line of each pair not yet on a found line is walked point by
+        point and dropped at the first point outside ids; a line off a
+        quadric meets it in at most two points, so for a quadric such a pair
+        costs one point.  Pairs are taken in sorted order, so a line is found
+        at its two smallest ids and the lines come out sorted.
+        """
+        members = sorted(set(ids))
+        inside = set(members)
         done = set()
         lines = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) in done:
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                if (a, b) in done:
                     continue
-                line = self.line_through(i, j)
-                lines.append(line)
-                done.update(itertools.combinations(line, 2))
-        lines.sort()
+                line = [a, b]
+                for c in self._rest_of_line(a, b):
+                    if c not in inside:
+                        break
+                    line.append(c)
+                else:
+                    line.sort()
+                    lines.append(tuple(line))
+                    done.update(itertools.combinations(line, 2))
         return lines
 
     def hyperplanes(self) -> list[Hyperplane]:
@@ -181,26 +198,10 @@ def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
 
 
 def quadric_lines(form: QuadraticForm, field: Field) -> list[tuple[int, ...]]:
-    """Lines of PG(d, q) fully contained in the quadric, as sorted id tuples.
-
-    Enumerated by scanning collinear quadric-point pairs with dedup.
-    """
+    """Lines of PG(d, q) fully contained in the quadric, as sorted id tuples,
+    from the one early-exit enumerator ProjectiveSpace.lines_in."""
     space = projective_space(form.dim, field)
-    pts = quadric_points(form, field)
-    on = {p.id for p in pts}
-    ids = [p.id for p in pts]
-    done = set()
-    lines = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if (a, b) in done:
-                continue
-            line = space.line_through(a, b)
-            if all(x in on for x in line):
-                lines.append(line)
-                done.update(itertools.combinations(line, 2))
-    lines.sort()
-    return lines
+    return space.lines_in(p.id for p in quadric_points(form, field))
 
 
 def hyperplane_section(

@@ -145,6 +145,8 @@ def find_free_edge(structure: IncidenceStructure) -> tuple[int, int]:
     if s < 3 or t < 3:
         raise ValueError(f"needs order at least (3, 3), got ({s}, {t})")
     g = levi(structure)
+    if girth(g) != 8:
+        raise ValueError(f"structure is not a quadrangle: incidence girth {girth(g)}")
     adj = g.adjacency()
     cycle = _girth_cycle_through(adj, 0, 8)
     pts = [x for x in cycle if x < g.n_a]
@@ -232,23 +234,8 @@ def affine_slab_graph(
                 if any(x in line for x in chosen if x not in (chosen[i], chosen[j])):
                     raise ValueError("arc has three collinear points")
     # first ideal line disjoint from the source oval (or the supplied arc)
-    chosen_set = set(chosen)
-    targets = set(oval) if arc is None else chosen_set
-    ell = None
-    seen = set()
-    for i, a in enumerate(ideal):
-        for b in ideal[i + 1 :]:
-            if (a, b) in seen:
-                continue
-            line = space.line_through(a, b)
-            seen.update(
-                (x, y) for xi, x in enumerate(line) for y in line[xi + 1 :]
-            )
-            if not targets.intersection(line):
-                ell = line
-                break
-        if ell:
-            break
+    targets = set(oval if arc is None else chosen)
+    ell = next((l for l in space.lines_in(ideal) if not targets.intersection(l)), None)
     if ell is None:
         raise ConstructionError("no ideal line disjoint from the conic found")
     ell_pts = [space.points[x].coords for x in ell[:2]]
@@ -271,20 +258,13 @@ def affine_slab_graph(
     slab_index = {x: i for i, x in enumerate(slab)}
     blocks = []
     for point_id in chosen:
-        direction = space.points[point_id].coords
         covered = set()
         for a in affine:
             if a in covered:
                 continue
-            base = space.points[a].coords
-            members = []
-            for lam in range(p):
-                c = tuple(
-                    field.add(x, field.mul(lam, y)) for x, y in zip(base, direction)
-                )
-                members.append(space.id_of(c))
+            members = tuple(x for x in space.line_through(a, point_id) if x != point_id)
             covered.update(members)
-            blocks.append(tuple(sorted(members)))
+            blocks.append(members)
     adj = [[] for _ in range(len(slab))]
     for bi, members in enumerate(blocks):
         hits = [slab_index[x] for x in members if x in slab_index]

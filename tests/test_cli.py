@@ -107,6 +107,29 @@ def test_construct_cap_exit2(capsys):
     assert "error" in err
 
 
+def test_construct_huge_prime_q_exit2(capsys):
+    # 2^61 - 1 is prime: the cap is checked before q is factored
+    code, _, err = run(
+        capsys,
+        "construct", "--family", "ag2-girth6", "--q", "2305843009213693951",
+        "--m1", "2", "--n1", "2",
+    )
+    assert code == 2
+    assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("family", ["mixed-prune", "branch-prune"])
+def test_construct_auto_edge_on_hexagon_exit2(capsys, family):
+    code, stdout, err = run(
+        capsys,
+        "construct", "--family", family, "--host", "hexagon", "--q", "3",
+        "--m1", "2", "--n1", "3", "--edge", "auto",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "not a quadrangle" in err
+
+
 def test_construct_missing_param_exit2(capsys):
     code, _, _ = run(capsys, "construct", "--family", "steiner-cage")
     assert code == 2

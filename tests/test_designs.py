@@ -115,12 +115,16 @@ def test_file_errors():
     for header in ("-1 0 3", "3 -1 3", "0 0 -2"):
         with pytest.raises(DesignError, match="negative"):
             design_load(header + "\n")
+    # only ASCII decimals: no non-ASCII digit, sign or digit separator
+    for text in ("\u0667 1 3\n0 1 2\n", "+7 1 3\n0 1 2\n", "11 1 3\n0 1_0 2\n"):
+        with pytest.raises(DesignError, match="ASCII decimals"):
+            design_load(text)
 
 
 def test_pg23_as_design():
     # the 13 lines of PG(2, 3) form an S(2, 4, 13)
     space = projective_space(2, field_new(3, 1))
-    lines = sorted(space.all_lines())
+    lines = space.lines_in(range(len(space.points)))
     d = Design(13, tuple(lines))
     assert design_validate(d).valid
     text = design_save(d)

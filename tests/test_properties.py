@@ -1,5 +1,8 @@
 """Hypothesis properties: the bit-parallel girth and diameter kernels against
-the per-root BFS oracles, and the file readers against hostile input."""
+the per-root BFS oracles, the file readers against hostile input, and
+ProjectiveSpace.lines_in against a scan of every point pair."""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from conftest import bfs_diameter, bfs_girth
 
 from bbcage import graphs
 from bbcage.designs import DesignError, design_load
+from bbcage.gf import field_of_order
 from bbcage.graphs import (
     BipartiteGraph,
     GraphError,
@@ -17,6 +21,7 @@ from bbcage.graphs import (
     from_graph6,
     girth,
 )
+from bbcage.projective import projective_space
 
 
 @st.composite
@@ -91,3 +96,74 @@ def test_design_load_raises_only_design_errors(text):
         design_load(text)
     except DesignError:
         pass
+
+
+_SPACES = [(2, 3), (3, 2), (3, 3)]
+
+
+@lru_cache(maxsize=None)
+def _pair_scan_lines(d, q):
+    """Every line of PG(d, q), deduplicated over all point pairs."""
+    space = projective_space(d, field_of_order(q))
+    n = len(space.points)
+    return sorted(
+        {space.line_through(i, j) for i in range(n) for j in range(i + 1, n)}
+    )
+
+
+def _expected_lines_in(d, q, ids):
+    inside = set(ids)
+    return [line for line in _pair_scan_lines(d, q) if inside.issuperset(line)]
+
+
+@st.composite
+def space_and_point_list(draw):
+    """PG(2,3), PG(3,2) or PG(3,3) and a point list (repeats allowed): some
+    whole lines, some extra points, some points taken away again."""
+    d, q = draw(st.sampled_from(_SPACES))
+    lines = _pair_scan_lines(d, q)
+    n = len(projective_space(d, field_of_order(q)).points)
+    ids = set()
+    for line in draw(st.lists(st.sampled_from(lines), max_size=6)):
+        ids.update(line)
+    ids.update(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    ids.difference_update(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    order = draw(st.permutations(sorted(ids)))
+    return d, q, order + order[: draw(st.integers(0, len(order)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=space_and_point_list())
+def test_lines_in_matches_pair_scan(case):
+    d, q, ids = case
+    space = projective_space(d, field_of_order(q))
+    assert space.lines_in(ids) == _expected_lines_in(d, q, ids)
+
+
+@pytest.mark.parametrize("d,q", _SPACES)
+def test_lines_in_boundary_sets(d, q):
+    space = projective_space(d, field_of_order(q))
+    everything = range(len(space.points))
+    line = space.line_through(0, len(space.points) - 1)
+    assert space.lines_in([]) == []
+    assert space.lines_in([5]) == []
+    assert space.lines_in(line) == [line]
+    assert space.lines_in(line[:-1]) == []
+    assert space.lines_in(everything) == _pair_scan_lines(d, q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lines_in_hyperbolic_quadric(q):
+    # X0 X1 + X2 X3 = 0 in PG(3, q): (q+1)^2 points on 2(q+1) lines
+    field = field_of_order(q)
+    space = projective_space(3, field)
+    add, mul = field.add, field.mul
+    on = [
+        p.id
+        for p in space.points
+        if add(mul(p.coords[0], p.coords[1]), mul(p.coords[2], p.coords[3])) == 0
+    ]
+    assert len(on) == (q + 1) ** 2
+    lines = space.lines_in(on)
+    assert len(lines) == 2 * (q + 1)
+    assert lines == _expected_lines_in(3, q, on)

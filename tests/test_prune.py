@@ -180,6 +180,35 @@ def test_slab_arc_supplied():
     assert bb_check(g, 3, 4, 8).passed
 
 
+# graph6 SHA-256 of slab graphs: the ideal line and the affine lines must
+# keep coming out the same however the lines are enumerated
+_SLAB_DIGESTS = {
+    (3, 2, 3): "c6732f3f80083645fd6b4a4b6a080b1a3955068382890e3f491477754b8f8471",
+    (5, 3, 4): "f50027864e4bf912a262ba5db5e348dccdf2b43a01d7e3e636a934835ea1c262",
+    (7, 4, 6): "130b27480bd6888865e801e2f3c094a67985eb3b82fa86cc5365381b19572e41",
+}
+
+
+@pytest.mark.parametrize("p,m1,n1", sorted(_SLAB_DIGESTS))
+def test_slab_bytes_pinned(p, m1, n1):
+    g = affine_slab_graph(field_new(p, 1), m1, n1)
+    assert hashlib.sha256(to_graph6(g)).hexdigest() == _SLAB_DIGESTS[p, m1, n1]
+
+
+def test_slab_arc_bytes_pinned():
+    from bbcage.projective import projective_space
+
+    space = projective_space(3, F5)
+    # a frame of the ideal plane: an arc that is not on the conic
+    frame = [
+        space.id_of(c) for c in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1))
+    ]
+    g = affine_slab_graph(F5, 3, 4, arc=frame)
+    assert hashlib.sha256(to_graph6(g)).hexdigest() == (
+        "7ebe9777e3c4765bd39106686b27e5f5fdbe056f651e6f40fb7b2d3ea536aad6"
+    )
+
+
 def test_slab_rejections():
     from bbcage.projective import projective_space
 
