@@ -63,7 +63,7 @@ def _host_structure(name: str, q: int):
 def _anchor_edge(structure, g: BipartiteGraph, mode: str):
     if mode == "lex":
         return None
-    point, block = find_free_edge(structure)
+    point, block = find_free_edge(structure, g)
     return (point, g.n_a + block)
 
 

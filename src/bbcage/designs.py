@@ -3,6 +3,9 @@ point truncation to girth-6 biregular cages, and a line-oriented file format.
 
 File format: first line "v b k" (ASCII decimals), then b lines of k
 space-separated 0-based point indices, each line ascending, LF-terminated.
+Lines end at LF only and fields are separated by the ASCII space only: a CR,
+a tab or a non-ASCII space (such as a no-break space or the \x1c-\x1f
+separators) makes the file malformed.  Lines of spaces only are skipped.
 """
 
 from __future__ import annotations
@@ -193,19 +196,19 @@ def design_save(design: Design) -> str:
 def design_load(text: str) -> Design:
     """Parse the design file format; syntactic checks only (run
     design_validate for the combinatorial ones)."""
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise DesignError("empty design file")
-    head = lines[0].split()
+    lines = text.split("\n")
+    head = _fields(lines[0])
     if len(head) != 3:
         raise DesignError(f"malformed header {lines[0]!r}, expected 'v b k'")
     v, b, k = _decimals(head, lines[0], "header")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [ln for ln in lines[1:] if _fields(ln)]
     if len(body) != b:
         raise DesignError(f"expected {b} blocks, found {len(body)}")
     blocks = []
     for ln in body:
-        ids = tuple(sorted(_decimals(ln.split(), ln, "block line")))
+        ids = tuple(sorted(_decimals(_fields(ln), ln, "block line")))
         if len(ids) != k:
             raise DesignError(f"block {ln!r} does not have {k} entries")
         if len(set(ids)) != k:
@@ -214,6 +217,12 @@ def design_load(text: str) -> Design:
             raise DesignError(f"block {ln!r} has an index out of range")
         blocks.append(ids)
     return Design(v, tuple(blocks))
+
+
+def _fields(line: str) -> list[str]:
+    """The runs of one line between ASCII spaces; any other whitespace stays
+    inside a field, where _decimals rejects it."""
+    return [f for f in line.split(" ") if f]
 
 
 def _decimals(fields: list[str], line: str, what: str) -> list[int]:

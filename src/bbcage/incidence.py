@@ -5,6 +5,21 @@ from __future__ import annotations
 from types import MappingProxyType
 
 
+def point_stars(n: int, blocks) -> tuple[tuple[int, ...], ...]:
+    """For each point 0..n-1, the indices of the blocks through it, ascending.
+
+    A block naming a point twice appears twice in that point's star.  A point
+    index outside 0..n-1 raises ValueError naming the first such block.
+    """
+    stars = [[] for _ in range(n)]
+    for bi, blk in enumerate(blocks):
+        for x in blk:
+            if not 0 <= x < n:
+                raise ValueError(f"block {bi} has out-of-range point index {x}")
+            stars[x].append(bi)
+    return tuple(map(tuple, stars))
+
+
 class IncidenceStructure:
     """Points with optional payloads, blocks as sorted tuples of point indices.
 
@@ -15,12 +30,10 @@ class IncidenceStructure:
 
     def __init__(self, points, blocks, tag=None):
         self.points = tuple(points)
-        n = len(self.points)
+        raw = [tuple(blk) for blk in blocks]
+        self.point_blocks = point_stars(len(self.points), raw)
         clean = []
-        for bi, blk in enumerate(blocks):
-            t = tuple(blk)
-            if any(not 0 <= x < n for x in t):
-                raise ValueError(f"block {bi} has out-of-range point index")
+        for bi, t in enumerate(raw):
             if len(set(t)) != len(t):
                 raise ValueError(f"block {bi} repeats a point")
             if list(t) != sorted(t):
@@ -28,11 +41,6 @@ class IncidenceStructure:
             clean.append(t)
         self.blocks = tuple(clean)
         self.tag = MappingProxyType(dict(tag) if tag else {})
-        point_blocks = [[] for _ in range(n)]
-        for bi, blk in enumerate(self.blocks):
-            for x in blk:
-                point_blocks[x].append(bi)
-        self.point_blocks = tuple(map(tuple, point_blocks))
 
     @property
     def num_points(self) -> int:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import eq
 
 from .gf import Field
+from .incidence import point_stars
 
 
 class GeometryError(ValueError):
@@ -204,6 +206,20 @@ def quadric_lines(form: QuadraticForm, field: Field) -> list[tuple[int, ...]]:
     return space.lines_in(p.id for p in quadric_points(form, field))
 
 
+@lru_cache(maxsize=8)
+def _star_index(blocks: tuple[tuple[int, ...], ...], n: int):
+    """The point stars of blocks on n points, each block's size, and the
+    count a tangent block shows (1, or -1 for a 1-point block, which is inside
+    h whenever it meets h).  Cached per blocks value: a structure is usually
+    sectioned by many hyperplanes."""
+    try:
+        stars = point_stars(n, blocks)
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from None
+    sizes = tuple(map(len, blocks))
+    return stars, sizes, tuple(-1 if k == 1 else 1 for k in sizes)
+
+
 def hyperplane_section(
     point_coords: list[tuple[int, ...]],
     blocks: list[tuple[int, ...]],
@@ -213,23 +229,31 @@ def hyperplane_section(
     """Classify a coordinatized structure against a hyperplane.
 
     Returns (point indices on h, block indices fully inside h, block indices
-    meeting h in exactly one point).  Any block meeting h in between 2 and
-    size-1 points is a geometric violation and raises.
+    meeting h in exactly one point).  A block meeting h in any other number
+    of points (none, or 2 to size-1) is a geometric violation and raises
+    GeometryError naming the first such block; so does a block naming a
+    point index outside 0..len(point_coords)-1.
+
+    Each block's count of points on h is summed over the stars of the points
+    on h, so the work is the point scan plus one step per incidence on h.
     """
+    stars, sizes, tangent_marks = _star_index(
+        tuple(map(tuple, blocks)), len(point_coords)
+    )
     dot, coeffs = field.dot, h.coeffs
     inside_pts = [i for i, coords in enumerate(point_coords) if dot(coeffs, coords) == 0]
-    acc_on = set(inside_pts)
-    blocks_inside, blocks_tangent = [], []
-    for bi, blk in enumerate(blocks):
-        cnt = sum(1 for x in blk if x in acc_on)
-        if cnt == len(blk):
-            blocks_inside.append(bi)
-        elif cnt == 1:
-            blocks_tangent.append(bi)
-        else:
-            raise GeometryError(
-                f"block {bi} meets the hyperplane in {cnt} of {len(blk)} points"
-            )
+    cnt = [0] * len(sizes)
+    for i in inside_pts:
+        for bi in stars[i]:
+            cnt[bi] += 1
+    ids = range(len(cnt))
+    blocks_inside = list(itertools.compress(ids, map(eq, cnt, sizes)))
+    blocks_tangent = list(itertools.compress(ids, map(eq, cnt, tangent_marks)))
+    if len(blocks_inside) + len(blocks_tangent) < len(cnt):
+        bi = next(b for b in ids if cnt[b] != sizes[b] and cnt[b] != 1)
+        raise GeometryError(
+            f"block {bi} meets the hyperplane in {cnt[bi]} of {sizes[bi]} points"
+        )
     return inside_pts, blocks_inside, blocks_tangent
 
 

@@ -129,11 +129,15 @@ def mixed_degree_prune(
     return expect_biregular(out, s, t + 1, 2 * r, order, "mixed prune")
 
 
-def find_free_edge(structure: IncidenceStructure) -> tuple[int, int]:
+def find_free_edge(
+    structure: IncidenceStructure, g: BipartiteGraph | None = None
+) -> tuple[int, int]:
     """In a generalized quadrangle of order (s, t) with s, t >= 3, find an
     incident (point, line) pair where the point is collinear with no vertex of
     some proper quadrangle and the line meets none of its sides.
 
+    g is levi(structure) when the caller already holds it, so its girth is
+    measured once for both; without it a Levi graph is built here.
     Returns (point index, block index), the anchor for induced_branch_graph.
     """
     sizes = structure.block_sizes()
@@ -144,7 +148,10 @@ def find_free_edge(structure: IncidenceStructure) -> tuple[int, int]:
     t = next(iter(degs)) - 1
     if s < 3 or t < 3:
         raise ValueError(f"needs order at least (3, 3), got ({s}, {t})")
-    g = levi(structure)
+    if g is None:
+        g = levi(structure)
+    elif (g.n_a, g.n_b) != (structure.num_points, structure.num_blocks):
+        raise ValueError("graph is not the Levi graph of the structure")
     if girth(g) != 8:
         raise ValueError(f"structure is not a quadrangle: incidence girth {girth(g)}")
     adj = g.adjacency()

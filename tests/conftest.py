@@ -103,6 +103,29 @@ def tree_count_oracle(m: int, n: int, r: int) -> int:
     return total
 
 
+def scan_section(point_coords, blocks, h, field):
+    """hyperplane_section by the per-block scan: count each block's points on
+    h one by one.  The same outputs and the same GeometryError text, except
+    that a point index outside the structure counts as off h."""
+    from bbcage.projective import GeometryError
+
+    dot, coeffs = field.dot, h.coeffs
+    inside_pts = [i for i, coords in enumerate(point_coords) if dot(coeffs, coords) == 0]
+    acc_on = set(inside_pts)
+    blocks_inside, blocks_tangent = [], []
+    for bi, blk in enumerate(blocks):
+        cnt = sum(1 for x in blk if x in acc_on)
+        if cnt == len(blk):
+            blocks_inside.append(bi)
+        elif cnt == 1:
+            blocks_tangent.append(bi)
+        else:
+            raise GeometryError(
+                f"block {bi} meets the hyperplane in {cnt} of {len(blk)} points"
+            )
+    return inside_pts, blocks_inside, blocks_tangent
+
+
 @pytest.fixture
 def girth_searches(monkeypatch):
     """Every graph the girth search runs on, in call order.  The list keeps

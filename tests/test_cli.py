@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,24 @@ def test_construct_branch_prune_auto_edge(capsys):
     report = json.loads(stdout)
     assert report["vertices"] == 7 * 16
     assert report["girth"] == 8
+
+
+def test_branch_prune_auto_edge_searches_host_girth_once(tmp_path, capsys, girth_searches):
+    # find_free_edge reads the host's girth from the CLI's own Levi graph, so
+    # Levi(Q(4, 4)) is searched once and the pruned graph once
+    graph, report = tmp_path / "g.g6", tmp_path / "r.json"
+    code, _, _ = run(
+        capsys,
+        "construct", "--family", "branch-prune", "--host", "q4", "--q", "4",
+        "--m1", "3", "--n1", "4", "--edge", "auto",
+        "--out", str(graph), "--report", str(report),
+    )
+    assert code == 0
+    assert [(g.n_a, g.n_b) for g in girth_searches] == [(85, 85), (48, 64)]
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (graph, report)] == [
+        "c3aa5262b10a79e66b692b21f8eccaa668810b0f4ad1149a9be5c8e929232151",
+        "32a63b6e6d4babfc9b2a3e4aba15fa56eae5f1ec5da927ad507f3800c08e9cba",
+    ]
 
 
 def test_construct_mixed_prune(capsys):

@@ -121,6 +121,21 @@ def test_file_errors():
             design_load(text)
 
 
+def test_file_separators_are_lf_and_ascii_space_only():
+    for text in (
+        "7\xa01 3\n0 1 2\n",  # no-break space between fields
+        "7 1 3\x1c0 1 2\n",  # file separator between lines
+        "7 1 3\r0 1 2\n",  # CR between lines
+        "7 1 3\r\n0 1 2\r\n",  # CRLF line ends
+        "7 1 3\n0\t1 2\n",  # tab between fields
+        "7 1 3\n0 1 2\n\t\n",  # a line of a tab is not blank
+    ):
+        with pytest.raises(DesignError):
+            design_load(text)
+    # runs of ASCII spaces, lines of spaces and a missing last LF still load
+    assert design_load(" 7  1 3 \n0 1  2\n  \n\n") == design_load("7 1 3\n0 1 2")
+
+
 def test_pg23_as_design():
     # the 13 lines of PG(2, 3) form an S(2, 4, 13)
     space = projective_space(2, field_new(3, 1))

@@ -1,8 +1,14 @@
+import hashlib
 import itertools
 
 import pytest
 
+from conftest import scan_section
+
+from bbcage import projective
 from bbcage.gf import field_new, field_of_order
+from bbcage.incidence import IncidenceStructure, point_stars
+from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import (
     GeometryError,
     Hyperplane,
@@ -188,6 +194,116 @@ def test_hyperplane_section_violation_reported():
     blocks = [(0, 1, 2)]  # meets X0 = 0 in two of three points
     with pytest.raises(GeometryError):
         hyperplane_section(pts, blocks, Hyperplane((1, 0, 0)), F2)
+
+
+# X0 = 0 in PG(2, 2) holds at points 1 and 2 of these three, not at point 0
+_TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+_X0 = Hyperplane((1, 0, 0))
+
+
+def test_hyperplane_section_zero_point_block_reported():
+    with pytest.raises(GeometryError, match=r"^block 1 meets the hyperplane in 0 of 2 points$"):
+        hyperplane_section(_TRIANGLE, [(1, 2), (0, 0)], _X0, F2)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_hyperplane_section_rejects_point_ids_outside_structure(bad):
+    # the per-block scan took (1, bad) for a tangent block
+    blocks = [(1, 2), (1, bad)]
+    assert scan_section(_TRIANGLE, blocks, _X0, F2) == ([1, 2], [0], [1])
+    with pytest.raises(GeometryError, match=rf"^block 1 has out-of-range point index {bad}$"):
+        hyperplane_section(_TRIANGLE, blocks, _X0, F2)
+
+
+def test_hyperplane_section_one_point_and_empty_blocks():
+    blocks = [(), (1,), (2,), (0, 1), ()]
+    # a one-point block on h is inside it, never tangent
+    want = ([1, 2], [0, 1, 2, 4], [3])
+    assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == want
+    assert scan_section(_TRIANGLE, blocks, _X0, F2) == want
+    with pytest.raises(GeometryError, match=r"^block 2 meets the hyperplane in 0 of 1 points$"):
+        hyperplane_section(_TRIANGLE, [(), (1,), (0,)], _X0, F2)
+
+
+def test_hyperplane_section_takes_lists_of_lists():
+    pts, blocks = _structure("parabolic-4", F3)
+    for h in projective_space(4, F3).hyperplanes()[:40]:
+        want = hyperplane_section(pts, blocks, h, F3)
+        assert hyperplane_section(pts, [list(b) for b in blocks], h, F3) == want
+
+
+def test_hyperplane_section_sees_blocks_mutated_between_calls():
+    blocks = [[1, 2], [0, 1]]
+    assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == ([1, 2], [0], [1])
+    blocks.append([2])
+    assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == ([1, 2], [0, 2], [1])
+    blocks[1].append(2)
+    with pytest.raises(GeometryError, match=r"^block 1 meets the hyperplane in 2 of 3 points$"):
+        hyperplane_section(_TRIANGLE, blocks, _X0, F2)
+    blocks[1][:] = [0, 1]
+    blocks[0][0] = 0
+    assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == ([1, 2], [2], [0, 1])
+
+
+def test_hyperplane_section_returns_fresh_lists():
+    pts, blocks = _structure("parabolic-4", F3)
+    h = Hyperplane((1, 0, 0, 0, 0))
+    first = hyperplane_section(pts, blocks, h, F3)
+    want = tuple(list(x) for x in first)
+    for x in first:
+        x.clear()
+    assert hyperplane_section(pts, blocks, h, F3) == want
+
+
+def test_star_index_built_once_per_blocks_value(monkeypatch):
+    built = []
+
+    def counted(n, blocks):
+        built.append(n)
+        return point_stars(n, blocks)
+
+    monkeypatch.setattr(projective, "point_stars", counted)
+    projective._star_index.cache_clear()
+    pts, blocks = _structure("parabolic-4", F3)
+    for h in projective_space(4, F3).hyperplanes()[:10]:
+        hyperplane_section(pts, blocks, h, F3)
+        hyperplane_section(pts, [list(b) for b in blocks], h, F3)
+    assert built == [len(pts)]
+    hyperplane_section(pts, blocks[1:], h, F3)
+    assert built == [len(pts)] * 2
+
+
+def test_point_stars():
+    assert point_stars(4, [(0, 1), (1, 3), (1, 1)]) == ((0,), (0, 1, 2, 2), (), (1,))
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^block 1 has out-of-range point index {bad}$"):
+            point_stars(4, [(0, 1), (2, bad)])
+    s = IncidenceStructure([None] * 4, [(3, 1), (0, 1)])
+    assert s.point_blocks == ((1,), (0, 1), (), (0,))
+    with pytest.raises(ValueError, match="out-of-range"):
+        IncidenceStructure([None] * 4, [(0, 1), (2, 4)])
+
+
+# SHA-256 of repr(hyperplane_section(...)) over every hyperplane of the
+# structure's PG(d, q), in point order; taken from the per-block scan
+_SECTION_SHA256 = {
+    (gq_q4, 3): "4385dc577bac14e7a0fc6b38b5170e770607c22e7ca50910db460bf708719e00",
+    (gq_q5, 2): "cfcb836680b0956629fb5302002e7baf759f326a01d4cea8aa279cda43139133",
+    (split_cayley_hexagon, 2): "5264f684cda91c13c522073b0287705c15f690a89fac67a9daaa990712577e11",
+}
+
+
+@pytest.mark.parametrize("build,q", sorted(_SECTION_SHA256, key=lambda k: k[0].__name__))
+def test_every_hyperplane_section_pinned(build, q):
+    s = build(field_of_order(q))
+    field = s.tag["field"]
+    digest = hashlib.sha256()
+    for p in pg_points(len(s.points[0]) - 1, field):
+        h = Hyperplane(p.coords)
+        got = hyperplane_section(s.points, s.blocks, h, field)
+        assert got == scan_section(s.points, s.blocks, h, field)
+        digest.update(repr(got).encode())
+    assert digest.hexdigest() == _SECTION_SHA256[build, q]
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, field_new(7, 1), F4])

@@ -1,6 +1,7 @@
 """Hypothesis properties: the bit-parallel girth and diameter kernels against
-the per-root BFS oracles, the file readers against hostile input, and
-ProjectiveSpace.lines_in against a scan of every point pair."""
+the per-root BFS oracles, the file readers against hostile input,
+ProjectiveSpace.lines_in against a scan of every point pair, and
+hyperplane_section against the per-block scan."""
 
 from functools import lru_cache
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_diameter, bfs_girth
+from conftest import bfs_diameter, bfs_girth, scan_section
 
 from bbcage import graphs
 from bbcage.designs import DesignError, design_load
@@ -21,7 +22,7 @@ from bbcage.graphs import (
     from_graph6,
     girth,
 )
-from bbcage.projective import projective_space
+from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, projective_space
 
 
 @st.composite
@@ -167,3 +168,58 @@ def test_lines_in_hyperbolic_quadric(q):
     lines = space.lines_in(on)
     assert len(lines) == 2 * (q + 1)
     assert lines == _expected_lines_in(3, q, on)
+
+
+@st.composite
+def sectioned_structures(draw):
+    """Up to 12 points of PG(2, q) or PG(3, q) (q = 2, 3, repeats allowed), a
+    hyperplane h, and up to 8 blocks: each drawn inside h, tangent to it or
+    at random (so often violating), possibly repeating a point, with one
+    point or none, and sometimes naming a point outside the structure.  The
+    blocks come as a tuple of tuples or as a list of lists."""
+    d, q = draw(st.sampled_from(_SPACES))
+    field = field_of_order(q)
+    coords = [p.coords for p in projective_space(d, field).points]
+    pts = draw(st.lists(st.sampled_from(coords), min_size=1, max_size=12))
+    h = Hyperplane(draw(st.sampled_from(coords)))
+    on = [i for i, c in enumerate(pts) if field.dot(h.coeffs, c) == 0]
+    off = [i for i, c in enumerate(pts) if field.dot(h.coeffs, c) != 0]
+    any_id = st.integers(0, len(pts) - 1)
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["inside", "tangent", "random", "bad id"]))
+        if kind == "inside" and on:
+            blk = draw(st.lists(st.sampled_from(on), max_size=4))
+        elif kind == "tangent" and on and off:
+            blk = [draw(st.sampled_from(on))] + draw(st.lists(st.sampled_from(off), max_size=3))
+        elif kind == "bad id":
+            bad = draw(st.sampled_from([-1, len(pts)]))
+            blk = draw(st.lists(any_id, max_size=3)) + [bad]
+        else:
+            blk = draw(st.lists(any_id, max_size=4))
+        blocks.append(draw(st.permutations(blk)))
+    if draw(st.booleans()):
+        blocks = tuple(map(tuple, blocks))
+    return pts, blocks, h, field
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sectioned_structures())
+def test_hyperplane_section_matches_block_scan(case):
+    pts, blocks, h, field = case
+    n = len(pts)
+    bad = [bi for bi, blk in enumerate(blocks) if any(not 0 <= x < n for x in blk)]
+    if bad:
+        x = next(x for x in blocks[bad[0]] if not 0 <= x < n)
+        with pytest.raises(GeometryError) as got:
+            hyperplane_section(pts, blocks, h, field)
+        assert str(got.value) == f"block {bad[0]} has out-of-range point index {x}"
+        return
+    try:
+        want = scan_section(pts, blocks, h, field)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as got:
+            hyperplane_section(pts, blocks, h, field)
+        assert str(got.value) == str(exc)
+    else:
+        assert hyperplane_section(pts, blocks, h, field) == want

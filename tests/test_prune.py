@@ -133,6 +133,14 @@ def test_free_edge_really_free():
     assert out.n_vertices == 8 * 16
 
 
+def test_free_edge_reuses_callers_levi_graph():
+    s = gq_q4(F4)
+    g = levi(s)
+    assert find_free_edge(s, g) == find_free_edge(s)
+    with pytest.raises(ValueError, match="not the Levi graph"):
+        find_free_edge(s, levi(gq_q4(F3)))
+
+
 def test_free_edge_small_order_rejected():
     with pytest.raises(ValueError):
         find_free_edge(gq_q4(F2))
