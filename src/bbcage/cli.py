@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import excess_of, improved_bound, polygon_family_table
@@ -23,7 +24,6 @@ from .graphs import (
     from_graph6,
     girth,
     graph_from_edges,
-    is_connected,
     levi,
     to_dimacs,
     to_graph6,
@@ -60,45 +60,31 @@ def _host_structure(name: str, q: int):
     return split_cayley_hexagon(field)
 
 
-def _anchor_edge(structure, g: BipartiteGraph, mode: str):
-    if mode == "lex":
-        return None
-    point, block = find_free_edge(structure, g)
-    return (point, g.n_a + block)
-
-
 def _build_family(args) -> BipartiteGraph:
     fam = args.family
-    if fam in ("q4", "q5", "hexagon"):
-        _require(args.q is not None, "--q is required")
+    if fam == "steiner-cage":
+        _require(args.v is not None, "--v is required for steiner-cage")
+        return steiner_truncate(sts_generate(args.v))
+    _require(args.q is not None, "--q is required")
+    if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
+        _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
+    if fam in HOSTS:
         return levi(_host_structure(fam, args.q))
     if fam in NAMED_FAMILIES:
-        _require(args.q is not None, "--q is required")
         return construct_named(fam, args.q)
-    if fam == "branch-prune":
-        _require(args.q is not None, "--q is required")
-        _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
-        structure = _host_structure(args.host, args.q)
-        g = levi(structure)
-        edge = _anchor_edge(structure, g, args.edge)
-        return induced_branch_graph(g, args.m1, args.n1, edge=edge)
-    if fam == "mixed-prune":
-        _require(args.q is not None, "--q is required")
-        structure = _host_structure(args.host, args.q)
-        g = levi(structure)
-        edge = _anchor_edge(structure, g, args.edge)
-        return mixed_degree_prune(g, edge=edge)
     if fam == "t2-slab":
-        _require(args.q is not None, "--q is required")
-        _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
         return affine_slab_graph(field_of_order(args.q), args.m1, args.n1)
     if fam == "ag2-girth6":
-        _require(args.q is not None, "--q is required")
-        _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
         return affine_girth6_graph(field_of_order(args.q), args.m1, args.n1)
-    # steiner-cage
-    _require(args.v is not None, "--v is required for steiner-cage")
-    return steiner_truncate(sts_generate(args.v))
+    structure = _host_structure(args.host, args.q)
+    g = levi(structure)
+    edge = None
+    if args.edge == "auto":
+        point, block = find_free_edge(structure, g)
+        edge = (point, g.n_a + block)
+    if fam == "branch-prune":
+        return induced_branch_graph(g, args.m1, args.n1, edge=edge)
+    return mixed_degree_prune(g, edge=edge)
 
 
 def _require(cond: bool, msg: str):
@@ -109,7 +95,8 @@ def _require(cond: bool, msg: str):
 def _graph_report(g: BipartiteGraph, family: str, params: dict) -> dict:
     da, db = g.degree_sets()
     gi = girth(g)
-    connected = is_connected(g)
+    diam = diameter(g)
+    connected = diam != math.inf
     report = {
         "schema": 1,
         "family": family,
@@ -118,11 +105,12 @@ def _graph_report(g: BipartiteGraph, family: str, params: dict) -> dict:
         "edges": g.num_edges,
         "class_sizes": [g.n_a, g.n_b],
         "degrees": [sorted(da), sorted(db)],
-        "girth": None if gi == float("inf") else int(gi),
-        "diameter": diameter(g) if connected else None,
+        "girth": None if gi == math.inf else int(gi),
+        "diameter": diam if connected else None,
         "connected": connected,
     }
-    if len(da) == 1 and len(db) == 1 and gi != float("inf"):
+    # improved_bound, behind excess_of, is defined for even girth >= 6 only
+    if len(da) == 1 and len(db) == 1 and 6 <= gi < math.inf:
         report.update(excess_of(g).to_dict())
     return report
 
@@ -161,8 +149,9 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read()
-    head = data.lstrip()[:1]
-    if head in (b"p", b"c"):
+    # "p" and "c" are also the graph6 size bytes of 49 and 36 vertices, so
+    # only a first token of exactly "p" or "c" marks a DIMACS file.
+    if data.split(None, 1)[:1] in ([b"p"], [b"c"]):
         n, edges = from_dimacs(data)
     else:
         n, edges = from_graph6(data)
@@ -178,10 +167,11 @@ def _cmd_verify(args) -> int:
         if len(da) != 1 or len(db) != 1:
             failures.append(f"not biregular: degrees {sorted(da)}/{sorted(db)}")
         else:
-            got = {next(iter(da)), next(iter(db))}
-            want = {x for x in (args.expect_m, args.expect_n) if x is not None}
-            if not want.issubset(got):
-                failures.append(f"degrees {sorted(got)} != expected {sorted(want)}")
+            got = sorted((next(iter(da)), next(iter(db))))
+            want = sorted(x for x in (args.expect_m, args.expect_n) if x is not None)
+            # both given: the degree pair in either order; one given: a member
+            if (got != want) if len(want) == 2 else (want[0] not in got):
+                failures.append(f"degrees {got} != expected {want}")
     report["expectation_failures"] = failures
     _emit(report, args.report)
     return 1 if failures else 0
@@ -215,14 +205,12 @@ def _cmd_table(args) -> int:
                 flags.append(f"{col}-mismatch")
         key = (row["family"], row["q"])
         if key in measured:
-            scale = row["degree_small"] + row["degree_large"] - 1
-            ok = measured[key] == row["prune_col"] * scale
-            flags.append("measured-ok" if ok else "measured-MISMATCH")
-            if not ok:
+            order = row["prune_col"] * (row["degree_small"] + row["degree_large"] - 1)
+            if measured[key] != order:
                 raise ConstructionError(
-                    f"violated invariant: measured prune order {measured[key]} "
-                    f"!= {row['prune_col'] * scale}"
+                    f"violated invariant: measured prune order {measured[key]} != {order}"
                 )
+            flags.append("measured-ok")
         sys.stdout.write(
             f"{row['family']:<12} {row['q']:>2} "
             f"{row['degree_small']},{row['degree_large']:>3} {row['girth']:>5} "

@@ -91,14 +91,11 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = _smallest_irreducible(p, k)
-        # powers of x^j mod modulus for j = k..2k-2, used in reduction
+        # x^j mod modulus for j = k..2k-2 as k coefficients, used in reduction
         self._xpow = []
-        cur = self._decode(1)
-        for _ in range(k):
-            cur = self._shift(cur)
-        for _ in range(max(k - 1, 0)):
-            self._xpow.append(cur)
-            cur = self._shift(cur)
+        for j in range(k, 2 * k - 1):
+            rem = _poly_mod((0,) * j + (1,), self.modulus, p)
+            self._xpow.append(rem + (0,) * (k - len(rem)))
         self._add_t = self._mul_t = self._inv_t = None
         if q <= _TABLE_LIMIT:
             self._build_tables()
@@ -117,16 +114,6 @@ class Field:
         for c in reversed(cs):
             val = val * self.p + c
         return val
-
-    def _shift(self, cs: list) -> list:
-        """Multiply by x and reduce by the modulus (coefficient lists, len k)."""
-        p, k = self.p, self.k
-        top = cs[k - 1]
-        out = [0] + cs[: k - 1]
-        if top:
-            for i in range(k):
-                out[i] = (out[i] - top * self.modulus[i]) % p
-        return out
 
     def _build_tables(self):
         q = self.q
@@ -212,9 +199,11 @@ class Field:
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
-        e %= self.q - 1 if a != 0 else 1
         if a == 0:
+            if e < 0:
+                raise FieldError("0 has no multiplicative inverse")
             return 0 if e else 1
+        e %= self.q - 1
         out, base = 1, a
         while e:
             if e & 1:

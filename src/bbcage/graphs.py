@@ -117,12 +117,6 @@ def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
     return dist
 
 
-def is_connected(g: BipartiteGraph) -> bool:
-    if g.n_vertices == 0:
-        return False
-    return -1 not in bfs_distances(g.adjacency(), 0)
-
-
 def girth(g: BipartiteGraph) -> int | float:
     """Exact girth by bit-parallel search from every class-A root at once;
     math.inf for forests.
@@ -180,11 +174,11 @@ def _girth_search(g: BipartiteGraph) -> int | float:
     return best
 
 
-def diameter(g: BipartiteGraph) -> int:
+def diameter(g: BipartiteGraph) -> int | float:
     """Largest eccentricity, found by growing every root's reach bitset one
-    step per round, ROOT_CHUNK roots at a time; raises GraphError on a
-    disconnected graph.  Measured on the first call and stored on the graph,
-    like girth."""
+    step per round, ROOT_CHUNK roots at a time; math.inf for a disconnected
+    graph, so this one search also answers connectivity.  Measured on the
+    first call and stored on the graph, like girth."""
     if g._diameter is None:
         adj = g.adjacency()
         n = len(adj)
@@ -203,7 +197,8 @@ def diameter(g: BipartiteGraph) -> int:
                         r |= reach[w]
                     nxt.append(r)
                 if nxt == reach:
-                    raise GraphError("diameter of a disconnected graph")
+                    g._diameter = math.inf
+                    return g._diameter
                 reach = nxt
                 rounds += 1
             diam = max(diam, rounds)
@@ -277,22 +272,19 @@ def biregular_pair(g: BipartiteGraph) -> tuple[int, int]:
     return min(a, b), max(a, b)
 
 
-def induced_subgraph(
-    g: BipartiteGraph, keep, drop_isolated: bool = True, meta=None
-) -> BipartiteGraph:
+def induced_subgraph(g: BipartiteGraph, keep, meta=None) -> BipartiteGraph:
     """Induced subgraph on global vertex ids, re-indexed deterministically.
 
-    Vertices isolated in the induced graph are dropped (with a logged count)
-    when drop_isolated is set, since biregular contracts need positive degree.
+    Vertices isolated in the induced graph are dropped (with a logged count),
+    since biregular contracts need positive degree.
     """
     keep = set(keep)
     adj = g.adjacency()
-    if drop_isolated:
-        live = {v for v in keep if any(w in keep for w in adj[v])}
-        dropped = len(keep) - len(live)
-        if dropped:
-            log.info("induced_subgraph dropped %d isolated vertices", dropped)
-        keep = live
+    live = {v for v in keep if any(w in keep for w in adj[v])}
+    dropped = len(keep) - len(live)
+    if dropped:
+        log.info("induced_subgraph dropped %d isolated vertices", dropped)
+    keep = live
     a_ids = sorted(v for v in keep if v < g.n_a)
     b_ids = sorted(v for v in keep if v >= g.n_a)
     b_index = {v: i for i, v in enumerate(b_ids)}

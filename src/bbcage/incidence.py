@@ -56,9 +56,6 @@ class IncidenceStructure:
     def point_degrees(self) -> set[int]:
         return {len(bs) for bs in self.point_blocks}
 
-    def order_pair(self):
-        return self.tag.get("order")
-
     def __repr__(self):
         fam = self.tag.get("family", "structure")
         return f"<{fam}: {self.num_points} points, {self.num_blocks} blocks>"

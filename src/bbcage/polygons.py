@@ -11,11 +11,12 @@ acceptance oracle for the line filter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import Field
-from .graphs import BipartiteGraph, bb_check, diameter, girth, is_connected, levi
+from .graphs import BipartiteGraph, bb_check, diameter, girth, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
@@ -53,14 +54,10 @@ class PolygonCertificate:
         return self.connected and self.biregular and self.girth_ok and self.diameter_ok
 
 
-def quadric_structure(tag: str, field: Field) -> IncidenceStructure:
-    """Points and full line set of a named quadric, locally re-indexed."""
-    return _quadric_structure(tag, field)
-
-
-def _quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
-    """quadric_structure with further tag entries (a polygon's family, order
-    and gonality) set at construction, since the tag is read-only."""
+def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
+    """Points and full line set of a named quadric, locally re-indexed.  Any
+    further tag entries (a polygon's family, order and gonality) are set at
+    construction, since the tag is read-only."""
     form = form_by_tag(tag, field)
     pts = quadric_points(form, field)
     local = {p.id: i for i, p in enumerate(pts)}
@@ -79,7 +76,7 @@ def gq_q4(field: Field) -> IncidenceStructure:
     q = field.q
     if q > GQ_MAX_Q:
         raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = _quadric_structure(
+    s = quadric_structure(
         "parabolic-4", field, family="Q(4,q)", order=(q, q), gonality=4
     )
     _expect(s.num_points == (q + 1) * (q * q + 1), "Q(4,q) point count")
@@ -94,7 +91,7 @@ def gq_q5(field: Field) -> IncidenceStructure:
     q = field.q
     if q > GQ_MAX_Q:
         raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = _quadric_structure(
+    s = quadric_structure(
         "elliptic-5", field, family="Q(5,q)", order=(q, q * q), gonality=4
     )
     _expect(s.num_points == (q + 1) * (q ** 3 + 1), "Q(5,q) point count")
@@ -191,9 +188,9 @@ def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate
     if biregular:
         t_val = next(iter(da)) - 1
         s_val = next(iter(db)) - 1
-    connected = is_connected(g)
     gi = girth(g)
-    diam = diameter(g) if connected else None
+    diam = diameter(g)
+    connected = diam != math.inf
     return PolygonCertificate(
         gonality=r,
         s=s_val,
@@ -205,7 +202,7 @@ def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate
         girth_ok=(gi == 2 * r),
         diameter_ok=(diam == r),
         girth_measured=gi,
-        diameter_measured=diam,
+        diameter_measured=diam if connected else None,
     )
 
 

@@ -9,38 +9,42 @@ horizontal lines of AG(2, p).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .bounds import moore_odd
 from .gf import Field
-from .graphs import BipartiteGraph, diameter, distance_sets, girth, induced_subgraph, levi
+from .graphs import (
+    BipartiteGraph, GraphError, diameter, distance_sets, girth, induced_subgraph, levi
+)
 from .incidence import IncidenceStructure
 from .polygons import ConstructionError, expect_biregular
 from .projective import conic_oval, projective_space
 
 
-def _certify_prune_host(g: BipartiteGraph) -> int:
-    """Require a connected biregular host with girth = 2 * diameter (the
-    incidence graph of a generalized r-gon); returns r.  A disconnected host
-    fails in diameter with GraphError, a ValueError."""
+def _anchor(g: BipartiteGraph, edge: tuple[int, int] | None) -> tuple[int, int, int]:
+    """Certify a prune host and pick its anchor edge; returns (r, u, v).
+
+    The host must be connected and biregular with girth = 2 * diameter (the
+    incidence graph of a generalized r-gon).  Without an edge the anchor is
+    the lexicographically first edge, oriented so that v is the endpoint of
+    smaller degree (ties keep the block-side endpoint as v).
+    """
     da, db = g.degree_sets()
     if len(da) != 1 or len(db) != 1:
         raise ValueError(f"host is not biregular: degrees {sorted(da)}/{sorted(db)}")
     r = diameter(g)
+    if r == math.inf:
+        raise GraphError("diameter of a disconnected graph")
     if girth(g) != 2 * r:
         raise ValueError(f"host girth {girth(g)} != 2 * diameter {2 * r}")
-    return r
-
-
-def _default_edge(g: BipartiteGraph) -> tuple[int, int]:
-    """Lexicographically first edge, oriented so the second endpoint is the
-    smaller-degree one (ties keep the block-side endpoint second)."""
     adj = g.adjacency()
-    u = 0
-    v = adj[0][0]
-    if len(adj[u]) < len(adj[v]):
+    u, v = edge if edge is not None else (0, adj[0][0])
+    if v not in adj[u]:
+        raise ValueError(f"anchor ({u}, {v}) is not an edge")
+    if edge is None and len(adj[u]) < len(adj[v]):
         u, v = v, u
-    return u, v
+    return r, u, v
 
 
 def induced_branch_graph(
@@ -55,11 +59,8 @@ def induced_branch_graph(
     order must stay below the odd-case bound at girth 2(r+1), which forces the
     girth back down to 2r.
     """
-    r = _certify_prune_host(g)
+    r, u, v = _anchor(g, edge)
     adj = g.adjacency()
-    u, v = edge if edge is not None else _default_edge(g)
-    if v not in adj[u]:
-        raise ValueError(f"anchor ({u}, {v}) is not an edge")
     if not 2 <= m1 <= n1:
         raise ValueError(f"need 2 <= m1 <= n1, got ({m1}, {n1})")
     branches_v = [w for w in adj[v] if w != u]
@@ -110,11 +111,8 @@ def mixed_degree_prune(
     is verified by measurement and any failure aborts loudly.  Swapping the
     anchor orientation yields the (s+1, t; 2r) twin.
     """
-    r = _certify_prune_host(g)
+    r, u, v = _anchor(g, edge)
     adj = g.adjacency()
-    u, v = edge if edge is not None else _default_edge(g)
-    if v not in adj[u]:
-        raise ValueError(f"anchor ({u}, {v}) is not an edge")
     s = len(adj[v]) - 1
     t = len(adj[u]) - 1
     keep = set()
@@ -182,6 +180,14 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
     dist = [-1] * n
     parent = [-1] * n
     dist[root] = 0
+
+    def chain(w: int) -> list[int]:  # w and its BFS ancestors, up to root
+        path = []
+        while w != -1:
+            path.append(w)
+            w = parent[w]
+        return path
+
     q = deque([root])
     while q:
         x = q.popleft()
@@ -191,16 +197,7 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
                 parent[y] = x
                 q.append(y)
             elif y != parent[x] and dist[x] + dist[y] + 1 == length:
-                path_x = []
-                w = x
-                while w != -1:
-                    path_x.append(w)
-                    w = parent[w]
-                path_y = []
-                w = y
-                while w != -1:
-                    path_y.append(w)
-                    w = parent[w]
+                path_x, path_y = chain(x), chain(y)
                 if set(path_x).intersection(path_y) != {root}:
                     continue
                 return path_x[::-1] + path_y[:-1]

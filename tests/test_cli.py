@@ -280,3 +280,83 @@ def test_table_command(capsys):
     assert len(lines) == 1 + 14  # header + 7 rows per q
     assert any("measured-ok" in ln for ln in lines)
     assert not any("measured-MISMATCH" in ln for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "argv,vertices",
+    [
+        (["--family", "t2-slab", "--q", "3", "--m1", "2", "--n1", "2"], 36),
+        (["--family", "ag2-girth6", "--q", "7", "--m1", "3", "--n1", "4"], 49),
+    ],
+)
+def test_verify_graph6_whose_size_byte_is_c_or_p(tmp_path, capsys, argv, vertices):
+    # graph6 writes 36 vertices as "c" and 49 as "p", the DIMACS line tags
+    out = tmp_path / "g.g6"
+    code, stdout, _ = run(capsys, "construct", *argv, "--out", str(out))
+    assert code == 0
+    built = json.loads(stdout)
+    assert built["vertices"] == vertices
+    assert out.read_bytes()[:1] == (b"c" if vertices == 36 else b"p")
+    code, stdout, err = run(
+        capsys, "verify", "--in", str(out), "--expect-girth", str(built["girth"])
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    assert report["vertices"] == vertices
+    assert report["girth"] == built["girth"]
+    assert report["expectation_failures"] == []
+
+
+@pytest.mark.parametrize(
+    "expect,code",
+    [
+        (["--expect-m", "3", "--expect-n", "4"], 0),
+        (["--expect-m", "4", "--expect-n", "3"], 0),
+        (["--expect-m", "4"], 0),
+        (["--expect-n", "3"], 0),
+        (["--expect-m", "3", "--expect-n", "3"], 1),
+        (["--expect-m", "4", "--expect-n", "4"], 1),
+        (["--expect-m", "5"], 1),
+    ],
+)
+def test_verify_degree_expectations(tmp_path, capsys, expect, code):
+    # the (3, 4; 8) cage: both expectations name the degree pair, one names a
+    # member of it
+    out = tmp_path / "g.g6"
+    run(capsys, "construct", "--family", "q4-hyperbolic-prune", "--q", "3",
+        "--out", str(out))
+    got, stdout, _ = run(capsys, "verify", "--in", str(out), *expect)
+    assert got == code
+    assert bool(json.loads(stdout)["expectation_failures"]) == bool(code)
+
+
+def test_verify_girth4_biregular_dimacs(tmp_path, capsys):
+    # K_{3,3}: biregular with girth 4, below the domain of the order bounds
+    path = tmp_path / "k33.dimacs"
+    edges = "".join(f"e {a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6))
+    path.write_bytes(("c K_{3,3}\np edge 6 9\n" + edges).encode("ascii"))
+    code, stdout, err = run(capsys, "verify", "--in", str(path), "--expect-girth", "4")
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    assert report["girth"] == 4
+    assert report["degrees"] == [[3], [3]]
+    assert report["diameter"] == 2 and report["connected"] is True
+    assert "moore_bound" not in report
+    assert report["expectation_failures"] == []
+
+
+def test_verify_disconnected_reports_no_diameter(tmp_path, capsys):
+    # two disjoint 6-cycles: connectivity comes from the diameter search
+    path = tmp_path / "two-hexagons.dimacs"
+    edges = []
+    for base in (0, 6):
+        cycle = [base + i for i in range(6)]
+        edges += [(cycle[i] + 1, cycle[(i + 1) % 6] + 1) for i in range(6)]
+    text = f"p edge 12 {len(edges)}\n" + "".join(f"e {a} {b}\n" for a, b in edges)
+    path.write_bytes(text.encode("ascii"))
+    code, stdout, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["connected"] is False
+    assert report["diameter"] is None
+    assert report["girth"] == 6

@@ -299,3 +299,25 @@ def test_expect_biregular_rejects_wrong_order_and_girth():
         expect_biregular(g, 3, 3, 6, 30, "Q(4,2)")
     with pytest.raises(ConstructionError, match="degree sets"):
         expect_biregular(g, 3, 4, 8, 30, "Q(4,2)")
+
+
+def test_hyperplane_delete_checks_its_order_formula():
+    # Q(4,2) tagged with the wrong order (3, 3): the u-formula order is not
+    # even an integer, and expect_biregular aborts on it
+    s = gq_q4(F2)
+    wrong = IncidenceStructure(s.points, s.blocks, tag={**s.tag, "order": (3, 3)})
+    with pytest.raises(ConstructionError, match="hyperplane deletion order 15 != 217/3"):
+        hyperplane_delete(wrong, Hyperplane((1, 0, 0, 0, 0)))
+
+
+def test_hyperplane_delete_contract_is_expect_biregular(monkeypatch):
+    # order from the section size u, degrees (m, n+1), the measured girth
+    from bbcage import deletions
+
+    calls = []
+    real = deletions.expect_biregular
+    monkeypatch.setattr(
+        deletions, "expect_biregular", lambda *a: calls.append(a[1:]) or real(*a)
+    )
+    hyperplane_delete(gq_q4(F3), Hyperplane((1, 0, 0, 0, 0)))
+    assert calls == [(3, 4, 8, 56, "hyperplane deletion")]

@@ -123,3 +123,41 @@ def test_dot_matches_add_mul_fold(p, k):
         for x, y in zip(u, v):
             acc = f.add(acc, f.mul(x, y))
         assert f.dot(u, v) == acc
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (2, 10)])
+def test_pow_of_zero(p, k):
+    # GF(2) and GF(5) are prime, GF(4) reads the tables, GF(1024) does not
+    f = field_new(p, k)
+    assert f.pow(0, 0) == 1
+    for e in (1, 2, f.q - 1, f.q, 3 * f.q + 1):
+        assert f.pow(0, e) == 0
+    with pytest.raises(FieldError):
+        f.pow(0, -1)
+
+
+def test_extension_tables_pinned():
+    # SHA-256 of the add, mul and inv tables of all 13 extension fields of
+    # order <= 128: element indexing and arithmetic are pinned
+    import hashlib
+
+    h = hashlib.sha256()
+    for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3),
+                 (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]:
+        f = Field(p, k)
+        h.update(repr((f._add_t, f._mul_t, f._inv_t)).encode())
+    assert h.hexdigest() == (
+        "18fa2ac79f1d36f7840d55f942f4fe1e3abed863603b644e10818ab6da90eb75"
+    )
+
+
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 7), (5, 5)])
+def test_xpow_is_x_to_the_j_mod_modulus(p, k):
+    # independent oracle: multiply by x one step at a time and reduce by
+    # subtracting the top coefficient times the monic modulus
+    f = field_new(p, k)
+    cur = [0] * (k - 1) + [1]  # x^(k-1)
+    for j in range(k, 2 * k - 1):
+        top = cur[-1]
+        cur = [(c - top * m) % p for c, m in zip([0] + cur[:-1], f.modulus)]
+        assert list(f._xpow[j - k]) == cur

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_girth
+from conftest import bfs_diameter, brute_girth
 
 from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
@@ -19,7 +19,6 @@ from bbcage.graphs import (
     from_graph6,
     girth,
     graph_from_edges,
-    is_connected,
     levi,
     to_dimacs,
     to_graph6,
@@ -103,9 +102,8 @@ def test_girth_matches_brute_oracle_random():
 
 def test_diameter_disconnected_rejected():
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
-    assert not is_connected(g)
-    with pytest.raises(GraphError):
-        diameter(g)
+    assert bfs_diameter(g) is None
+    assert diameter(g) == math.inf
 
 
 def test_kernels_match_networkx_on_named_families():

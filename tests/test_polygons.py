@@ -115,3 +115,16 @@ def test_cached_structures_are_read_only():
     with pytest.raises(TypeError):
         s.tag["order"] = (2, 2)
     assert construct_named("q4-hyperbolic-prune", 3).n_vertices == 56
+
+
+def test_certify_disconnected_structure():
+    # two disjoint triangles: each is a generalized 3-gon, together they are
+    # not connected, so there is no diameter to report
+    from bbcage.incidence import IncidenceStructure
+
+    blocks = [(a + o, b + o) for o in (0, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
+    cert = polygon_certify(IncidenceStructure(range(6), blocks), 3)
+    assert cert.connected is False
+    assert cert.diameter_measured is None
+    assert cert.girth_measured == 6 and cert.girth_ok
+    assert not cert.diameter_ok and not cert.certified

@@ -265,3 +265,39 @@ def test_branch_prune_asymmetric_host():
     assert bb_check(out, 2, 4, 8).passed
     with pytest.raises(ValueError):
         induced_branch_graph(host, 2, 3)  # order 40 over the girth-10 bound 25
+
+
+@pytest.mark.parametrize("prune", [mixed_degree_prune, induced_branch_graph])
+def test_prune_rejects_disconnected_host(prune):
+    # two disjoint edges: biregular, and girth and 2 * diameter are both
+    # infinite, so only the connectivity check stops this host
+    from bbcage.graphs import BipartiteGraph, GraphError
+
+    host = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    args = (host,) if prune is mixed_degree_prune else (host, 2, 2)
+    with pytest.raises(GraphError, match="disconnected"):
+        prune(*args)
+
+
+def test_prune_anchor_must_be_an_edge():
+    host = levi(gq_q4(F2))
+    adj = host.adjacency()
+    non_edge = next(w for w in range(host.n_a, host.n_vertices) if w not in adj[0])
+    with pytest.raises(ValueError, match="is not an edge"):
+        mixed_degree_prune(host, edge=(0, non_edge))
+    with pytest.raises(ValueError, match="is not an edge"):
+        induced_branch_graph(host, 2, 3, edge=(0, non_edge))
+
+
+def test_default_anchor_puts_the_smaller_degree_at_v():
+    # the dual of Q(5,2): vertex 0 is a line (degree 3), its first neighbour
+    # a point (degree 5), so the default anchor is (that point, vertex 0)
+    from bbcage.graphs import BipartiteGraph
+
+    s = gq_q5(F2)
+    dual = BipartiteGraph(s.num_blocks, s.num_points, s.blocks)
+    g = mixed_degree_prune(dual)
+    assert (g.n_vertices, g.degree_sets()) == (56, ({2}, {5}))
+    partner = dual.adjacency()[0][0]
+    assert mixed_degree_prune(dual, edge=(partner, 0)).adj_a == g.adj_a
+    assert mixed_degree_prune(dual, edge=(0, partner)).degree_sets() == ({3}, {4})
