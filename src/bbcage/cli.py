@@ -37,11 +37,9 @@ from .prune import (
     mixed_degree_prune,
 )
 
-HOSTS = ("q4", "q5", "hexagon")
+HOSTS = {"q4": gq_q4, "q5": gq_q5, "hexagon": split_cayley_hexagon}
 FAMILIES = (
-    "q4",
-    "q5",
-    "hexagon",
+    *HOSTS,
     *sorted(NAMED_FAMILIES),
     "branch-prune",
     "mixed-prune",
@@ -49,15 +47,6 @@ FAMILIES = (
     "ag2-girth6",
     "steiner-cage",
 )
-
-
-def _host_structure(name: str, q: int):
-    field = field_of_order(q)
-    if name == "q4":
-        return gq_q4(field)
-    if name == "q5":
-        return gq_q5(field)
-    return split_cayley_hexagon(field)
 
 
 def _build_family(args) -> BipartiteGraph:
@@ -69,14 +58,14 @@ def _build_family(args) -> BipartiteGraph:
     if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
         _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
     if fam in HOSTS:
-        return levi(_host_structure(fam, args.q))
+        return levi(HOSTS[fam](field_of_order(args.q)))
     if fam in NAMED_FAMILIES:
         return construct_named(fam, args.q)
     if fam == "t2-slab":
         return affine_slab_graph(field_of_order(args.q), args.m1, args.n1)
     if fam == "ag2-girth6":
         return affine_girth6_graph(field_of_order(args.q), args.m1, args.n1)
-    structure = _host_structure(args.host, args.q)
+    structure = HOSTS[args.host](field_of_order(args.q))
     g = levi(structure)
     edge = None
     if args.edge == "auto":

@@ -1,6 +1,6 @@
 """Substructure deletions from incidence structures: point sets (ovoids),
-block sets (spreads), subquadrangles, and hyperplane sections, plus one-call
-named constructions composing them."""
+block sets (spreads), subquadrangles, and hyperplane sections, plus the named
+families, each one hyperplane deletion with a closed-form contract."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .polygons import (
     expect_biregular,
     gq_q4,
     gq_q5,
-    ovoid_of_q4,
+    ovoid_hyperplane,
     split_cayley_hexagon,
 )
 from .projective import Hyperplane, hyperplane_section
@@ -58,9 +58,7 @@ def delete_points(
         log.info("delete_points dropped %d emptied blocks", emptied)
     if len(set(new_blocks)) != len(new_blocks):
         raise ConstructionError("violated invariant: deletion created duplicate blocks")
-    tag = dict(structure.tag)
-    tag["deleted_points"] = tag.get("deleted_points", 0) + len(doomed)
-    return IncidenceStructure(new_points, new_blocks, tag=tag)
+    return IncidenceStructure(new_points, new_blocks, tag=structure.tag)
 
 
 def delete_blocks(
@@ -88,9 +86,7 @@ def delete_blocks(
                 raise ValueError("spread lines are not pairwise disjoint")
             seen.update(blk)
     new_blocks = [b for i, b in enumerate(structure.blocks) if i not in doomed]
-    tag = dict(structure.tag)
-    tag["deleted_blocks"] = tag.get("deleted_blocks", 0) + len(doomed)
-    return IncidenceStructure(list(structure.points), new_blocks, tag=tag)
+    return IncidenceStructure(structure.points, new_blocks, tag=structure.tag)
 
 
 def delete_subquadrangle(
@@ -167,84 +163,54 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     return g
 
 
-def _named_q4_hyperbolic(q: int) -> BipartiteGraph:
-    g = hyperplane_delete(gq_q4(field_of_order(q)), Hyperplane((1, 0, 0, 0, 0)))
-    return _check_named(g, q, q + 1, 8, (2 * q + 1) * (q * q - 1), "q4-hyperbolic-prune")
+# The parabolic section of Q(5,q) is the subquadrangle Q(4,q), so the
+# parabolic prune and the subquadrangle deletion are one deletion.
+_Q5_PARABOLIC = (
+    gq_q5,
+    lambda field: (0, 0, 0, 0, 1, 0),
+    lambda q: (q, q * q + 1, 8, (q * q + q + 1) * (q ** 3 - q)),
+)
 
-
-def _named_q5_parabolic(q: int) -> BipartiteGraph:
-    g = hyperplane_delete(gq_q5(field_of_order(q)), Hyperplane((0, 0, 0, 0, 1, 0)))
-    return _check_named(
-        g, q, q * q + 1, 8, (q * q + q + 1) * (q ** 3 - q), "q5-parabolic-prune"
-    )
-
-
-def _named_hexagon_hyperbolic(q: int) -> BipartiteGraph:
-    s = split_cayley_hexagon(field_of_order(q))
-    g = hyperplane_delete(s, Hyperplane((1, 0, 0, 0, 0, 0, 0)))
+# family -> (host polygon, coefficients of the deleted hyperplane over the
+# host's field, closed-form contract (m, n, girth, order) in q)
+NAMED_FAMILIES = {
+    "q4-hyperbolic-prune": (
+        gq_q4,
+        lambda field: (1, 0, 0, 0, 0),
+        lambda q: (q, q + 1, 8, (2 * q + 1) * (q * q - 1)),
+    ),
+    "q5-parabolic-prune": _Q5_PARABOLIC,
     # At q = 2 every hexagon 12-cycle meets the hyperbolic section, for every
     # hyperbolic hyperplane (exhaustively checked, cycle-enumeration verified):
     # the result is the subdivided Coxeter graph of girth 14.  For q >= 3 the
     # girth stays exactly 12.
-    expected_girth = 14 if q == 2 else 12
-    return _check_named(
-        g, q, q + 1, expected_girth, (2 * q + 1) * (q ** 4 - q),
-        "hexagon-hyperbolic-prune",
-    )
-
-
-def _named_q4_ovoid(q: int) -> BipartiteGraph:
-    field = field_of_order(q)
-    s = gq_q4(field)
-    remaining = delete_points(s, ovoid_of_q4(field))
-    g = levi(remaining, meta={"construction": "q4-ovoid-delete"})
+    "hexagon-hyperbolic-prune": (
+        split_cayley_hexagon,
+        lambda field: (1, 0, 0, 0, 0, 0, 0),
+        lambda q: (q, q + 1, 14 if q == 2 else 12, (2 * q + 1) * (q ** 4 - q)),
+    ),
     # At q = 2 every 8-cycle of the quadrangle meets every ovoid: what remains
     # is the subdivided Petersen graph of girth 10.  For q >= 3 some
     # quadrangle misses the ovoid and the girth stays exactly 8.
-    expected_girth = 10 if q == 2 else 8
-    return _check_named(
-        g, q, q + 1, expected_girth, (q * q + 1) * (2 * q + 1), "q4-ovoid-delete"
-    )
-
-
-def _named_q5_subgq(q: int) -> BipartiteGraph:
-    # delete_subquadrangle has already checked the (q, q^2+1; 8) contract and
-    # the order (q^2+q+1)(q^3-q); the section size is fixed by that order.
-    field = field_of_order(q)
-    s = gq_q5(field)
-    pts_in, blocks_inside, _ = hyperplane_section(
-        s.points, s.blocks, Hyperplane((0, 0, 0, 0, 1, 0)), field
-    )
-    g = delete_subquadrangle(s, pts_in, blocks_inside)
-    family = "q5-subgq-delete"
-    g.meta.update(construction=family, family=family, m=q, n=q * q + 1)
-    return g
-
-
-def _check_named(
-    g: BipartiteGraph, m: int, n: int, girth_expected: int, order: int, family: str
-) -> BipartiteGraph:
-    expect_biregular(g, m, n, girth_expected, order, family)
-    g.meta.update(family=family, m=m, n=n)
-    return g
-
-
-NAMED_FAMILIES = {
-    "q4-hyperbolic-prune": _named_q4_hyperbolic,
-    "q5-parabolic-prune": _named_q5_parabolic,
-    "hexagon-hyperbolic-prune": _named_hexagon_hyperbolic,
-    "q4-ovoid-delete": _named_q4_ovoid,
-    "q5-subgq-delete": _named_q5_subgq,
+    "q4-ovoid-delete": (
+        gq_q4,
+        ovoid_hyperplane,
+        lambda q: (q, q + 1, 10 if q == 2 else 8, (q * q + 1) * (2 * q + 1)),
+    ),
+    "q5-subgq-delete": _Q5_PARABOLIC,
 }
 
 
 def construct_named(family: str, q: int) -> BipartiteGraph:
-    """One-call wrappers for the named deletion constructions; every output
-    passes bb_check and its exact order formula or construction aborts."""
-    try:
-        builder = NAMED_FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; known: {sorted(NAMED_FAMILIES)}"
-        ) from None
-    return builder(q)
+    """One-call named deletions: the family's hyperplane section deleted from
+    its host polygon over GF(q).  Every output meets the family's degrees,
+    girth and closed-form order or construction aborts."""
+    if family not in NAMED_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(NAMED_FAMILIES)}")
+    host, coeffs, contract = NAMED_FAMILIES[family]
+    field = field_of_order(q)
+    g = hyperplane_delete(host(field), Hyperplane(coeffs(field)))
+    m, n, girth_expected, order = contract(q)
+    expect_biregular(g, m, n, girth_expected, order, family)
+    g.meta.update(construction=family, family=family, m=m, n=n)
+    return g

@@ -409,9 +409,9 @@ def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     for ln in _ascii_text(data).splitlines():
         ln = ln.strip()
-        if not ln or ln.startswith("c"):
-            continue
         parts = ln.split()
+        if not parts or parts[0] == "c":
+            continue
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"bad DIMACS problem line: {ln!r}")

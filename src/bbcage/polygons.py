@@ -20,6 +20,7 @@ from .graphs import BipartiteGraph, bb_check, diameter, girth, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
+    Hyperplane,
     form_by_tag,
     hyperplane_section,
     projective_space,
@@ -69,34 +70,30 @@ def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
     )
 
 
+def _quadrangle(field: Field, tag: str, family: str, e: int) -> IncidenceStructure:
+    """The classical generalized quadrangle of order (q, q^e) on a quadric:
+    (q+1)(q^(e+1)+1) points and (q^e+1)(q^(e+1)+1) lines."""
+    q = field.q
+    if q > GQ_MAX_Q:
+        raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
+    s = quadric_structure(tag, field, family=family, order=(q, q ** e), gonality=4)
+    _expect(s.num_points == (q + 1) * (q ** (e + 1) + 1), f"{family} point count")
+    _expect(s.num_blocks == (q ** e + 1) * (q ** (e + 1) + 1), f"{family} line count")
+    return s
+
+
 @lru_cache(maxsize=None)
 def gq_q4(field: Field) -> IncidenceStructure:
     """The classical generalized quadrangle of order (q, q) on the parabolic
     quadric of PG(4, q); (q+1)(q^2+1) points and as many lines."""
-    q = field.q
-    if q > GQ_MAX_Q:
-        raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = quadric_structure(
-        "parabolic-4", field, family="Q(4,q)", order=(q, q), gonality=4
-    )
-    _expect(s.num_points == (q + 1) * (q * q + 1), "Q(4,q) point count")
-    _expect(s.num_blocks == (q + 1) * (q * q + 1), "Q(4,q) line count")
-    return s
+    return _quadrangle(field, "parabolic-4", "Q(4,q)", 1)
 
 
 @lru_cache(maxsize=None)
 def gq_q5(field: Field) -> IncidenceStructure:
     """The classical generalized quadrangle of order (q, q^2) on the elliptic
     quadric of PG(5, q)."""
-    q = field.q
-    if q > GQ_MAX_Q:
-        raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = quadric_structure(
-        "elliptic-5", field, family="Q(5,q)", order=(q, q * q), gonality=4
-    )
-    _expect(s.num_points == (q + 1) * (q ** 3 + 1), "Q(5,q) point count")
-    _expect(s.num_blocks == (q * q + 1) * (q ** 3 + 1), "Q(5,q) line count")
-    return s
+    return _quadrangle(field, "elliptic-5", "Q(5,q)", 2)
 
 
 def _zorn(coords, field: Field):
@@ -148,25 +145,18 @@ def split_cayley_hexagon(field: Field) -> IncidenceStructure:
     if q not in HEXAGON_Q:
         raise GeometryError(f"hexagon construction is capped at q in {HEXAGON_Q}")
     base = quadric_structure("parabolic-6", field)
+    # x and y below are trace-zero, norm-zero octonions on one quadric line,
+    # so B(x, y) = N(x+y) - N(x) - N(y) = 0.  Linearizing z^2 - T(z)z + N(z) = 0
+    # at z = x + y gives xy + yx = T(x)y + T(y)x - B(x, y) = 0 in every
+    # characteristic: yx = -(xy), so testing xy alone also tests yx.
     kept = []
     for blk in base.blocks:
         x = _zorn(base.points[blk[0]], field)
         y = _zorn(base.points[blk[1]], field)
-        if _zorn_is_zero(_zorn_mul(x, y, field)) and _zorn_is_zero(
-            _zorn_mul(y, x, field)
-        ):
+        if _zorn_is_zero(_zorn_mul(x, y, field)):
             kept.append(blk)
-    s = IncidenceStructure(
-        base.points,
-        kept,
-        tag={
-            "family": "H(q)",
-            "q": q,
-            "field": field,
-            "order": (q, q),
-            "gonality": 6,
-        },
-    )
+    tag = {**base.tag, "family": "H(q)", "order": (q, q), "gonality": 6}
+    s = IncidenceStructure(base.points, kept, tag=tag)
     cert = polygon_certify(s, 6)
     if not cert.certified:
         raise ConstructionError(f"hexagon line filter failed certification: {cert}")
@@ -206,22 +196,29 @@ def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate
     )
 
 
-def ovoid_of_q4(field: Field) -> list[int]:
-    """q^2+1 pairwise non-collinear points of Q(4,q), found as the section of
-    the first hyperplane containing no line of the quadrangle."""
+def ovoid_hyperplane(field: Field) -> tuple[int, ...]:
+    """Coefficients of the first hyperplane of PG(4, q) whose section of
+    Q(4,q) has q^2+1 points and contains no line (an elliptic quadric, which
+    is an ovoid)."""
     q = field.q
     s = gq_q4(field)
     for h in projective_space(4, field).hyperplanes():
         ovoid, lines_inside, _ = hyperplane_section(s.points, s.blocks, h, field)
-        if len(ovoid) != q * q + 1 or lines_inside:
-            continue
-        for i, a in enumerate(ovoid):
-            blocks_a = set(s.point_blocks[a])
-            for b in ovoid[i + 1 :]:
-                if blocks_a.intersection(s.point_blocks[b]):
-                    raise ConstructionError("ovoid candidate has collinear points")
-        return ovoid
+        if len(ovoid) == q * q + 1 and not lines_inside:
+            return h.coeffs
     raise ConstructionError(f"no ovoid section found on Q(4,{q})")
+
+
+def ovoid_of_q4(field: Field) -> list[int]:
+    """q^2+1 pairwise non-collinear points of Q(4,q): the section of
+    ovoid_hyperplane."""
+    s = gq_q4(field)
+    h = Hyperplane(ovoid_hyperplane(field))
+    ovoid, _, _ = hyperplane_section(s.points, s.blocks, h, field)
+    on = set(ovoid)
+    if any(sum(x in on for x in blk) > 1 for blk in s.blocks):
+        raise ConstructionError("ovoid candidate has collinear points")
+    return ovoid
 
 
 def _expect(cond: bool, what: str):

@@ -2,9 +2,9 @@
 constructions.
 
 The prunes keep carefully chosen distance sets around an anchor edge of a
-certified polygon's incidence graph; the affine constructions build girth-8
-and girth-6 biregular graphs from a slab of planes in PG(3, p) and from
-horizontal lines of AG(2, p).
+certified polygon's incidence graph; the affine constructions build
+biregular graphs of girth at least 8 and at least 6 from a slab of planes in
+PG(3, p) and from horizontal lines of AG(2, p).
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
 def affine_slab_graph(
     field: Field, m1: int, n1: int, arc: list[int] | None = None
 ) -> BipartiteGraph:
-    """Girth-8 biregular graph from PG(3, p), p prime: V1 is the affine point
-    set of m1 planes through a line of the ideal plane disjoint from a conic,
-    V2 the affine lines through n1 conic points (or a supplied ideal arc);
-    degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
+    """Biregular graph of girth at least 8 from PG(3, p), p prime: V1 is the
+    affine point set of m1 planes through a line of the ideal plane disjoint
+    from a conic, V2 the affine lines through n1 conic points (or a supplied
+    ideal arc); degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
     """
     if field.k != 1:
         raise ValueError("slab construction needs a prime field")

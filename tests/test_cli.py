@@ -223,6 +223,7 @@ def test_verify_parse_error(tmp_path, capsys):
         ("short-edge.dimacs", b"p edge 2 1\ne 1\n"),
         ("non-ascii.g6", b"\xff\xfe\n"),
         ("non-ascii.dimacs", b"p edge 2 1\ne 1 \xb2\n"),
+        ("c-prefix.dimacs", b"cfoo\np edge 2 1\ne 1 2\n"),
     ],
 )
 def test_verify_malformed_exit2(tmp_path, capsys, name, data):

@@ -264,7 +264,16 @@ def test_q5_subgq_meta_names_the_family():
     assert (g.meta["m"], g.meta["n"]) == (2, 5)
 
 
-@pytest.mark.parametrize("family,q", [("q4-hyperbolic-prune", 3), ("q5-parabolic-prune", 2)])
+@pytest.mark.parametrize(
+    "family,q",
+    [
+        ("q4-hyperbolic-prune", 3),
+        ("q5-parabolic-prune", 2),
+        ("hexagon-hyperbolic-prune", 2),
+        ("q4-ovoid-delete", 3),
+        ("q5-subgq-delete", 2),
+    ],
+)
 def test_named_deletion_sections_once(monkeypatch, family, q):
     from bbcage import deletions
 

@@ -213,6 +213,8 @@ def test_dimacs_roundtrip():
     assert sorted(edges) == sorted(tuple(sorted(e)) for e in g.edges())
     with pytest.raises(GraphError):
         from_dimacs("e 1 2\n")
+    comments = "c\nc a comment\n\tc\tindented\n"
+    assert from_dimacs(comments + "p edge 2 1\ne 1 2\n") == (2, [(0, 1)])
 
 
 @pytest.mark.parametrize(
@@ -227,6 +229,7 @@ def test_dimacs_roundtrip():
         ("p edge 2 1\ne 1 2\np edge 1 1\n", "p edge 1 1"),
         ("pe edge 2 1\n", "pe edge 2 1"),
         ("p edge 2 1\nedge 1 2\n", "edge 1 2"),
+        ("cfoo\np edge 2 1\ne 1 2\n", "cfoo"),  # a comment is the token c
         ("p edge " + "9" * 5000 + " 0\n", "p edge " + "9" * 33),  # past int()'s limit
     ],
 )

@@ -1,5 +1,6 @@
 """Every name a runtime module imports is used in that module.  The package
-__init__ (whose imports are re-exports) and __future__ imports are exempt."""
+__init__ (whose imports are re-exports) and __future__ imports are exempt.
+Every module-level private function is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,38 @@ def test_runtime_modules_use_every_import():
     assert files
     stale = [f"{p.name}: {name}" for p in files for name in unused_imports(p.read_text())]
     assert stale == []
+
+
+def unreferenced_private_functions(sources: list[str]) -> list[str]:
+    """Module-level _private (not dunder) functions that no source names,
+    as a bare name, an attribute or an import."""
+    defined, referenced = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [name for name in defined if name not in referenced]
+
+
+def test_unreferenced_private_functions_detector():
+    a = "def _used():\n    pass\ndef _dead():\n    pass\ndef __dunder__():\n    pass\n"
+    b = "from .a import _imported\nx = mod._by_attr\n"
+    c = "def _imported():\n    pass\ndef _by_attr():\n    pass\n_used()\n"
+    assert unreferenced_private_functions([a, b, c]) == ["_dead"]
+
+
+def test_private_functions_are_referenced():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_functions(sources) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from bbcage import polygons
 from bbcage.deletions import construct_named
 from bbcage.gf import field_new
 from bbcage.graphs import girth, levi
@@ -85,6 +86,26 @@ def test_hexagon_lines_lie_on_quadric():
     s = split_cayley_hexagon(F2)
     base = quadric_structure("parabolic-6", F2)
     assert set(s.blocks) <= set(base.blocks)
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_octonion_product_anticommutes_on_quadric_lines(field):
+    # the hexagon line filter tests x*y only, because y*x = -(x*y) for any
+    # two points x, y of one line of Q(6,q), in every characteristic
+    def neg(z):
+        a, v, w, b = z
+        return field.neg(a), tuple(map(field.neg, v)), tuple(map(field.neg, w)), field.neg(b)
+
+    base = quadric_structure("parabolic-6", field)
+    zorn = [polygons._zorn(c, field) for c in base.points]
+    nonzero = 0
+    for blk in base.blocks:
+        for i, a in enumerate(blk):
+            for b in blk[i + 1 :]:
+                xy = polygons._zorn_mul(zorn[a], zorn[b], field)
+                assert polygons._zorn_mul(zorn[b], zorn[a], field) == neg(xy)
+                nonzero += not polygons._zorn_is_zero(xy)
+    assert nonzero  # some quadric lines are not hexagon lines
 
 
 @pytest.mark.parametrize("field,q", [(F2, 2), (F3, 3)])

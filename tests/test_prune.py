@@ -172,6 +172,16 @@ def test_slab_no_short_cycles(p, m1, n1):
     assert brute_girth(g, cap=6) is None
 
 
+@pytest.mark.parametrize(
+    "p,n1,girth_measured", [(5, 2, 20), (5, 3, 12), (7, 2, 28), (7, 3, 12), (7, 4, 12)]
+)
+def test_slab_two_planes_girth_at_least_8(p, n1, girth_measured):
+    # the slab guarantee is girth >= 8, not girth 8: with m1 = 2 planes no
+    # 8-cycle closes at these parameters
+    g = affine_slab_graph(field_new(p, 1), 2, n1)
+    assert girth(g) == girth_measured >= 8
+
+
 def test_branch_prune_excess_nonnegative():
     from bbcage.bounds import moore_even
 
