@@ -9,7 +9,7 @@ usually quoted).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
 from .graphs import BipartiteGraph, biregular_pair, girth as graph_girth
@@ -121,18 +121,7 @@ class BoundsReport:
     cage_certified: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "m": self.m,
-            "n": self.n,
-            "girth": self.girth,
-            "moore_bound": self.moore_bound,
-            "improved_lower_bound": self.improved_lower_bound,
-            "provenance": self.provenance,
-            "order": self.order,
-            "excess": self.excess,
-            "cage_certified": self.cage_certified,
-        }
+        return {"schema": 1, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -11,7 +11,7 @@ from .gf import Field, field_of_order
 from .graphs import BipartiteGraph, girth, levi
 from .incidence import IncidenceStructure
 from .polygons import (
-    ConstructionError,
+    expect,
     expect_biregular,
     gq_q4,
     gq_q5,
@@ -56,8 +56,7 @@ def delete_points(
         new_blocks.append(t)
     if emptied and drop_empty_blocks:
         log.info("delete_points dropped %d emptied blocks", emptied)
-    if len(set(new_blocks)) != len(new_blocks):
-        raise ConstructionError("violated invariant: deletion created duplicate blocks")
+    expect(len(set(new_blocks)) == len(new_blocks), "deletion created duplicate blocks")
     return IncidenceStructure(new_points, new_blocks, tag=structure.tag)
 
 
@@ -155,10 +154,7 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     # the girth is measured, not predicted: only its floor 2r is a contract
     gi = girth(g)
     expect_biregular(g, m, n + 1, gi, expected, "hyperplane deletion")
-    if gi < 2 * r:
-        raise ConstructionError(
-            f"violated invariant: deletion decreased girth to {gi} from {2 * r}"
-        )
+    expect(gi >= 2 * r, f"deletion decreased girth to {gi} from {2 * r}")
     g.meta["girth"] = gi
     return g
 

@@ -34,11 +34,6 @@ class Design:
     def b(self) -> int:
         return len(self.blocks)
 
-    def to_structure(self) -> IncidenceStructure:
-        return IncidenceStructure(
-            [None] * self.v, self.blocks, tag={"family": "design", "v": self.v}
-        )
-
 
 @dataclass
 class DesignReport:
@@ -68,41 +63,29 @@ def sts_generate(v: int) -> Design:
     """
     if v < 7 or v % 6 not in (1, 3):
         raise DesignError(f"no Steiner triple system on {v} points")
+
+    def pt(i, c):
+        return 3 * i + c
+
+    # Both quasigroups on Z_g are functions of i + j: i o j = circ[i + j].
+    g = v // 3
     blocks = []
-    if v % 6 == 3:
-        n = (v - 3) // 6
-        g = 2 * n + 1
-        half = n + 1  # (i + j) * (n+1) halves i + j mod 2n+1
-
-        def pt(i, c):
-            return 3 * i + c
-
-        for i in range(g):
-            blocks.append((pt(i, 0), pt(i, 1), pt(i, 2)))
-        for i in range(g):
-            for j in range(i + 1, g):
-                h = ((i + j) * half) % g
-                for c in range(3):
-                    blocks.append(tuple(sorted((pt(i, c), pt(j, c), pt(h, (c + 1) % 3)))))
-    else:
-        n = (v - 1) // 6
-        g = 2 * n
-        label = _half_label(g)
-        inf = v - 1
-
-        def pt(i, c):
-            return 3 * i + c
-
-        for i in range(n):
-            blocks.append((pt(i, 0), pt(i, 1), pt(i, 2)))
+    if v % 6 == 3:  # Bose, g = 2n + 1: i o j = (i + j) / 2, and n + 1 halves mod g
+        circ = [k * (g + 1) // 2 % g for k in range(2 * g)]
+        diagonal = g
+    else:  # Skolem, g = 2n: the half-idempotent quasigroup and a point at infinity
+        circ = _half_label(g) * 2
+        diagonal = n = g // 2
         for i in range(n):
             for c in range(3):
-                blocks.append(tuple(sorted((inf, pt(n + i, c), pt(i, (c + 1) % 3)))))
-        for i in range(g):
-            for j in range(i + 1, g):
-                h = label[(i + j) % g]
-                for c in range(3):
-                    blocks.append(tuple(sorted((pt(i, c), pt(j, c), pt(h, (c + 1) % 3)))))
+                blocks.append(tuple(sorted((v - 1, pt(n + i, c), pt(i, (c + 1) % 3)))))
+    for i in range(diagonal):
+        blocks.append((pt(i, 0), pt(i, 1), pt(i, 2)))
+    for i in range(g):
+        for j in range(i + 1, g):
+            h = circ[i + j]
+            for c in range(3):
+                blocks.append(tuple(sorted((pt(i, c), pt(j, c), pt(h, (c + 1) % 3)))))
     design = Design(v, tuple(sorted(blocks)))
     report = design_validate(design)
     if not report.valid:

@@ -41,15 +41,9 @@ class BipartiteGraph:
         self.adj_a = tuple(cleaned)
         self.meta = dict(meta) if meta else {}
         self._adj = None
+        self._degree_sets = None
         self._girth = None
         self._diameter = None
-
-    @classmethod
-    def from_edges(cls, n_a: int, n_b: int, edges, meta=None) -> "BipartiteGraph":
-        adj = [[] for _ in range(n_a)]
-        for a, b in edges:
-            adj[a].append(b)
-        return cls(n_a, n_b, adj, meta)
 
     @property
     def n_vertices(self) -> int:
@@ -78,11 +72,21 @@ class BipartiteGraph:
             self._adj = adj
         return self._adj
 
-    def degree_sets(self) -> tuple[set[int], set[int]]:
-        adj = self.adjacency()
-        da = {len(adj[v]) for v in range(self.n_a)}
-        db = {len(adj[v]) for v in range(self.n_a, self.n_vertices)}
-        return da, db
+    def degree_sets(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The degrees met in class A and in class B, measured on the first
+        call and stored, like girth and diameter."""
+        if self._degree_sets is None:
+            adj = self.adjacency()
+            self._degree_sets = (
+                frozenset(map(len, adj[: self.n_a])),
+                frozenset(map(len, adj[self.n_a :])),
+            )
+        return self._degree_sets
+
+    def degrees(self) -> tuple[int, int] | None:
+        """(class-A degree, class-B degree) of a biregular graph, else None."""
+        da, db = self.degree_sets()
+        return (*da, *db) if len(da) == len(db) == 1 else None
 
     def __repr__(self):
         return f"<BipartiteGraph {self.n_a}+{self.n_b} vertices, {self.num_edges} edges>"
@@ -231,12 +235,6 @@ def distance_sets(
 @dataclass(frozen=True)
 class BbReport:
     passed: bool
-    m: int
-    n: int
-    girth_expected: int
-    girth_actual: int | float
-    degrees_a: tuple[int, ...]
-    degrees_b: tuple[int, ...]
     violation: str | None
 
 
@@ -246,30 +244,20 @@ def bb_check(g: BipartiteGraph, m: int, n: int, girth_expected: int) -> BbReport
     da, db = g.degree_sets()
     gi = girth(g)
     violation = None
-    ok_deg = (da == {m} and db == {n}) or (da == {n} and db == {m})
-    if not ok_deg:
+    if g.degrees() not in ((m, n), (n, m)):
         violation = f"degree sets {sorted(da)}/{sorted(db)} are not {{{m}}}/{{{n}}}"
     elif gi != girth_expected:
         violation = f"girth {gi} != expected {girth_expected}"
-    return BbReport(
-        passed=violation is None,
-        m=m,
-        n=n,
-        girth_expected=girth_expected,
-        girth_actual=gi,
-        degrees_a=tuple(sorted(da)),
-        degrees_b=tuple(sorted(db)),
-        violation=violation,
-    )
+    return BbReport(passed=violation is None, violation=violation)
 
 
 def biregular_pair(g: BipartiteGraph) -> tuple[int, int]:
     """(m, n) with m <= n for a biregular graph; raises otherwise."""
-    da, db = g.degree_sets()
-    if len(da) != 1 or len(db) != 1:
+    pair = g.degrees()
+    if pair is None:
+        da, db = g.degree_sets()
         raise GraphError(f"not biregular: degree sets {sorted(da)}/{sorted(db)}")
-    a, b = next(iter(da)), next(iter(db))
-    return min(a, b), max(a, b)
+    return min(pair), max(pair)
 
 
 def induced_subgraph(g: BipartiteGraph, keep, meta=None) -> BipartiteGraph:

@@ -50,12 +50,6 @@ class IncidenceStructure:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> set[int]:
-        return {len(b) for b in self.blocks}
-
-    def point_degrees(self) -> set[int]:
-        return {len(bs) for bs in self.point_blocks}
-
     def __repr__(self):
         fam = self.tag.get("family", "structure")
         return f"<{fam}: {self.num_points} points, {self.num_blocks} blocks>"

@@ -77,8 +77,8 @@ def _quadrangle(field: Field, tag: str, family: str, e: int) -> IncidenceStructu
     if q > GQ_MAX_Q:
         raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
     s = quadric_structure(tag, field, family=family, order=(q, q ** e), gonality=4)
-    _expect(s.num_points == (q + 1) * (q ** (e + 1) + 1), f"{family} point count")
-    _expect(s.num_blocks == (q ** e + 1) * (q ** (e + 1) + 1), f"{family} line count")
+    expect(s.num_points == (q + 1) * (q ** (e + 1) + 1), f"{family} point count")
+    expect(s.num_blocks == (q ** e + 1) * (q ** (e + 1) + 1), f"{family} line count")
     return s
 
 
@@ -160,8 +160,8 @@ def split_cayley_hexagon(field: Field) -> IncidenceStructure:
     cert = polygon_certify(s, 6)
     if not cert.certified:
         raise ConstructionError(f"hexagon line filter failed certification: {cert}")
-    _expect(s.num_points == (q ** 6 - 1) // (q - 1), "hexagon point count")
-    _expect(s.num_blocks == s.num_points, "hexagon line count")
+    expect(s.num_points == (q ** 6 - 1) // (q - 1), "hexagon point count")
+    expect(s.num_blocks == s.num_points, "hexagon line count")
     return s
 
 
@@ -172,12 +172,8 @@ def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate
     if structure.num_points == 0 or structure.num_blocks == 0:
         raise GeometryError("cannot certify an empty structure")
     g = levi(structure)
-    da, db = g.degree_sets()
-    biregular = len(da) == 1 and len(db) == 1
-    s_val = t_val = -1
-    if biregular:
-        t_val = next(iter(da)) - 1
-        s_val = next(iter(db)) - 1
+    pair = g.degrees()
+    t_val, s_val = (pair[0] - 1, pair[1] - 1) if pair else (-1, -1)
     gi = girth(g)
     diam = diameter(g)
     connected = diam != math.inf
@@ -188,7 +184,7 @@ def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate
         num_points=structure.num_points,
         num_lines=structure.num_blocks,
         connected=connected,
-        biregular=biregular,
+        biregular=pair is not None,
         girth_ok=(gi == 2 * r),
         diameter_ok=(diam == r),
         girth_measured=gi,
@@ -214,14 +210,13 @@ def ovoid_of_q4(field: Field) -> list[int]:
     ovoid_hyperplane."""
     s = gq_q4(field)
     h = Hyperplane(ovoid_hyperplane(field))
+    # hyperplane_section checks each line meets h in one or all points; none lies in h.
     ovoid, _, _ = hyperplane_section(s.points, s.blocks, h, field)
-    on = set(ovoid)
-    if any(sum(x in on for x in blk) > 1 for blk in s.blocks):
-        raise ConstructionError("ovoid candidate has collinear points")
     return ovoid
 
 
-def _expect(cond: bool, what: str):
+def expect(cond: bool, what: str):
+    """The one place a construction reports a violated invariant."""
     if not cond:
         raise ConstructionError(f"violated invariant: {what}")
 
@@ -231,7 +226,7 @@ def expect_biregular(
 ) -> BipartiteGraph:
     """The contract of a construction: order vertices, degrees {m}/{n} and
     girth exactly girth_expected (bb_check); anything else aborts."""
-    _expect(g.n_vertices == order, f"{what} order {g.n_vertices} != {order}")
+    expect(g.n_vertices == order, f"{what} order {g.n_vertices} != {order}")
     rep = bb_check(g, m, n, girth_expected)
-    _expect(rep.passed, f"{what}: {rep.violation}")
+    expect(rep.passed, f"{what}: {rep.violation}")
     return g

@@ -15,10 +15,9 @@ from collections import deque
 from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
-    BipartiteGraph, GraphError, diameter, distance_sets, girth, induced_subgraph, levi
+    BipartiteGraph, GraphError, diameter, distance_sets, girth, induced_subgraph
 )
-from .incidence import IncidenceStructure
-from .polygons import ConstructionError, expect_biregular
+from .polygons import ConstructionError, expect, expect_biregular
 from .projective import conic_oval, projective_space
 
 
@@ -30,8 +29,8 @@ def _anchor(g: BipartiteGraph, edge: tuple[int, int] | None) -> tuple[int, int, 
     the lexicographically first edge, oriented so that v is the endpoint of
     smaller degree (ties keep the block-side endpoint as v).
     """
-    da, db = g.degree_sets()
-    if len(da) != 1 or len(db) != 1:
+    if g.degrees() is None:
+        da, db = g.degree_sets()
         raise ValueError(f"host is not biregular: degrees {sorted(da)}/{sorted(db)}")
     r = diameter(g)
     if r == math.inf:
@@ -127,49 +126,38 @@ def mixed_degree_prune(
     return expect_biregular(out, s, t + 1, 2 * r, order, "mixed prune")
 
 
-def find_free_edge(
-    structure: IncidenceStructure, g: BipartiteGraph | None = None
-) -> tuple[int, int]:
-    """In a generalized quadrangle of order (s, t) with s, t >= 3, find an
-    incident (point, line) pair where the point is collinear with no vertex of
-    some proper quadrangle and the line meets none of its sides.
+def find_free_edge(g: BipartiteGraph) -> tuple[int, int]:
+    """In the incidence (Levi) graph of a generalized quadrangle of order
+    (s, t) with s, t >= 3, find an incident (point, line) pair where the point
+    is collinear with no vertex of some proper quadrangle and the line meets
+    none of its sides.
 
-    g is levi(structure) when the caller already holds it, so its girth is
-    measured once for both; without it a Levi graph is built here.
     Returns (point index, block index), the anchor for induced_branch_graph.
     """
-    sizes = structure.block_sizes()
-    degs = structure.point_degrees()
-    if len(sizes) != 1 or len(degs) != 1:
+    pair = g.degrees()
+    if pair is None:
         raise ValueError("structure is not an order-uniform quadrangle")
-    s = next(iter(sizes)) - 1
-    t = next(iter(degs)) - 1
+    t, s = pair[0] - 1, pair[1] - 1
     if s < 3 or t < 3:
         raise ValueError(f"needs order at least (3, 3), got ({s}, {t})")
-    if g is None:
-        g = levi(structure)
-    elif (g.n_a, g.n_b) != (structure.num_points, structure.num_blocks):
-        raise ValueError("graph is not the Levi graph of the structure")
     if girth(g) != 8:
         raise ValueError(f"structure is not a quadrangle: incidence girth {girth(g)}")
     adj = g.adjacency()
+    # A cycle of a bipartite graph alternates classes: four points, four sides.
     cycle = _girth_cycle_through(adj, 0, 8)
-    pts = [x for x in cycle if x < g.n_a]
-    sides = [x - g.n_a for x in cycle if x >= g.n_a]
-    if len(pts) != 4 or len(sides) != 4:
-        raise ConstructionError("quadrangle search produced a bad girth cycle")
     near = set()
-    for p in pts:
-        for bi in structure.point_blocks[p]:
-            near.update(structure.blocks[bi])
     side_points = set()
-    for bi in sides:
-        side_points.update(structure.blocks[bi])
-    for e_point in range(structure.num_points):
+    for x in cycle:
+        if x < g.n_a:
+            for line in adj[x]:
+                near.update(adj[line])
+        else:
+            side_points.update(adj[x])
+    for e_point in range(g.n_a):
         if e_point in near:
             continue
-        for bi in structure.point_blocks[e_point]:
-            if not side_points.intersection(structure.blocks[bi]):
+        for bi in g.adj_a[e_point]:
+            if not side_points.intersection(adj[g.n_a + bi]):
                 return e_point, bi
     raise ConstructionError("no free incident point-line pair found")
 
@@ -285,10 +273,7 @@ def affine_slab_graph(
         meta={"construction": "t2-slab", "p": p, "m1": m1, "n1": n1},
     )
     da, db = g.degree_sets()
-    if da != {n1} or db != {m1}:
-        raise ConstructionError(
-            f"violated invariant: slab degrees {sorted(da)}/{sorted(db)}"
-        )
+    expect(g.degrees() == (n1, m1), f"slab degrees {sorted(da)}/{sorted(db)}")
     return g
 
 
@@ -335,8 +320,5 @@ def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
         meta={"construction": "ag2-girth6", "p": p, "m1": m1, "n1": n1},
     )
     da, db = g.degree_sets()
-    if da != {n1} or db != {m1}:
-        raise ConstructionError(
-            f"violated invariant: affine degrees {sorted(da)}/{sorted(db)}"
-        )
+    expect(g.degrees() == (n1, m1), f"affine degrees {sorted(da)}/{sorted(db)}")
     return g

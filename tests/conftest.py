@@ -8,6 +8,16 @@ from collections import deque
 import pytest
 
 
+def bipartite_from_edges(n_a: int, n_b: int, edges):
+    """A BipartiteGraph from (class-A index, class-B index) pairs."""
+    from bbcage.graphs import BipartiteGraph
+
+    adj = [[] for _ in range(n_a)]
+    for a, b in edges:
+        adj[a].append(b)
+    return BipartiteGraph(n_a, n_b, adj)
+
+
 def brute_girth(graph, cap: int = 24):
     """Girth by exhaustive simple-cycle enumeration (DFS with canonical
     smallest-vertex root), independent of the BFS girth routine.
@@ -141,3 +151,22 @@ def girth_searches(monkeypatch):
 
     monkeypatch.setattr(graphs, "_girth_search", counting)
     return searched
+
+
+@pytest.fixture
+def degree_measures(monkeypatch):
+    """Every graph whose degree sets are measured (not read back), in call
+    order.  The list keeps the graphs alive, so a repeated id means one graph
+    measured twice."""
+    from bbcage.graphs import BipartiteGraph
+
+    measured = []
+    degree_sets = BipartiteGraph.degree_sets
+
+    def counting(g):
+        if g._degree_sets is None:
+            measured.append(g)
+        return degree_sets(g)
+
+    monkeypatch.setattr(BipartiteGraph, "degree_sets", counting)
+    return measured

@@ -23,6 +23,7 @@ from bbcage.deletions import construct_named, hyperplane_delete
 from bbcage.designs import steiner_truncate, sts_generate
 from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import bb_check, bfs_distances, diameter, girth, levi
+from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, polygon_certify, split_cayley_hexagon
 from bbcage.projective import hyperplane_section, projective_space
 from bbcage.prune import (
@@ -268,7 +269,7 @@ def test_criterion_8_property_suites():
         construct_named("q5-subgq-delete", 2),
         construct_named("hexagon-hyperbolic-prune", 2),
         steiner_truncate(sts_generate(13)),
-        levi(sts_generate(7).to_structure()),
+        levi(IncidenceStructure(range(7), sts_generate(7).blocks)),
         induced_branch_graph(levi(gq_q4(F2)), 2, 3),
         mixed_degree_prune(levi(gq_q4(F2))),
         mixed_degree_prune(levi(gq_q5(F2))),

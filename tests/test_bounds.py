@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import tree_count_oracle
+from conftest import bipartite_from_edges, tree_count_oracle
 
 from bbcage.bounds import (
     BoundsError,
@@ -140,7 +140,7 @@ def test_improved_at_least_moore_everywhere():
 
 
 def test_excess_of_cycle():
-    g8 = BipartiteGraph.from_edges(
+    g8 = bipartite_from_edges(
         4, 4, [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)]
     )
     rep = excess_of(g8)
@@ -150,7 +150,7 @@ def test_excess_of_cycle():
 
 
 def test_excess_of_rejects_irregular():
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [[0, 1], [0]])
     with pytest.raises(Exception):
         excess_of(g)
 

@@ -199,9 +199,10 @@ def test_verify_roundtrip(tmp_path, capsys):
 def test_verify_expectation_mismatch(tmp_path, capsys):
     from bbcage.designs import sts_generate
     from bbcage.graphs import levi, to_graph6
+    from bbcage.incidence import IncidenceStructure
 
     out = tmp_path / "heawood.g6"
-    out.write_bytes(to_graph6(levi(sts_generate(7).to_structure())))
+    out.write_bytes(to_graph6(levi(IncidenceStructure(range(7), sts_generate(7).blocks))))
     code, stdout, _ = run(capsys, "verify", "--in", str(out), "--expect-girth", "8")
     assert code == 1
     assert json.loads(stdout)["expectation_failures"]
@@ -224,6 +225,7 @@ def test_verify_parse_error(tmp_path, capsys):
         ("non-ascii.g6", b"\xff\xfe\n"),
         ("non-ascii.dimacs", b"p edge 2 1\ne 1 \xb2\n"),
         ("c-prefix.dimacs", b"cfoo\np edge 2 1\ne 1 2\n"),
+        ("huge-order.dimacs", b"p edge 30000000 0\n"),
     ],
 )
 def test_verify_malformed_exit2(tmp_path, capsys, name, data):
@@ -249,10 +251,42 @@ def test_verify_searches_girth_once(tmp_path, capsys, girth_searches):
     assert len(girth_searches) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,shapes",
+    [
+        # at (24, 32) the deletion's output; the host Q(4, 3) is never measured
+        (["--family", "q4-hyperbolic-prune", "--q", "3"], [(24, 32)]),
+        (["--family", "mixed-prune", "--host", "q5", "--q", "4"], [(325, 1105), (256, 1088)]),
+        # H(3) is measured when polygon_certify accepts it, then the output
+        (["--family", "hexagon-hyperbolic-prune", "--q", "3"], [(364, 364), (234, 312)]),
+    ],
+)
+def test_construct_measures_degrees_once_per_graph(capsys, degree_measures, argv, shapes):
+    from bbcage.polygons import split_cayley_hexagon
+
+    split_cayley_hexagon.cache_clear()  # build and certify H(3) in this test
+    code, _, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert [(g.n_a, g.n_b) for g in degree_measures] == shapes
+    assert len(set(map(id, degree_measures))) == len(shapes)
+
+
+def test_verify_measures_degrees_once(tmp_path, capsys, degree_measures):
+    from bbcage.gf import field_new
+    from bbcage.graphs import levi, to_graph6
+    from bbcage.polygons import gq_q4
+
+    path = tmp_path / "q43.g6"
+    path.write_bytes(to_graph6(levi(gq_q4(field_new(3, 1)))))
+    code, _, _ = run(capsys, "verify", "--in", str(path), "--expect-m", "4")
+    assert code == 0
+    assert [(g.n_a, g.n_b) for g in degree_measures] == [(40, 40)]
+
+
 def test_verify_irregular_reports_without_bounds(tmp_path, capsys):
     from bbcage.graphs import BipartiteGraph, to_graph6
 
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [[0, 1], [0]])
     path = tmp_path / "p.g6"
     path.write_bytes(to_graph6(g))
     code, stdout, _ = run(capsys, "verify", "--in", str(path))

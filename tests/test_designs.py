@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -13,6 +14,7 @@ from bbcage.designs import (
 )
 from bbcage.gf import field_new
 from bbcage.graphs import bb_check, bfs_distances, girth, levi
+from bbcage.incidence import IncidenceStructure
 from bbcage.projective import projective_space
 
 
@@ -21,6 +23,22 @@ def test_sts_valid(v):
     d = sts_generate(v)
     assert d.b == v * (v - 1) // 6
     assert design_validate(d).valid
+
+
+@pytest.mark.parametrize(
+    "v,digest",
+    [
+        (7, "cf32bf29a6c9779ae19f0ffd01faa7278fc399ef18bcf969165e405cdf0d5cff"),
+        (9, "a4946df4ddcfcfdd85efd00210215dcb259f0e6e694b66d578119d8401eb51eb"),
+        (13, "e77d9dea531fae5429f75499be1aedbf9b8cf1d7acddd6d9be8115bbf47c91da"),
+        (15, "ef928dab2638711aa95782960bd05a5b4bd47ddc450a227711c82e6361ab443d"),
+        (97, "d7c03973a906bcd35cc87e8bfe8c600577bf4b10ad5ad322b668d677753f0851"),
+        (99, "95fb1a7b511baa689a6b6e7ab7663362ce589a22198436988cc3fef0f87b0d39"),
+    ],
+)
+def test_sts_file_bytes_pinned(v, digest):
+    # Skolem (v = 1 mod 6) and Bose (v = 3 mod 6) share one triple loop
+    assert hashlib.sha256(design_save(sts_generate(v)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("v", [6, 8, 11, 5, 17])
@@ -151,7 +169,7 @@ def test_pg23_as_design():
 
 def test_truncated_design_levi_from_structure():
     d = sts_generate(13)
-    g = levi(d.to_structure())
+    g = levi(IncidenceStructure(range(d.v), d.blocks))
     assert g.n_vertices == 13 + 26
 
 

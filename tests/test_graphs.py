@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import bfs_diameter, brute_girth
+from conftest import bfs_diameter, bipartite_from_edges, brute_girth
 
 from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
@@ -32,13 +32,13 @@ F3 = field_new(3, 1)
 
 def cycle_graph(k):
     """2k-cycle as a bipartite graph: A vertices alternate with B vertices."""
-    return BipartiteGraph.from_edges(
+    return bipartite_from_edges(
         k, k, [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
     )
 
 
 def test_levi_fano_is_heawood():
-    g = levi(sts_generate(7).to_structure())
+    g = levi(IncidenceStructure(range(7), sts_generate(7).blocks))
     assert g.n_vertices == 14
     assert g.num_edges == 21
     assert girth(g) == 6
@@ -64,7 +64,7 @@ def test_levi_q42():
 def test_girth_cycles_and_forest():
     assert girth(cycle_graph(4)) == 8
     assert girth(cycle_graph(3)) == 6
-    path = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
+    path = BipartiteGraph(2, 1, [[0], [0]])
     assert girth(path) == math.inf
     assert diameter(path) == 2
 
@@ -94,14 +94,14 @@ def test_girth_matches_brute_oracle_random():
             (rng.randrange(n_a), rng.randrange(n_b))
             for _ in range(rng.randrange(4, n_a * n_b + 1))
         }
-        g = BipartiteGraph.from_edges(n_a, n_b, sorted(edges))
+        g = bipartite_from_edges(n_a, n_b, sorted(edges))
         expect = brute_girth(g)
         got = girth(g)
         assert got == (expect if expect is not None else math.inf)
 
 
 def test_diameter_disconnected_rejected():
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    g = BipartiteGraph(2, 2, [[0], [1]])
     assert bfs_diameter(g) is None
     assert diameter(g) == math.inf
 
@@ -141,7 +141,7 @@ def test_distance_sets_subset_property():
 
 
 def test_bb_check():
-    k33 = BipartiteGraph.from_edges(3, 3, [(i, j) for i in range(3) for j in range(3)])
+    k33 = BipartiteGraph(3, 3, [range(3)] * 3)
     assert bb_check(k33, 3, 3, 4).passed
     rep = bb_check(k33, 3, 3, 6).passed
     assert not rep
@@ -163,7 +163,7 @@ def test_graph6_roundtrip_random_and_header():
         edges = sorted(
             {(rng.randrange(n_a), rng.randrange(n_b)) for _ in range(rng.randrange(1, 12))}
         )
-        g = BipartiteGraph.from_edges(n_a, n_b, edges)
+        g = bipartite_from_edges(n_a, n_b, edges)
         data = to_graph6(g)
         n, back = from_graph6(b">>graph6<<" + data)
         assert n == g.n_vertices
@@ -172,7 +172,7 @@ def test_graph6_roundtrip_random_and_header():
 
 def test_graph6_large_n_prefix():
     # n = 70 exercises the multi-byte size encoding
-    g = BipartiteGraph.from_edges(35, 35, [(i, i) for i in range(35)])
+    g = BipartiteGraph(35, 35, [[i] for i in range(35)])
     n, edges = from_graph6(to_graph6(g))
     assert n == 70
     assert len(edges) == 35
@@ -207,7 +207,7 @@ def test_non_ascii_rejected(decode, data):
 
 
 def test_dimacs_roundtrip():
-    g = levi(sts_generate(7).to_structure())
+    g = levi(IncidenceStructure(range(7), sts_generate(7).blocks))
     n, edges = from_dimacs(to_dimacs(g))
     assert n == 14
     assert sorted(edges) == sorted(tuple(sorted(e)) for e in g.edges())
@@ -259,5 +259,5 @@ def test_girth_of_bipartite_is_even():
         edges = sorted(
             {(rng.randrange(n_a), rng.randrange(n_b)) for _ in range(rng.randrange(3, 12))}
         )
-        gi = girth(BipartiteGraph.from_edges(n_a, n_b, edges))
+        gi = girth(bipartite_from_edges(n_a, n_b, edges))
         assert gi == math.inf or gi % 2 == 0

@@ -1,6 +1,8 @@
 """Every name a runtime module imports is used in that module.  The package
 __init__ (whose imports are re-exports) and __future__ imports are exempt.
-Every module-level private function is referenced somewhere in the package."""
+Every module-level private function is referenced somewhere in the package.
+The text "violated invariant" appears only in polygons.expect, the one place a
+construction contract fails."""
 
 import ast
 from pathlib import Path
@@ -66,3 +68,32 @@ def test_unreferenced_private_functions_detector():
 def test_private_functions_are_referenced():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def invariant_texts(sources: dict[str, str]) -> list[str]:
+    """'module:owner' for each line holding the text "violated invariant",
+    where owner is the enclosing top-level function or class, or <module>."""
+    found = []
+    for module, source in sources.items():
+        spans = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "violated invariant" in line:
+                owner = next((n for a, b, n in spans if a <= lineno <= b), "<module>")
+                found.append(f"{module}:{owner}")
+    return found
+
+
+def test_invariant_texts_detector():
+    a = 'def expect(c):\n    raise E("violated invariant: x")\n'
+    b = 'def build():\n    raise E(\n        f"violated invariant: {1}"\n    )\nX = "violated invariant"\n'
+    found = invariant_texts({"polygons": a, "prune": b})
+    assert found == ["polygons:expect", "prune:build", "prune:<module>"]
+
+
+def test_violated_invariant_only_in_expect():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert set(invariant_texts(sources)) == {"polygons:expect"}

@@ -24,18 +24,16 @@ def test_gq_q4_counts(q, count):
     s = gq_q4(field_new(2, 2) if q == 4 else field_new(q, 1))
     assert s.num_points == count
     assert s.num_blocks == count
-    assert s.block_sizes() == {q + 1}
-    assert s.point_degrees() == {q + 1}
+    assert levi(s).degree_sets() == ({q + 1}, {q + 1})
 
 
 def test_gq_q5_counts():
     s2 = gq_q5(F2)
     assert (s2.num_points, s2.num_blocks) == (27, 45)
-    assert s2.point_degrees() == {5}  # q^2 + 1
+    assert levi(s2).degree_sets()[0] == {5}  # q^2 + 1
     s3 = gq_q5(F3)
     assert (s3.num_points, s3.num_blocks) == (112, 280)
-    assert s3.point_degrees() == {10}
-    assert s3.block_sizes() == {4}
+    assert levi(s3).degree_sets() == ({10}, {4})
 
 
 def test_gq_caps():
@@ -78,8 +76,7 @@ def test_hexagon_q2():
 def test_hexagon_q3_counts():
     s = split_cayley_hexagon(F3)
     assert (s.num_points, s.num_blocks) == (364, 364)
-    assert s.point_degrees() == {4}
-    assert s.block_sizes() == {4}
+    assert levi(s).degree_sets() == ({4}, {4})
 
 
 def test_hexagon_lines_lie_on_quadric():

@@ -1,22 +1,22 @@
 """Hypothesis properties: the bit-parallel girth and diameter kernels against
-the per-root BFS oracles, the file readers against hostile input,
-ProjectiveSpace.lines_in against a scan of every point pair, and
-hyperplane_section against the per-block scan."""
+the per-root BFS oracles, the stored degree sets against an edge recount, the
+file readers against hostile input, ProjectiveSpace.lines_in against a scan of
+every point pair, and hyperplane_section against the per-block scan."""
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_diameter, bfs_girth, scan_section
+from conftest import bfs_diameter, bfs_girth, bipartite_from_edges, scan_section
 
 from bbcage import graphs
 from bbcage.designs import DesignError, design_load
 from bbcage.gf import field_of_order
 from bbcage.graphs import (
-    BipartiteGraph,
     GraphError,
     diameter,
     from_dimacs,
@@ -36,7 +36,7 @@ def bipartite_graphs(draw):
     edges = ()
     if pairs:
         edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * (n_a + n_b)))
-    return BipartiteGraph.from_edges(n_a, n_b, sorted(edges))
+    return bipartite_from_edges(n_a, n_b, sorted(edges))
 
 
 @pytest.mark.parametrize("chunk", [graphs.ROOT_CHUNK, 3, 1])
@@ -48,6 +48,17 @@ def test_kernels_match_bfs_oracles(chunk, g):
         assert girth(g) == bfs_girth(g)
         want = bfs_diameter(g)
         assert diameter(g) == (math.inf if want is None else want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=bipartite_graphs())
+def test_degrees_match_edge_recount(g):
+    count = Counter(v for edge in g.edges() for v in edge)
+    da = {count[v] for v in range(g.n_a)}
+    db = {count[v] for v in range(g.n_a, g.n_vertices)}
+    assert g.degree_sets() == (da, db)
+    assert g.degree_sets() is g.degree_sets()
+    assert g.degrees() == ((min(da), min(db)) if len(da) == len(db) == 1 else None)
 
 
 _SEEDS = [

@@ -56,10 +56,10 @@ def test_branch_prune_rejections():
 def test_branch_prune_needs_certified_host():
     from bbcage.graphs import BipartiteGraph
 
-    irregular = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+    irregular = BipartiteGraph(2, 2, [[0, 1], [0]])
     with pytest.raises(ValueError):
         induced_branch_graph(irregular, 2, 2)
-    tree = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
+    tree = BipartiteGraph(2, 1, [[0], [0]])
     with pytest.raises(ValueError):
         induced_branch_graph(tree, 2, 2)
 
@@ -115,14 +115,14 @@ def test_mixed_prune_girth_never_decreases():
 def test_free_edge_q44_and_q45():
     for field in (F4, F5):
         s = gq_q4(field)
-        point, block = find_free_edge(s)
+        point, block = find_free_edge(levi(s))
         assert point in s.blocks[block]
-        assert find_free_edge(s) == (point, block)  # deterministic
+        assert find_free_edge(levi(s)) == (point, block)  # deterministic
 
 
 def test_free_edge_really_free():
     s = gq_q4(F4)
-    point, block = find_free_edge(s)
+    point, block = find_free_edge(levi(s))
     g = levi(s)
     # rebuild the search's quadrangle certificate: E collinear with no vertex
     # of some proper quadrangle means E sits at distance >= 4 in the Levi
@@ -133,17 +133,23 @@ def test_free_edge_really_free():
     assert out.n_vertices == 8 * 16
 
 
-def test_free_edge_reuses_callers_levi_graph():
-    s = gq_q4(F4)
-    g = levi(s)
-    assert find_free_edge(s, g) == find_free_edge(s)
-    with pytest.raises(ValueError, match="not the Levi graph"):
-        find_free_edge(s, levi(gq_q4(F3)))
+@pytest.mark.parametrize(
+    "host,field,pair",
+    [
+        (gq_q4, F4, (16, 58)),
+        (gq_q4, F5, (20, 92)),
+        (gq_q5, F3, (68, 33)),
+        (gq_q5, F4, (146, 36)),
+    ],
+)
+def test_free_edge_pinned(host, field, pair):
+    # pinned: the anchor that --edge auto uses on each host
+    assert find_free_edge(levi(host(field))) == pair
 
 
 def test_free_edge_small_order_rejected():
     with pytest.raises(ValueError):
-        find_free_edge(gq_q4(F2))
+        find_free_edge(levi(gq_q4(F2)))
 
 
 def test_slab_p5():
@@ -283,7 +289,7 @@ def test_prune_rejects_disconnected_host(prune):
     # infinite, so only the connectivity check stops this host
     from bbcage.graphs import BipartiteGraph, GraphError
 
-    host = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    host = BipartiteGraph(2, 2, [[0], [1]])
     args = (host,) if prune is mixed_degree_prune else (host, 2, 2)
     with pytest.raises(GraphError, match="disconnected"):
         prune(*args)
