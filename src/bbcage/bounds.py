@@ -127,6 +127,20 @@ class BoundsReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _polygon_gap(m: int, n: int, r: int) -> str | None:
+    """The provenance tag when no generalized r-gon of order (m-1, n-1) can
+    exist by the quadrangle (r = 4) or hexagon (r = 6) predicates, else None."""
+    if r == 4:
+        if all(gq_exists_predicates(m - 1, n - 1).values()):
+            return None
+        if n == m + 1:
+            return "gq-divisibility-gap"
+        return "gq-higman-gap" if n == m * m + 1 else "polygon-nonexistence"
+    if r == 6 and not hexagon_square(m - 1, n - 1):
+        return "hexagon-square-gap" if n == m + 1 else "polygon-nonexistence"
+    return None
+
+
 def improved_bound(m: int, n: int, g: int) -> BoundsReport:
     """Best lower bound this library knows for (m, n; g) biregular graphs.
 
@@ -141,35 +155,17 @@ def improved_bound(m: int, n: int, g: int) -> BoundsReport:
         raise BoundsError(f"need even girth >= 6, got {g}")
     r = g // 2
     if r % 2 == 0:
-        base = moore_even(m, n, g)
-        improved, prov = base, "none"
-        if m >= 3 and n >= 3 and r in (4, 6):
-            if r == 4:
-                preds = gq_exists_predicates(m - 1, n - 1)
-                fires = not (preds["divisibility"] and preds["higman"])
-                if fires:
-                    prov = (
-                        "gq-divisibility-gap"
-                        if n == m + 1
-                        else "gq-higman-gap"
-                        if n == m * m + 1
-                        else "polygon-nonexistence"
-                    )
-            else:
-                fires = not hexagon_square(m - 1, n - 1)
-                if fires:
-                    prov = (
-                        "hexagon-square-gap" if n == m + 1 else "polygon-nonexistence"
-                    )
-            if fires:
-                improved = base + (m + n) // gcd(m, n)
+        base = improved = moore_even(m, n, g)
+        prov = _polygon_gap(m, n, r) if m >= 3 else None
+        if prov:
+            improved += (m + n) // gcd(m, n)
     else:
-        base = moore_odd(m, n, r)
-        improved, prov = base, "none"
+        base = improved = moore_odd(m, n, r)
+        prov = None
         if 2 < m < n:
             div = divisibility_bound_odd(m, n, r)
             if div >= base:
-                improved = max(base, div)
+                improved = div
                 prov = (
                     "girth6-divisibility"
                     if r == 3 and (n + 1) % m == 0
@@ -181,7 +177,7 @@ def improved_bound(m: int, n: int, g: int) -> BoundsReport:
         girth=g,
         moore_bound=base,
         improved_lower_bound=improved,
-        provenance=prov,
+        provenance=prov or "none",
     )
 
 
@@ -247,28 +243,21 @@ def polygon_family_table(q_values) -> list[dict]:
             scale = m + n + 1
             f_col = (m * n) ** (r // 2 - 1)
             b_col = _even_series_value(m, n + 1, r) // scale
-            excess_direct = scale * (f_col - b_col)
-            f_published = f_pub(q)
-            b_published = b_pub(q)
-            e_published = e_pub(q) if e_pub else None
-            rows.append(
-                {
-                    "family": name,
-                    "q": q,
-                    "degree_small": m + 1,
-                    "degree_large": n + 1,
-                    "girth": 2 * r,
-                    "prune_col": f_col,
-                    "prune_col_published": f_published,
-                    "prune_col_mismatch": f_col != f_published,
-                    "moore_col": b_col,
-                    "moore_col_published": b_published,
-                    "moore_col_mismatch": b_col != b_published,
-                    "excess": excess_direct,
-                    "excess_published": e_published,
-                    "excess_mismatch": (
-                        e_published is not None and e_published != excess_direct
-                    ),
-                }
-            )
+            row = {
+                "family": name,
+                "q": q,
+                "degree_small": m + 1,
+                "degree_large": n + 1,
+                "girth": 2 * r,
+            }
+            for col, value, pub in (
+                ("prune_col", f_col, f_pub),
+                ("moore_col", b_col, b_pub),
+                ("excess", scale * (f_col - b_col), e_pub),
+            ):
+                published = pub(q) if pub else None
+                row[col] = value
+                row[f"{col}_published"] = published
+                row[f"{col}_mismatch"] = published is not None and published != value
+            rows.append(row)
     return rows

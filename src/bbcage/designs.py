@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .bounds import girth6_bound
 from .graphs import BipartiteGraph, levi
 from .incidence import IncidenceStructure
 from .polygons import ConstructionError, expect_biregular
@@ -165,8 +166,7 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
         tag={"family": "steiner-truncated", "m": m, "n": n},
     )
     g = levi(structure, meta={"construction": "steiner-cage", "m": m, "n": n})
-    order = (n + m) * ((n + 1) // m) * (m - 1)
-    return expect_biregular(g, m, n, 6, order, "truncation")
+    return expect_biregular(g, m, n, 6, girth6_bound(m, n), "truncation")
 
 
 def design_save(design: Design) -> str:

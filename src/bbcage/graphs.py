@@ -7,14 +7,11 @@ in construction order), class B occupies n_a..n_a+n_b-1 (blocks).
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
 
 from .incidence import IncidenceStructure
-
-log = logging.getLogger(__name__)
 
 
 class GraphError(ValueError):
@@ -146,9 +143,11 @@ def _girth_search(g: BipartiteGraph) -> int | float:
     adj = g.adjacency()
     n = len(adj)
     best = math.inf
-    for start in range(0, g.n_a, ROOT_CHUNK):
+    # A vertex of degree < 2 lies on no cycle, so it is no root.
+    roots = [v for v in range(g.n_a) if len(adj[v]) >= 2]
+    for start in range(0, len(roots), ROOT_CHUNK):
         seen = [0] * n
-        for i, root in enumerate(range(start, min(start + ROOT_CHUNK, g.n_a))):
+        for i, root in enumerate(roots[start : start + ROOT_CHUNK]):
             seen[root] = 1 << i
         frontier = seen[:]
         level = 1
@@ -261,18 +260,10 @@ def biregular_pair(g: BipartiteGraph) -> tuple[int, int]:
 
 
 def induced_subgraph(g: BipartiteGraph, keep, meta=None) -> BipartiteGraph:
-    """Induced subgraph on global vertex ids, re-indexed deterministically.
-
-    Vertices isolated in the induced graph are dropped (with a logged count),
-    since biregular contracts need positive degree.
-    """
+    """Induced subgraph on exactly the given global vertex ids, re-indexed
+    in increasing id order within each class."""
     keep = set(keep)
     adj = g.adjacency()
-    live = {v for v in keep if any(w in keep for w in adj[v])}
-    dropped = len(keep) - len(live)
-    if dropped:
-        log.info("induced_subgraph dropped %d isolated vertices", dropped)
-    keep = live
     a_ids = sorted(v for v in keep if v < g.n_a)
     b_ids = sorted(v for v in keep if v >= g.n_a)
     b_index = {v: i for i, v in enumerate(b_ids)}
@@ -428,9 +419,11 @@ def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
     return n, sorted(edges)
 
 
-def bipartition(n: int, edges) -> tuple[list[int], list[int]] | None:
-    """2-color a raw graph; returns (class0, class1) or None if an odd cycle
-    exists.  Isolated vertices land in class0."""
+def graph_from_edges(n: int, edges) -> BipartiteGraph:
+    """Wrap a raw bipartite edge list as a BipartiteGraph by one BFS
+    2-colouring: each component's smallest vertex goes to class A, and each
+    class keeps increasing vertex order.  An odd cycle or a self-loop raises
+    GraphError."""
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
@@ -448,24 +441,10 @@ def bipartition(n: int, edges) -> tuple[list[int], list[int]] | None:
                     color[y] = 1 - color[x]
                     q.append(y)
                 elif color[y] == color[x]:
-                    return None
-    return (
-        [v for v in range(n) if color[v] == 0],
-        [v for v in range(n) if color[v] == 1],
-    )
-
-
-def graph_from_edges(n: int, edges) -> BipartiteGraph:
-    """Wrap a raw bipartite edge list as a BipartiteGraph via 2-coloring."""
-    parts = bipartition(n, edges)
-    if parts is None:
-        raise GraphError("input graph is not bipartite")
-    class0, class1 = parts
-    index0 = {v: i for i, v in enumerate(class0)}
-    index1 = {v: i for i, v in enumerate(class1)}
-    adj = [[] for _ in range(len(class0))]
-    for a, b in edges:
-        if a in index1:
-            a, b = b, a
-        adj[index0[a]].append(index1[b])
-    return BipartiteGraph(len(class0), len(class1), adj)
+                    raise GraphError("input graph is not bipartite")
+    index, sizes = [], [0, 0]
+    for c in color:
+        index.append(sizes[c])
+        sizes[c] += 1
+    adj_a = [[index[w] for w in adj[v]] for v in range(n) if color[v] == 0]
+    return BipartiteGraph(sizes[0], sizes[1], adj_a)

@@ -120,9 +120,6 @@ class ProjectiveSpace:
     def hyperplanes(self) -> list[Hyperplane]:
         return [Hyperplane(p.coords) for p in self.points]
 
-    def on_hyperplane(self, h: Hyperplane, coords) -> bool:
-        return self.field.dot(h.coeffs, coords) == 0
-
 
 @lru_cache(maxsize=None)
 def projective_space(d: int, field: Field) -> ProjectiveSpace:

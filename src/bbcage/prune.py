@@ -15,8 +15,9 @@ from collections import deque
 from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
-    BipartiteGraph, GraphError, diameter, distance_sets, girth, induced_subgraph
+    BipartiteGraph, GraphError, diameter, distance_sets, girth, induced_subgraph, levi
 )
+from .incidence import IncidenceStructure
 from .polygons import ConstructionError, expect, expect_biregular
 from .projective import conic_oval, projective_space
 
@@ -235,15 +236,13 @@ def affine_slab_graph(
         h
         for h in space.hyperplanes()
         if h.coeffs != (1, 0, 0, 0)
-        and all(space.on_hyperplane(h, c) for c in ell_pts)
+        and all(field.dot(h.coeffs, c) == 0 for c in ell_pts)
     ]
     if len(planes) != p:
         raise ConstructionError(f"expected {p} slab planes, found {len(planes)}")
     slab: list[int] = []
     for h in planes[:m1]:
-        slab.extend(
-            x for x in affine if space.on_hyperplane(h, space.points[x].coords)
-        )
+        slab.extend(x for x in affine if field.dot(h.coeffs, space.points[x].coords) == 0)
     if len(slab) != m1 * p * p or len(set(slab)) != len(slab):
         raise ConstructionError("slab planes do not partition their affine points")
     slab.sort()
@@ -256,20 +255,9 @@ def affine_slab_graph(
                 continue
             members = tuple(x for x in space.line_through(a, point_id) if x != point_id)
             covered.update(members)
-            blocks.append(members)
-    adj = [[] for _ in range(len(slab))]
-    for bi, members in enumerate(blocks):
-        hits = [slab_index[x] for x in members if x in slab_index]
-        if len(hits) != m1:
-            raise ConstructionError(
-                f"affine line meets the slab in {len(hits)} points, expected {m1}"
-            )
-        for a_local in hits:
-            adj[a_local].append(bi)
-    g = BipartiteGraph(
-        len(slab),
-        len(blocks),
-        adj,
+            blocks.append([slab_index[x] for x in members if x in slab_index])
+    g = levi(
+        IncidenceStructure([None] * len(slab), blocks),
         meta={"construction": "t2-slab", "p": p, "m1": m1, "n1": n1},
     )
     da, db = g.degree_sets()
@@ -291,7 +279,6 @@ def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
         raise ValueError(f"only {p} non-horizontal directions exist, got n1={n1}")
     slopes: list[int | None] = list(range(1, p)) + [None]  # None is vertical
     chosen = slopes[:n1]
-    n_points = m1 * p
 
     def pid(x: int, y: int) -> int:
         return y * p + x
@@ -308,15 +295,9 @@ def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
                     # x with s*x + b = y
                     x = field.mul(field.inv(s), field.sub(y, b))
                     members.append(pid(x, y))
-                blocks.append(tuple(sorted(members)))
-    adj = [[] for _ in range(n_points)]
-    for bi, members in enumerate(blocks):
-        for a in members:
-            adj[a].append(bi)
-    g = BipartiteGraph(
-        n_points,
-        len(blocks),
-        adj,
+                blocks.append(members)
+    g = levi(
+        IncidenceStructure([None] * m1 * p, blocks),
         meta={"construction": "ag2-girth6", "p": p, "m1": m1, "n1": n1},
     )
     da, db = g.degree_sets()

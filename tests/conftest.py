@@ -18,6 +18,31 @@ def bipartite_from_edges(n_a: int, n_b: int, edges):
     return BipartiteGraph(n_a, n_b, adj)
 
 
+def two_colouring(n: int, edges):
+    """Class (0 for A, 1 for B) of each vertex 0..n-1 of a raw edge list,
+    each component's smallest vertex in class A; None when an odd cycle or a
+    self-loop exists.  A parity union-find whose roots are always the
+    smallest vertex of their component, independent of the library's BFS."""
+    parent, parity = list(range(n)), [0] * n
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    for a, b in edges:
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            if pa == pb:
+                return None
+        else:
+            lo, hi = min(ra, rb), max(ra, rb)
+            parent[hi], parity[hi] = lo, pa ^ pb ^ 1
+    return [find(v)[1] for v in range(n)]
+
+
 def brute_girth(graph, cap: int = 24):
     """Girth by exhaustive simple-cycle enumeration (DFS with canonical
     smallest-vertex root), independent of the BFS girth routine.

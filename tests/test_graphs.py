@@ -12,13 +12,13 @@ from bbcage.graphs import (
     BipartiteGraph,
     GraphError,
     bb_check,
-    bipartition,
     diameter,
     distance_sets,
     from_dimacs,
     from_graph6,
     girth,
     graph_from_edges,
+    induced_subgraph,
     levi,
     to_dimacs,
     to_graph6,
@@ -149,6 +149,15 @@ def test_bb_check():
     assert not rep.passed and "degree" in rep.violation
 
 
+def test_induced_subgraph_keeps_what_it_is_given():
+    # a0-b0-a1-b1 plus the isolated a2; without a1, a2 and b1 have no edge
+    g = BipartiteGraph(3, 2, [[0], [0, 1], []], meta={"construction": "x"})
+    sub = induced_subgraph(g, [4, 0, 2, 3], meta={"k": 1})
+    assert (sub.n_a, sub.n_b) == (2, 2)
+    assert sub.adj_a == ((0,), ())
+    assert sub.meta == {"construction": "x", "k": 1}
+
+
 def test_graph6_roundtrip_cycle():
     g = cycle_graph(4)
     n, edges = from_graph6(to_graph6(g))
@@ -241,13 +250,10 @@ def test_dimacs_malformed_rejected(text, offending):
 def test_bipartition_and_wrapping():
     g = levi(gq_q4(F2))
     n, edges = from_graph6(to_graph6(g))
-    parts = bipartition(n, edges)
-    assert parts is not None
     wrapped = graph_from_edges(n, edges)
     assert wrapped.n_vertices == 30
     assert girth(wrapped) == 8
     odd = [(0, 1), (1, 2), (0, 2)]
-    assert bipartition(3, odd) is None
     with pytest.raises(GraphError):
         graph_from_edges(3, odd)
 

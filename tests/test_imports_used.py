@@ -1,8 +1,10 @@
 """Every name a runtime module imports is used in that module.  The package
 __init__ (whose imports are re-exports) and __future__ imports are exempt.
-Every module-level private function is referenced somewhere in the package.
+Every module-level private function is referenced somewhere in the package,
+and every module-level name bound by assignment is read somewhere in it.
 The text "violated invariant" appears only in polygons.expect, the one place a
-construction contract fails."""
+construction contract fails.  A BipartiteGraph is constructed only by the
+three builders in graphs: levi, induced_subgraph and graph_from_edges."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,78 @@ def test_invariant_texts_detector():
 def test_violated_invariant_only_in_expect():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert set(invariant_texts(sources)) == {"polygons:expect"}
+
+
+def unread_module_names(sources: dict[str, str]) -> list[str]:
+    """'module:name' for each module-level name bound by assignment (not a
+    dunder) that no source reads, as a bare name or an attribute."""
+    bound, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [
+                    f"{module}:{leaf.id}"
+                    for target in targets
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Name) and not leaf.id.startswith("__")
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return [name for name in bound if name.split(":")[1] not in read]
+
+
+def test_unread_module_names_detector():
+    a = "import logging\nlog = logging.getLogger(__name__)\nLIMIT: int = 3\n__all__ = []\n"
+    b = "X, (Y, Z) = 1, (2, 3)\nLIMIT = 4\ndef f():\n    return X + mod.Y\n"
+    c = "Z = 5\n"
+    found = unread_module_names({"a": a, "b": b, "c": c})
+    assert found == ["a:log", "a:LIMIT", "b:Z", "b:LIMIT", "c:Z"]
+
+
+def test_module_names_are_read():
+    sources = {
+        p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+    }
+    assert unread_module_names(sources) == []
+
+
+def bipartite_graph_calls(sources: dict[str, str]) -> list[str]:
+    """'module:owner' for each call of BipartiteGraph (by name or as an
+    attribute), where owner is the enclosing top-level function or class, or
+    <module>."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "BipartiteGraph" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found.append(f"{module}:{owner}")
+    return found
+
+
+def test_bipartite_graph_calls_detector():
+    a = "def levi(s):\n    return BipartiteGraph(1, 1, [[0]])\n"
+    b = (
+        "from .graphs import BipartiteGraph\n"
+        "def affine(p):\n    g = BipartiteGraph(\n        p, p, [])\n    return g\n"
+        "class C:\n    def f(self):\n        return graphs.BipartiteGraph(0, 0, [])\n"
+        "EMPTY = BipartiteGraph(0, 0, [])\n"
+        "def typed(g: BipartiteGraph) -> BipartiteGraph:\n    return g\n"
+    )
+    found = bipartite_graph_calls({"graphs": a, "prune": b})
+    assert found == ["graphs:levi", "prune:affine", "prune:C", "prune:<module>"]
+
+
+def test_graphs_built_only_by_the_three_builders():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(bipartite_graph_calls(sources)) == [
+        "graphs:graph_from_edges",
+        "graphs:induced_subgraph",
+        "graphs:levi",
+    ]

@@ -1,7 +1,8 @@
 """Hypothesis properties: the bit-parallel girth and diameter kernels against
-the per-root BFS oracles, the stored degree sets against an edge recount, the
-file readers against hostile input, ProjectiveSpace.lines_in against a scan of
-every point pair, and hyperplane_section against the per-block scan."""
+the per-root BFS oracles, the stored degree sets against an edge recount,
+graph_from_edges against a union-find 2-colouring, the file readers against
+hostile input, ProjectiveSpace.lines_in against a scan of every point pair,
+and hyperplane_section against the per-block scan."""
 
 import math
 from collections import Counter
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_diameter, bfs_girth, bipartite_from_edges, scan_section
+from conftest import (
+    bfs_diameter, bfs_girth, bipartite_from_edges, scan_section, two_colouring
+)
 
 from bbcage import graphs
 from bbcage.designs import DesignError, design_load
@@ -22,6 +25,7 @@ from bbcage.graphs import (
     from_dimacs,
     from_graph6,
     girth,
+    graph_from_edges,
 )
 from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, projective_space
 
@@ -29,13 +33,20 @@ from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, pro
 @st.composite
 def bipartite_graphs(draw):
     """Any bipartite graph with at most 10 vertices per class: forests,
-    disconnected graphs, isolated vertices, an empty class, one vertex."""
+    disconnected graphs, isolated vertices, an empty class, one vertex.  Half
+    of them have a class A of mostly isolated or pendant vertices, with at
+    most three of higher degree, so few class-A vertices can lie on a cycle."""
     n_a = draw(st.integers(0, 10))
     n_b = draw(st.integers(0, 10))
     pairs = [(a, b) for a in range(n_a) for b in range(n_b)]
-    edges = ()
-    if pairs:
+    edges = set()
+    if pairs and draw(st.booleans()):
         edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * (n_a + n_b)))
+    elif pairs:
+        hubs = draw(st.sets(st.integers(0, n_a - 1), max_size=3))
+        for a in range(n_a):
+            cap = n_b if a in hubs else 1
+            edges.update((a, b) for b in draw(st.sets(st.integers(0, n_b - 1), max_size=cap)))
     return bipartite_from_edges(n_a, n_b, sorted(edges))
 
 
@@ -59,6 +70,40 @@ def test_degrees_match_edge_recount(g):
     assert g.degree_sets() == (da, db)
     assert g.degree_sets() is g.degree_sets()
     assert g.degrees() == ((min(da), min(db)) if len(da) == len(db) == 1 else None)
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Up to 12 vertices and distinct edges in either orientation, self-loops
+    allowed; half the time only edges across a random 2-colouring are kept,
+    so both bipartite inputs (often with isolated vertices) and odd cycles
+    are common."""
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    if draw(st.booleans()):
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges = [(a, b) for a, b in edges if side[a] != side[b]]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=raw_edge_lists())
+def test_graph_from_edges_matches_two_colouring(case):
+    n, edges = case
+    colour = two_colouring(n, edges)
+    if colour is None:
+        with pytest.raises(GraphError, match="input graph is not bipartite"):
+            graph_from_edges(n, edges)
+        return
+    index = [colour[:v].count(colour[v]) for v in range(n)]
+    want = sorted(
+        (index[a], index[b]) if colour[a] == 0 else (index[b], index[a]) for a, b in edges
+    )
+    g = graph_from_edges(n, edges)
+    assert (g.n_a, g.n_b) == (colour.count(0), colour.count(1))
+    assert sorted((a, b - g.n_a) for a, b in g.edges()) == want
 
 
 _SEEDS = [
