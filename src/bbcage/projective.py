@@ -88,24 +88,34 @@ class ProjectiveSpace:
             raise GeometryError("line_through needs two distinct points")
         return tuple(sorted((a_id, b_id, *self._rest_of_line(a_id, b_id))))
 
-    def lines_in(self, ids) -> list[tuple[int, ...]]:
+    def lines_in(self, ids, candidates=None) -> list[tuple[int, ...]]:
         """Every line whose q+1 points all lie in ids, as sorted id tuples in
         sorted order.
 
-        The line of each pair not yet on a found line is walked point by
-        point and dropped at the first point outside ids; a line off a
-        quadric meets it in at most two points, so for a quadric such a pair
-        costs one point.  Pairs are taken in sorted order, so a line is found
-        at its two smallest ids and the lines come out sorted.
+        Pairs are taken in sorted order, and the line of each pair not yet
+        on a found line is walked point by point and dropped at the first
+        point outside ids; so a line is found at its two smallest ids and
+        the lines come out sorted.  Coverage is one bitmask per point over
+        the positions of sorted(set(ids)).  candidates, if given, holds one
+        such bitmask per point of sorted(set(ids)): only the pairs inside a
+        point's mask are walked, so it must contain every partner of that
+        point on a line inside ids (quadric_lines passes the quadric points
+        on each point's polar hyperplane).
         """
         members = sorted(set(ids))
         inside = set(members)
-        done = set()
+        pos = {a: i for i, a in enumerate(members)}
+        covered = [0] * len(members)
+        full = (1 << len(members)) - 1
         lines = []
         for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if (a, b) in done:
-                    continue
+            rest = full >> (i + 1) << (i + 1) & ~covered[i]
+            if candidates is not None:
+                rest &= candidates[i]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = members[low.bit_length() - 1]
                 line = [a, b]
                 for c in self._rest_of_line(a, b):
                     if c not in inside:
@@ -114,7 +124,10 @@ class ProjectiveSpace:
                 else:
                     line.sort()
                     lines.append(tuple(line))
-                    done.update(itertools.combinations(line, 2))
+                    mask = sum(1 << pos[x] for x in line)
+                    for x in line:
+                        covered[pos[x]] |= mask
+                    rest &= ~mask
         return lines
 
     def hyperplanes(self) -> list[Hyperplane]:
@@ -198,9 +211,75 @@ def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
 
 def quadric_lines(form: QuadraticForm, field: Field) -> list[tuple[int, ...]]:
     """Lines of PG(d, q) fully contained in the quadric, as sorted id tuples,
-    from the one early-exit enumerator ProjectiveSpace.lines_in."""
+    from ProjectiveSpace.lines_in.
+
+    For a and b on Q, Q(a + lam * b) = lam * B(a, b) with B the polar form,
+    so line ab lies on Q exactly when b is on the polar hyperplane
+    (M + M^T) a.  Each point's candidate partners are therefore the quadric
+    points that one mask scan puts on its polar hyperplane, and only those
+    lines are walked.
+    """
     space = projective_space(form.dim, field)
-    return space.lines_in(p.id for p in quadric_points(form, field))
+    pts = quadric_points(form, field)
+    coords = tuple(p.coords for p in pts)
+    masks, full = _mask_index(coords, field)
+    add, dot, rows = field.add, field.dot, form.matrix
+    cols = tuple(zip(*rows))
+    partners = [
+        _scan(masks, full, [add(dot(r, x), dot(c, x)) for r, c in zip(rows, cols)], field)
+        for x in coords
+    ]
+    return space.lines_in([p.id for p in pts], partners)
+
+
+def _coordinate_masks(point_coords, q: int) -> tuple[tuple[int, ...], ...]:
+    """Bit j of masks[i][v] is set when point j has coordinate i equal to v."""
+    masks = [[0] * q for _ in range(len(point_coords[0]) if point_coords else 0)]
+    for j, coords in enumerate(point_coords):
+        bit = 1 << j
+        for row, v in zip(masks, coords):
+            row[v] |= bit
+    return tuple(map(tuple, masks))
+
+
+@lru_cache(maxsize=8)
+def _mask_index(point_coords: tuple[tuple[int, ...], ...], field: Field):
+    """The coordinate masks of a point list and the mask of all its points.
+    Cached per point-list value: a structure is usually sectioned by many
+    hyperplanes."""
+    return _coordinate_masks(point_coords, field.q), (1 << len(point_coords)) - 1
+
+
+def _scan(masks, full: int, coeffs, field: Field) -> int:
+    """The mask of the points whose dot product with coeffs vanishes.
+
+    Residue masks of the partial dot product are carried through the
+    coordinates, res'[t + h_i * v] |= res[t] & masks[i][v]; at the end
+    res[0] holds the points on the hyperplane."""
+    add, mul = field.add, field.mul
+    res = [full] + [0] * (field.q - 1)
+    for h, row in zip(coeffs, masks):
+        if h == 0:
+            continue
+        nxt = [0] * field.q
+        for v, at_v in enumerate(row):
+            if at_v:
+                hv = mul(h, v)
+                for t, rt in enumerate(res):
+                    if rt:
+                        nxt[add(t, hv)] |= rt & at_v
+        res = nxt
+    return res[0]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -231,14 +310,16 @@ def hyperplane_section(
     GeometryError naming the first such block; so does a block naming a
     point index outside 0..len(point_coords)-1.
 
-    Each block's count of points on h is summed over the stars of the points
-    on h, so the work is the point scan plus one step per incidence on h.
+    The points on h come from one coordinate-mask scan (the masks are cached
+    per point-list value), and each block's count of points on h is summed
+    over the stars of those points, so the work is q^2 mask operations per
+    coordinate plus one step per incidence on h.
     """
     stars, sizes, tangent_marks = _star_index(
         tuple(map(tuple, blocks)), len(point_coords)
     )
-    dot, coeffs = field.dot, h.coeffs
-    inside_pts = [i for i, coords in enumerate(point_coords) if dot(coeffs, coords) == 0]
+    masks, full = _mask_index(tuple(map(tuple, point_coords)), field)
+    inside_pts = _bits(_scan(masks, full, h.coeffs, field))
     cnt = [0] * len(sizes)
     for i in inside_pts:
         for bi in stars[i]:

@@ -27,6 +27,16 @@ GOLDEN = {
         "0db609aad47a92e83485ffe50f1b6a0c15c752a4b434dbaaa356a44c6fa45550",
         "238e687d1d68e890d80c461a3bba58be743458471966d83ad84f85045e4cf031",
     ),
+    # GF(4): characteristic 2, where field addition is XOR
+    "--family q5 --q 4": (
+        "e1156ec66b091dd1e2042afedea6396ed16ef20b823c38e11bf589c64f91f911",
+        "cb53ba6e9fc9a0f89ea3c1783f53b1b57ee2bd7651457147028e7879eec0ea0f",
+    ),
+    # the size cap GQ_MAX_Q
+    "--family q5 --q 5": (
+        "059644ed837239978098576e9cf08a327dac926c1c749301564f57d1082ef352",
+        "6717db915ad55c8358215860fa93ccf87bd0b7a7e9f5e30603253799adad995f",
+    ),
     "--family hexagon --q 2": (
         "eddf6cadb0d468535254d8d0aceb2bf6e2608d7471a8dd16220a8d649c207fa9",
         "db8f68339692c6dd6c6110fcfa0ed3a6971ddb1f1d790d41d0edf21ca49b1d17",
@@ -66,6 +76,10 @@ GOLDEN = {
     "--family q4-ovoid-delete --q 3": (
         "14379c7477179f4fa76ce6a4b532e6f64aa8315f05fb6c65b0c1c8280efaa04f",
         "ed1866f76dbe6864e726ded6c974053e3530dfe127c6a20a2d51dde9384f968c",
+    ),
+    "--family q4-ovoid-delete --q 5": (
+        "e2ce2da20c76869f2d8d01bdcaefc260761cc939d2c8dc0075f448afca5130b9",
+        "4abb9b29271f25cc111475997e7be09b92ff104457fd4f6255d3198b703783e5",
     ),
     "--family q5-subgq-delete --q 2": (
         "1831042525d2eaeaaae6cc06b316d266b5c368fed98f248cd45391c115fb84ad",

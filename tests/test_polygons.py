@@ -12,7 +12,7 @@ from bbcage.polygons import (
     quadric_structure,
     split_cayley_hexagon,
 )
-from bbcage.projective import GeometryError
+from bbcage.projective import GeometryError, projective_space
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -116,6 +116,28 @@ def test_ovoid(field, q):
         assert len(oset.intersection(blk)) <= 1
     # every line meets the ovoid exactly once
     assert all(len(oset.intersection(blk)) == 1 for blk in s.blocks)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_ovoid_search_sections_each_hyperplane_once(monkeypatch, field):
+    calls = []
+    real = polygons.hyperplane_section
+
+    def counted(*args):
+        calls.append(args[2].coeffs)
+        return real(*args)
+
+    monkeypatch.setattr(polygons, "hyperplane_section", counted)
+    polygons._ovoid.cache_clear()
+    coeffs = polygons.ovoid_hyperplane(field)
+    ovoid = ovoid_of_q4(field)
+    ovoid.clear()  # each call returns a fresh list
+    assert len(ovoid_of_q4(field)) == field.q ** 2 + 1
+    assert polygons.ovoid_hyperplane(field) == coeffs
+    # the search sections hyperplanes in point order up to the accepted one,
+    # and neither public function sections it again
+    hyperplanes = [h.coeffs for h in projective_space(4, field).hyperplanes()]
+    assert calls == hyperplanes[: hyperplanes.index(coeffs) + 1]
 
 
 def test_levi_of_polygons_girth():

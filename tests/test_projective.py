@@ -120,6 +120,19 @@ def test_quadric_lines_exhaustive_crosscheck_q2():
     assert all_on == set(quadric_lines(form, F2))
 
 
+@pytest.mark.parametrize(
+    "tag,q",
+    [(t, q) for t in ("parabolic-4", "elliptic-5", "parabolic-6") for q in (2, 3, 4)]
+    + [("parabolic-4", 5)],
+)
+def test_quadric_lines_match_generic_walk(tag, q):
+    # the polar-hyperplane candidates only skip pairs whose line leaves Q
+    field = field_of_order(q)
+    form = form_by_tag(tag, field)
+    ids = [p.id for p in quadric_points(form, field)]
+    assert quadric_lines(form, field) == projective_space(form.dim, field).lines_in(ids)
+
+
 def test_quadric_lines_lie_on_quadric():
     form = elliptic_form(F3)
     space = projective_space(5, F3)
@@ -271,6 +284,33 @@ def test_star_index_built_once_per_blocks_value(monkeypatch):
     assert built == [len(pts)]
     hyperplane_section(pts, blocks[1:], h, F3)
     assert built == [len(pts)] * 2
+
+
+def test_coordinate_masks_built_once_per_point_list_value(monkeypatch):
+    built = []
+    masks = projective._coordinate_masks
+
+    def counted(point_coords, q):
+        built.append(len(point_coords))
+        return masks(point_coords, q)
+
+    monkeypatch.setattr(projective, "_coordinate_masks", counted)
+    projective._mask_index.cache_clear()
+    # quadric_lines scans the same point list, so its masks are reused below
+    pts, blocks = _structure("parabolic-4", F3)
+    for h in projective_space(4, F3).hyperplanes()[:10]:
+        hyperplane_section(pts, blocks, h, F3)
+        hyperplane_section([list(c) for c in pts], blocks, h, F3)
+    assert built == [len(pts)]
+    hyperplane_section(pts[1:], [], h, F3)
+    assert built == [len(pts), len(pts) - 1]
+
+
+def test_hyperplane_section_sees_points_mutated_between_calls():
+    pts = [list(c) for c in _TRIANGLE]
+    assert hyperplane_section(pts, [], _X0, F2) == ([1, 2], [], [])
+    pts[1][0] = 1
+    assert hyperplane_section(pts, [], _X0, F2) == ([2], [], [])
 
 
 def test_point_stars():

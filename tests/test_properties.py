@@ -223,14 +223,19 @@ def test_lines_in_hyperbolic_quadric(q):
     assert lines == _expected_lines_in(3, q, on)
 
 
+# PG(2, 4) checks the section scan where field addition is not integer
+# addition modulo q
+_SECTION_SPACES = _SPACES + [(2, 4)]
+
+
 @st.composite
 def sectioned_structures(draw):
-    """Up to 12 points of PG(2, q) or PG(3, q) (q = 2, 3, repeats allowed), a
-    hyperplane h, and up to 8 blocks: each drawn inside h, tangent to it or
-    at random (so often violating), possibly repeating a point, with one
-    point or none, and sometimes naming a point outside the structure.  The
-    blocks come as a tuple of tuples or as a list of lists."""
-    d, q = draw(st.sampled_from(_SPACES))
+    """Up to 12 points of PG(2, q) or PG(3, q) (q = 2, 3, and PG(2, 4); repeats
+    allowed), a hyperplane h, and up to 8 blocks: each drawn inside h, tangent
+    to it or at random (so often violating), possibly repeating a point, with
+    one point or none, and sometimes naming a point outside the structure.
+    The blocks come as a tuple of tuples or as a list of lists."""
+    d, q = draw(st.sampled_from(_SECTION_SPACES))
     field = field_of_order(q)
     coords = [p.coords for p in projective_space(d, field).points]
     pts = draw(st.lists(st.sampled_from(coords), min_size=1, max_size=12))
