@@ -53,18 +53,25 @@ def _build_family(args) -> BipartiteGraph:
     fam = args.family
     if fam == "steiner-cage":
         _require(args.v is not None, "--v is required for steiner-cage")
-        return steiner_truncate(sts_generate(args.v))
+        v = args.v
+        if v >= 7 and v % 6 in (1, 3):  # else sts_generate names the bad v
+            _require_order(fam, (v - 1) * (v + 3) // 6)
+        return steiner_truncate(sts_generate(v))
     _require(args.q is not None, "--q is required")
     if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
         _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
+    if fam == "ag2-girth6":
+        field = field_of_order(args.q)
+        p, m1, n1 = field.p, args.m1, args.n1
+        if 2 <= m1 <= p and 2 <= n1 <= p:  # else affine_girth6_graph names the bad one
+            _require_order(fam, (m1 + n1) * p)
+        return affine_girth6_graph(field, m1, n1)
     if fam in HOSTS:
         return levi(HOSTS[fam](field_of_order(args.q)))
     if fam in NAMED_FAMILIES:
         return construct_named(fam, args.q)
     if fam == "t2-slab":
         return affine_slab_graph(field_of_order(args.q), args.m1, args.n1)
-    if fam == "ag2-girth6":
-        return affine_girth6_graph(field_of_order(args.q), args.m1, args.n1)
     g = levi(HOSTS[args.host](field_of_order(args.q)))
     edge = None
     if args.edge == "auto":
@@ -78,6 +85,15 @@ def _build_family(args) -> BipartiteGraph:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _require_order(family: str, order: int):
+    """Refuse, before anything is built, an output of a closed-form order that
+    verify would refuse, so construct never writes such a graph."""
+    _require(
+        order <= VERIFY_MAX_ORDER,
+        f"{family} order {order} is over verify's cap of {VERIFY_MAX_ORDER}",
+    )
 
 
 def _graph_report(g: BipartiteGraph, family: str, params: dict) -> dict:

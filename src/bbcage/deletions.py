@@ -103,10 +103,6 @@ def delete_subquadrangle(
         raise ValueError(f"order ({m}, {n}) does not admit an (m, n/m) subquadrangle")
     doomed_pts = set(sub_points)
     doomed_blocks = set(sub_blocks)
-    if any(not 0 <= x < structure.num_points for x in doomed_pts):
-        raise ValueError("subquadrangle points are not a subset")
-    if any(not 0 <= x < structure.num_blocks for x in doomed_blocks):
-        raise ValueError("subquadrangle blocks are not a subset")
     for bi, blk in enumerate(structure.blocks):
         if bi in doomed_blocks:
             continue

@@ -125,12 +125,7 @@ class Field:
                 add[a][b] = add[b][a] = s
                 m = self._mul_slow(a, b)
                 mul[a][b] = mul[b][a] = m
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
+        inv = [0] + [row.index(1) for row in mul[1:]]
         self._add_t, self._mul_t, self._inv_t = add, mul, inv
 
     def _add_slow(self, a: int, b: int) -> int:

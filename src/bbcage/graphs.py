@@ -20,22 +20,16 @@ class GraphError(ValueError):
 
 class BipartiteGraph:
     def __init__(self, n_a: int, n_b: int, adj_a, meta=None):
-        """adj_a[u] lists the B-side indices (0-based within B) adjacent to u."""
+        """adj_a[u] lists the B-side indices (0-based within B) adjacent to u,
+        ascending, in range and without repeats; rows are stored as given.
+        levi, induced_subgraph and graph_from_edges make their rows so."""
         if n_a < 0 or n_b < 0:
             raise GraphError("negative class size")
         self.n_a = n_a
         self.n_b = n_b
-        cleaned = []
-        for u, nbrs in enumerate(adj_a):
-            t = sorted(nbrs)
-            if any(not 0 <= b < n_b for b in t):
-                raise GraphError(f"vertex {u} has an out-of-range neighbor")
-            if len(set(t)) != len(t):
-                raise GraphError(f"vertex {u} has a repeated edge")
-            cleaned.append(tuple(t))
-        if len(cleaned) != n_a:
+        self.adj_a = tuple(map(tuple, adj_a))
+        if len(self.adj_a) != n_a:
             raise GraphError("adjacency length does not match class size")
-        self.adj_a = tuple(cleaned)
         self.meta = dict(meta) if meta else {}
         self._adj = None
         self._degree_sets = None
@@ -57,15 +51,14 @@ class BipartiteGraph:
                 yield u, self.n_a + b
 
     def adjacency(self) -> list[list[int]]:
-        """Global adjacency lists, cached."""
+        """Global adjacency lists, ascending, cached: class-A rows are ascending
+        already, and class-B rows are filled in increasing u."""
         if self._adj is None:
             adj = [[] for _ in range(self.n_vertices)]
             for u, nbrs in enumerate(self.adj_a):
                 for b in nbrs:
                     adj[u].append(self.n_a + b)
                     adj[self.n_a + b].append(u)
-            for lst in adj:
-                lst.sort()
             self._adj = adj
         return self._adj
 
@@ -422,8 +415,8 @@ def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
 def graph_from_edges(n: int, edges) -> BipartiteGraph:
     """Wrap a raw bipartite edge list as a BipartiteGraph by one BFS
     2-colouring: each component's smallest vertex goes to class A, and each
-    class keeps increasing vertex order.  An odd cycle or a self-loop raises
-    GraphError."""
+    class keeps increasing vertex order.  An odd cycle, a self-loop or a
+    repeated edge raises GraphError."""
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
@@ -446,5 +439,8 @@ def graph_from_edges(n: int, edges) -> BipartiteGraph:
     for c in color:
         index.append(sizes[c])
         sizes[c] += 1
-    adj_a = [[index[w] for w in adj[v]] for v in range(n) if color[v] == 0]
+    adj_a = [sorted(index[w] for w in adj[v]) for v in range(n) if color[v] == 0]
+    for u, row in enumerate(adj_a):
+        if len(set(row)) != len(row):
+            raise GraphError(f"vertex {u} has a repeated edge")
     return BipartiteGraph(sizes[0], sizes[1], adj_a)

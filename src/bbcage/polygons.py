@@ -24,7 +24,6 @@ from .projective import (
     hyperplane_section,
     projective_space,
     quadric_lines,
-    quadric_points,
 )
 
 GQ_MAX_Q = 5
@@ -55,16 +54,19 @@ class PolygonCertificate:
 
 
 def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
-    """Points and full line set of a named quadric, locally re-indexed.  Any
+    """Points and full line set of a named quadric, locally re-indexed.  The
+    points are read off the lines: every point of Q(4,q), Q(5,q) and Q(6,q)
+    lies on a quadric line, and the callers pin the point counts.  Any
     further tag entries (a polygon's family, order and gonality) are set at
     construction, since the tag is read-only."""
     form = form_by_tag(tag, field)
-    pts = quadric_points(form, field)
-    local = {p.id: i for i, p in enumerate(pts)}
-    blocks = [tuple(local[x] for x in line) for line in quadric_lines(form, field)]
+    lines = quadric_lines(form, field)
+    ids = sorted(set().union(*lines))
+    local = {x: i for i, x in enumerate(ids)}
+    space = projective_space(form.dim, field)
     return IncidenceStructure(
-        [p.coords for p in pts],
-        blocks,
+        [space.points[x].coords for x in ids],
+        [tuple(map(local.__getitem__, line)) for line in lines],
         tag={"family": f"quadric:{tag}", "q": field.q, "field": field, **tags},
     )
 

@@ -217,18 +217,15 @@ def quadric_lines(form: QuadraticForm, field: Field) -> list[tuple[int, ...]]:
     so line ab lies on Q exactly when b is on the polar hyperplane
     (M + M^T) a.  Each point's candidate partners are therefore the quadric
     points that one mask scan puts on its polar hyperplane, and only those
-    lines are walked.
+    lines are walked.  The polar matrix M + M^T is summed once per call.
     """
     space = projective_space(form.dim, field)
     pts = quadric_points(form, field)
     coords = tuple(p.coords for p in pts)
     masks, full = _mask_index(coords, field)
-    add, dot, rows = field.add, field.dot, form.matrix
-    cols = tuple(zip(*rows))
-    partners = [
-        _scan(masks, full, [add(dot(r, x), dot(c, x)) for r, c in zip(rows, cols)], field)
-        for x in coords
-    ]
+    rows, dot = form.matrix, field.dot
+    polar = [tuple(map(field.add, r, c)) for r, c in zip(rows, zip(*rows))]
+    partners = [_scan(masks, full, [dot(r, x) for r in polar], field) for x in coords]
     return space.lines_in([p.id for p in pts], partners)
 
 

@@ -9,13 +9,14 @@ import pytest
 
 
 def bipartite_from_edges(n_a: int, n_b: int, edges):
-    """A BipartiteGraph from (class-A index, class-B index) pairs."""
+    """A BipartiteGraph from distinct (class-A index, class-B index) pairs,
+    each row sorted as the constructor requires."""
     from bbcage.graphs import BipartiteGraph
 
     adj = [[] for _ in range(n_a)]
     for a, b in edges:
         adj[a].append(b)
-    return BipartiteGraph(n_a, n_b, adj)
+    return BipartiteGraph(n_a, n_b, map(sorted, adj))
 
 
 def two_colouring(n: int, edges):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from bbcage import cli
 from bbcage.cli import main
 from bbcage.graphs import from_dimacs, from_graph6
 
@@ -395,3 +396,76 @@ def test_verify_disconnected_reports_no_diameter(tmp_path, capsys):
     assert report["connected"] is False
     assert report["diameter"] is None
     assert report["girth"] == 6
+
+
+@pytest.mark.parametrize("edges", [b"e 1 3\ne 1 3\n", b"e 1 3\ne 3 1\n"])
+def test_verify_repeated_edge_exit2(tmp_path, capsys, edges):
+    path = tmp_path / "repeat.dimacs"
+    path.write_bytes(b"p edge 4 2\n" + edges)
+    code, stdout, err = run(capsys, "verify", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == "bbcage: error: vertex 0 has a repeated edge\n"
+
+
+class _Built(Exception):
+    pass
+
+
+_AG2 = ["--family", "ag2-girth6", "--q", "65521"]  # 65521 is prime
+
+
+def _never_built(*args):
+    raise _Built
+
+
+@pytest.mark.parametrize(
+    "argv,order",
+    [
+        (
+            ["--family", "steiner-cage", "--v", "1000000003"],
+            (10**9 + 2) * (10**9 + 6) // 6,
+        ),
+        (["--family", "steiner-cage", "--v", "1255"], 262922),
+        (_AG2 + ["--m1", "65521", "--n1", "65521"], 131042 * 65521),
+        (_AG2 + ["--m1", "2", "--n1", "3"], 5 * 65521),
+    ],
+)
+def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, order):
+    # refused from the closed-form order, before anything is generated
+    for name in ("sts_generate", "affine_girth6_graph"):
+        monkeypatch.setattr(cli, name, _never_built)
+    code, stdout, err = run(capsys, "construct", *argv)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"bbcage: error: {argv[1]} order {order} is over verify's cap of "
+        f"{cli.VERIFY_MAX_ORDER}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "steiner-cage", "--v", "1251"],  # order 261250
+        _AG2 + ["--m1", "2", "--n1", "2"],  # order 262084
+    ],
+)
+def test_construct_builds_orders_at_the_cap(capsys, monkeypatch, argv):
+    for name in ("sts_generate", "affine_girth6_graph"):
+        monkeypatch.setattr(cli, name, _never_built)
+    with pytest.raises(_Built):
+        main(["construct", *argv])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--family", "steiner-cage", "--v", "1000000000"], "no Steiner triple system"),
+        (["--family", "steiner-cage", "--v", "-1000000001"], "no Steiner triple"),
+        (_AG2 + ["--m1", "70000", "--n1", "3"], "only 65521 horizontal lines"),
+        (_AG2 + ["--m1", "3", "--n1", "-70000"], "only 65521 non-horizontal directions"),
+    ],
+)
+def test_construct_bad_parameters_keep_their_message(capsys, argv, message):
+    code, stdout, err = run(capsys, "construct", *argv)
+    assert (code, stdout) == (2, "")
+    assert message in err

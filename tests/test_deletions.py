@@ -152,6 +152,19 @@ def test_subquadrangle_rejects_bad_inputs():
         delete_subquadrangle(fake, [0], [0])  # 2 does not divide 3
 
 
+def test_subquadrangle_rejects_ids_outside_the_structure():
+    # a true subquadrangle plus one id past the end: delete_blocks and
+    # delete_points refuse the set
+    s = gq_q5(F2)
+    pts_in, blocks_in, _ = hyperplane_section(
+        s.points, s.blocks, Hyperplane((0, 0, 0, 0, 1, 0)), F2
+    )
+    with pytest.raises(ValueError, match="point set to delete is not a subset"):
+        delete_subquadrangle(s, pts_in + [s.num_points], blocks_in)
+    with pytest.raises(ValueError, match="block set to delete is not a subset"):
+        delete_subquadrangle(s, pts_in, blocks_in + [s.num_blocks])
+
+
 def test_hyperplane_delete_q43_is_certified_cage():
     g = hyperplane_delete(gq_q4(F3), Hyperplane((1, 0, 0, 0, 0)))
     assert g.n_vertices == 56

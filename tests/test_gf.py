@@ -161,3 +161,11 @@ def test_xpow_is_x_to_the_j_mod_modulus(p, k):
         top = cur[-1]
         cur = [(c - top * m) % p for c, m in zip([0] + cur[:-1], f.modulus)]
         assert list(f._xpow[j - k]) == cur
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_inverse_table_is_a_to_the_q_minus_2(q):
+    # the table inverse, read off each multiplication row, against Lagrange
+    f = field_of_order(q)
+    assert f._inv_t is not None
+    assert [f.inv(a) for a in range(1, q)] == [f.pow(a, q - 2) for a in range(1, q)]

@@ -1,8 +1,8 @@
 import pytest
 
-from bbcage import polygons
+from bbcage import polygons, projective
 from bbcage.deletions import construct_named
-from bbcage.gf import field_new
+from bbcage.gf import Field, field_new
 from bbcage.graphs import girth, levi
 from bbcage.polygons import (
     gq_q4,
@@ -12,7 +12,12 @@ from bbcage.polygons import (
     quadric_structure,
     split_cayley_hexagon,
 )
-from bbcage.projective import GeometryError, projective_space
+from bbcage.projective import (
+    GeometryError,
+    form_by_tag,
+    projective_space,
+    quadric_points,
+)
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -168,3 +173,32 @@ def test_certify_disconnected_structure():
     assert cert.diameter_measured is None
     assert cert.girth_measured == 6 and cert.girth_ok
     assert not cert.diameter_ok and not cert.certified
+
+
+@pytest.mark.parametrize("tag", ["parabolic-4", "elliptic-5", "parabolic-6"])
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_quadric_structure_points_are_the_quadric_points(tag, field):
+    # the points are read off the quadric lines: none is missed
+    expected = tuple(p.coords for p in quadric_points(form_by_tag(tag, field), field))
+    assert quadric_structure(tag, field).points == expected
+
+
+def test_quadric_structure_evaluates_the_form_once(monkeypatch):
+    dots, passes = [], []
+    real_dot, real_points = Field.dot, projective.quadric_points
+
+    def counted_dot(self, u, v):
+        dots.append(1)
+        return real_dot(self, u, v)
+
+    def counted_points(*args):
+        passes.append(1)
+        return real_points(*args)
+
+    monkeypatch.setattr(Field, "dot", counted_dot)
+    monkeypatch.setattr(projective, "quadric_points", counted_points)
+    quadric_structure("elliptic-5", F4)
+    assert len(passes) == 1
+    # 7 per point of PG(5, 4) for the form, 6 per point of Q(5, 4) for its
+    # polar hyperplane
+    assert len(dots) == 1365 * 7 + 325 * 6 == 11505

@@ -1,8 +1,9 @@
 """Hypothesis properties: the bit-parallel girth and diameter kernels against
 the per-root BFS oracles, the stored degree sets against an edge recount,
-graph_from_edges against a union-find 2-colouring, the file readers against
-hostile input, ProjectiveSpace.lines_in against a scan of every point pair,
-and hyperplane_section against the per-block scan."""
+graph_from_edges against a union-find 2-colouring, the rows every graph
+builder makes, the file readers against hostile input, ProjectiveSpace.lines_in
+against a scan of every point pair, and hyperplane_section against the
+per-block scan."""
 
 import math
 from collections import Counter
@@ -26,7 +27,10 @@ from bbcage.graphs import (
     from_graph6,
     girth,
     graph_from_edges,
+    induced_subgraph,
+    levi,
 )
+from bbcage.incidence import IncidenceStructure
 from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, projective_space
 
 
@@ -104,6 +108,53 @@ def test_graph_from_edges_matches_two_colouring(case):
     g = graph_from_edges(n, edges)
     assert (g.n_a, g.n_b) == (colour.count(0), colour.count(1))
     assert sorted((a, b - g.n_a) for a, b in g.edges()) == want
+
+
+def _strictly_ascending(rows) -> bool:
+    return all(a < b for row in rows for a, b in zip(row, row[1:]))
+
+
+@st.composite
+def incidence_structures(draw):
+    """Up to 8 points and 8 non-empty blocks of distinct points, each listed
+    in any order."""
+    n = draw(st.integers(1, 8))
+    point = st.integers(0, n - 1)
+    block = st.lists(point, min_size=1, max_size=n, unique=True)
+    blocks = draw(st.lists(block, min_size=1, max_size=8))
+    return IncidenceStructure([None] * n, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=incidence_structures(), data=st.data(), case=raw_edge_lists())
+def test_builders_make_ascending_rows(s, data, case):
+    # the constructor stores rows as given, so each builder must hand it rows
+    # that are ascending, in range and free of repeats
+    g = levi(s)
+    keep = data.draw(st.sets(st.integers(0, g.n_vertices - 1)))
+    built = [g, induced_subgraph(g, keep)]
+    n, edges = case
+    if two_colouring(n, edges) is not None:
+        built.append(graph_from_edges(n, edges))
+    for h in built:
+        assert len(h.adj_a) == h.n_a
+        assert _strictly_ascending(h.adj_a)
+        assert all(0 <= b < h.n_b for row in h.adj_a for b in row)
+        assert _strictly_ascending(h.adjacency())
+    assert g.adj_a == s.point_blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=raw_edge_lists(), data=st.data())
+def test_graph_from_edges_rejects_a_repeated_edge(case, data):
+    n, edges = case
+    if not edges or two_colouring(n, edges) is None:
+        return
+    a, b = data.draw(st.sampled_from(edges))
+    again = (b, a) if data.draw(st.booleans()) else (a, b)
+    pos = data.draw(st.integers(0, len(edges)))
+    with pytest.raises(GraphError, match="has a repeated edge"):
+        graph_from_edges(n, edges[:pos] + [again] + edges[pos:])
 
 
 _SEEDS = [
