@@ -17,7 +17,6 @@ from .deletions import (
     construct_named,
     delete_blocks,
     delete_points,
-    delete_subquadrangle,
     hyperplane_delete,
 )
 from .designs import (
@@ -47,7 +46,6 @@ from .polygons import (
     PolygonCertificate,
     gq_q4,
     gq_q5,
-    ovoid_of_q4,
     polygon_certify,
     quadric_structure,
     split_cayley_hexagon,

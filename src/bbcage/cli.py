@@ -12,9 +12,9 @@ import json
 import math
 import sys
 
-from .bounds import excess_of, improved_bound, polygon_family_table
+from .bounds import excess_of, girth6_bound, improved_bound, polygon_family_table
 from .deletions import NAMED_FAMILIES, construct_named
-from .designs import sts_generate, steiner_truncate
+from .designs import sts_generate, steiner_truncate, truncation_degrees
 from .gf import field_of_order
 from .graphs import (
     BipartiteGraph,
@@ -55,7 +55,7 @@ def _build_family(args) -> BipartiteGraph:
         _require(args.v is not None, "--v is required for steiner-cage")
         v = args.v
         if v >= 7 and v % 6 in (1, 3):  # else sts_generate names the bad v
-            _require_order(fam, (v - 1) * (v + 3) // 6)
+            _require_order(fam, girth6_bound(*truncation_degrees(v, 3)))
         return steiner_truncate(sts_generate(v))
     _require(args.q is not None, "--q is required")
     if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
@@ -71,7 +71,19 @@ def _build_family(args) -> BipartiteGraph:
     if fam in NAMED_FAMILIES:
         return construct_named(fam, args.q)
     if fam == "t2-slab":
-        return affine_slab_graph(field_of_order(args.q), args.m1, args.n1)
+        field = field_of_order(args.q)
+        p, m1, n1 = field.p, args.m1, args.n1
+        if field.k == 1:  # else affine_slab_graph names the non-prime field
+            # the slab is cut from PG(3, p), which is enumerated whole first
+            ambient = p ** 3 + p * p + p + 1
+            _require(
+                ambient <= VERIFY_MAX_ORDER,
+                f"{fam} needs the {ambient} points of PG(3, {p}), over "
+                f"verify's cap of {VERIFY_MAX_ORDER}",
+            )
+            if 2 <= m1 <= p and 2 <= n1 <= p + 1:  # else the builder names it
+                _require_order(fam, (m1 + n1) * p * p)
+        return affine_slab_graph(field, m1, n1)
     g = levi(HOSTS[args.host](field_of_order(args.q)))
     edge = None
     if args.edge == "auto":

@@ -1,10 +1,10 @@
-"""Substructure deletions from incidence structures: point sets (ovoids),
-block sets (spreads), subquadrangles, and hyperplane sections, plus the named
-families, each one hyperplane deletion with a closed-form contract."""
+"""Substructure deletions from incidence structures: the point-set and
+block-set primitives, hyperplane sections, and the named families, each one
+hyperplane deletion with a closed-form contract.  Ovoids, subquadrangles and
+grids of the quadrics are all hyperplane sections, so each is deleted here."""
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 
 from .gf import Field, field_of_order
@@ -20,17 +20,12 @@ from .polygons import (
 )
 from .projective import Hyperplane, hyperplane_section
 
-log = logging.getLogger(__name__)
 
-
-def delete_points(
-    structure: IncidenceStructure, point_ids, drop_empty_blocks: bool = False
-) -> IncidenceStructure:
+def delete_points(structure: IncidenceStructure, point_ids) -> IncidenceStructure:
     """Remove a point set; blocks shrink by their removed members.
 
-    Deletion must not create duplicate blocks (it never does for polygon
-    inputs); blocks emptied by the deletion are dropped only when
-    drop_empty_blocks is set, and with a logged count.
+    Deletion must neither empty a block nor create duplicate blocks (it does
+    neither for the hyperplane sections of polygon inputs).
     """
     doomed = set(point_ids)
     if any(not 0 <= x < structure.num_points for x in doomed):
@@ -43,81 +38,22 @@ def delete_points(
         remap[i] = len(new_points)
         new_points.append(payload)
     new_blocks = []
-    emptied = 0
     for blk in structure.blocks:
         t = tuple(remap[x] for x in blk if x not in doomed)
         if not t:
-            emptied += 1
-            if drop_empty_blocks:
-                continue
-            raise ValueError(
-                "deletion emptied a block; pass drop_empty_blocks to allow"
-            )
+            raise ValueError("deletion emptied a block")
         new_blocks.append(t)
-    if emptied and drop_empty_blocks:
-        log.info("delete_points dropped %d emptied blocks", emptied)
     expect(len(set(new_blocks)) == len(new_blocks), "deletion created duplicate blocks")
     return IncidenceStructure(new_points, new_blocks, tag=structure.tag)
 
 
-def delete_blocks(
-    structure: IncidenceStructure, block_ids, as_spread: bool = False
-) -> IncidenceStructure:
-    """Remove a block set, points untouched.  With as_spread the set must be
-    pairwise disjoint and have st+1 members for the structure's order (s, t)."""
+def delete_blocks(structure: IncidenceStructure, block_ids) -> IncidenceStructure:
+    """Remove a block set, points untouched."""
     doomed = set(block_ids)
     if any(not 0 <= x < structure.num_blocks for x in doomed):
         raise ValueError("block set to delete is not a subset of the blocks")
-    if as_spread:
-        order = structure.tag.get("order")
-        if order is None:
-            raise ValueError("spread validation needs a structure with a known order")
-        s, t = order
-        if len(doomed) != s * t + 1:
-            raise ValueError(
-                f"a spread of an order ({s}, {t}) quadrangle has {s * t + 1} lines, "
-                f"got {len(doomed)}"
-            )
-        seen: set[int] = set()
-        for bi in sorted(doomed):
-            blk = structure.blocks[bi]
-            if seen.intersection(blk):
-                raise ValueError("spread lines are not pairwise disjoint")
-            seen.update(blk)
     new_blocks = [b for i, b in enumerate(structure.blocks) if i not in doomed]
     return IncidenceStructure(structure.points, new_blocks, tag=structure.tag)
-
-
-def delete_subquadrangle(
-    structure: IncidenceStructure, sub_points, sub_blocks
-) -> BipartiteGraph:
-    """Delete a subquadrangle of order (m, n/m) from a generalized quadrangle
-    of order (m, n); every remaining line must contain exactly one deleted
-    point, and the result is an (m, n+1; 8) biregular graph of order
-    (m+n+1) (m^2-1) n / m."""
-    order = structure.tag.get("order")
-    if order is None:
-        raise ValueError("subquadrangle deletion needs a structure with a known order")
-    m, n = order
-    if n % m:
-        raise ValueError(f"order ({m}, {n}) does not admit an (m, n/m) subquadrangle")
-    doomed_pts = set(sub_points)
-    doomed_blocks = set(sub_blocks)
-    for bi, blk in enumerate(structure.blocks):
-        if bi in doomed_blocks:
-            continue
-        hit = sum(1 for x in blk if x in doomed_pts)
-        if hit != 1:
-            raise ValueError(
-                f"remaining line {bi} contains {hit} deleted points, expected 1"
-            )
-    remaining = delete_points(
-        delete_blocks(structure, doomed_blocks), doomed_pts
-    )
-    g = levi(remaining, meta={"construction": "subquadrangle-delete"})
-    return expect_biregular(
-        g, m, n + 1, 8, (m + n + 1) * (m * m - 1) * n // m, "subquadrangle deletion"
-    )
 
 
 def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> BipartiteGraph:

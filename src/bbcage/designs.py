@@ -135,26 +135,31 @@ def design_validate(design: Design) -> DesignReport:
     )
 
 
-def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
-    """Delete one point and every block through it; the incidence graph of the
-    remainder is an (m, n; 6) biregular graph of order (n/m + 1)(n+1)(m-1)
-    where m is the block size and n = replication - 1.
-
-    Requires m <= n and n = -1 (mod m).
-    """
-    if not 0 <= point < design.v:
-        raise DesignError(f"point {point} out of range")
-    m = design.k
+def truncation_degrees(v: int, k: int) -> tuple[int, int]:
+    """The degrees (m, n) of the truncation of a 2-(v, k, 1) design: m = k
+    and n = (v-1)/(k-1) - 1, which must satisfy 3 <= m <= n and
+    n = -1 (mod m).  Needs only v and k, so callers check before building."""
+    m = k
     if m < 3:
         raise DesignError("block size must be at least 3")
-    if (design.v - 1) % (m - 1):
-        raise DesignError(f"replication (v-1)/(k-1) is not integral for v={design.v}")
-    r = (design.v - 1) // (m - 1)
-    n = r - 1
+    if (v - 1) % (m - 1):
+        raise DesignError(f"replication (v-1)/(k-1) is not integral for v={v}")
+    n = (v - 1) // (m - 1) - 1
     if m > n:
         raise DesignError(f"needs block size <= truncated degree, got m={m} > n={n}")
     if (n + 1) % m:
         raise DesignError(f"needs n = -1 (mod m): n={n}, m={m}")
+    return m, n
+
+
+def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
+    """Delete one point and every block through it; the incidence graph of the
+    remainder is an (m, n; 6) biregular graph of order (n/m + 1)(n+1)(m-1)
+    where m is the block size and n = replication - 1 (truncation_degrees).
+    """
+    if not 0 <= point < design.v:
+        raise DesignError(f"point {point} out of range")
+    m, n = truncation_degrees(design.v, design.k)
     kept = []
     for blk in design.blocks:
         if point in blk:

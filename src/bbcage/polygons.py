@@ -194,31 +194,18 @@ def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate
 
 
 @lru_cache(maxsize=None)
-def _ovoid(field: Field) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def ovoid_hyperplane(field: Field) -> tuple[int, ...]:
     """The coefficients of the first hyperplane of PG(4, q) whose section of
     Q(4,q) has q^2+1 points and contains no line (an elliptic quadric, which
-    is an ovoid), and the points of that section.  Each hyperplane is
-    sectioned at most once per field."""
+    is an ovoid).  Each hyperplane is sectioned at most once per field."""
     q = field.q
     s = gq_q4(field)
     for h in projective_space(4, field).hyperplanes():
         # hyperplane_section checks each line meets h in one or all points
         ovoid, lines_inside, _ = hyperplane_section(s.points, s.blocks, h, field)
         if len(ovoid) == q * q + 1 and not lines_inside:
-            return h.coeffs, tuple(ovoid)
+            return h.coeffs
     raise ConstructionError(f"no ovoid section found on Q(4,{q})")
-
-
-def ovoid_hyperplane(field: Field) -> tuple[int, ...]:
-    """Coefficients of the hyperplane of PG(4, q) that cuts the ovoid
-    ovoid_of_q4 from Q(4,q)."""
-    return _ovoid(field)[0]
-
-
-def ovoid_of_q4(field: Field) -> list[int]:
-    """q^2+1 pairwise non-collinear points of Q(4,q): the section of
-    ovoid_hyperplane."""
-    return list(_ovoid(field)[1])
 
 
 def expect(cond: bool, what: str):

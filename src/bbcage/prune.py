@@ -15,7 +15,8 @@ from collections import deque
 from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
-    BipartiteGraph, GraphError, diameter, distance_sets, girth, induced_subgraph, levi
+    BipartiteGraph, GraphError, biregular_pair, diameter, distance_sets, girth,
+    induced_subgraph, levi,
 )
 from .incidence import IncidenceStructure
 from .polygons import ConstructionError, expect, expect_biregular
@@ -30,9 +31,7 @@ def _anchor(g: BipartiteGraph, edge: tuple[int, int] | None) -> tuple[int, int, 
     the lexicographically first edge, oriented so that v is the endpoint of
     smaller degree (ties keep the block-side endpoint as v).
     """
-    if g.degrees() is None:
-        da, db = g.degree_sets()
-        raise ValueError(f"host is not biregular: degrees {sorted(da)}/{sorted(db)}")
+    biregular_pair(g)  # raises GraphError unless biregular
     r = diameter(g)
     if r == math.inf:
         raise GraphError("diameter of a disconnected graph")

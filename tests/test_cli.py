@@ -412,6 +412,8 @@ class _Built(Exception):
 
 
 _AG2 = ["--family", "ag2-girth6", "--q", "65521"]  # 65521 is prime
+_SLAB = ["--family", "t2-slab", "--q"]
+_BUILDERS = ("sts_generate", "affine_girth6_graph", "affine_slab_graph")
 
 
 def _never_built(*args):
@@ -428,11 +430,12 @@ def _never_built(*args):
         (["--family", "steiner-cage", "--v", "1255"], 262922),
         (_AG2 + ["--m1", "65521", "--n1", "65521"], 131042 * 65521),
         (_AG2 + ["--m1", "2", "--n1", "3"], 5 * 65521),
+        (_SLAB + ["53", "--m1", "53", "--n1", "54"], 107 * 53 * 53),
     ],
 )
 def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, order):
     # refused from the closed-form order, before anything is generated
-    for name in ("sts_generate", "affine_girth6_graph"):
+    for name in _BUILDERS:
         monkeypatch.setattr(cli, name, _never_built)
     code, stdout, err = run(capsys, "construct", *argv)
     assert (code, stdout) == (2, "")
@@ -445,15 +448,36 @@ def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, orde
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--family", "steiner-cage", "--v", "1251"],  # order 261250
+        # the largest v = 1 (mod 6) under the cap; v = 3 (mod 6) never truncates
+        ["--family", "steiner-cage", "--v", "1249"],  # order 260416
         _AG2 + ["--m1", "2", "--n1", "2"],  # order 262084
+        _SLAB + ["61", "--m1", "2", "--n1", "2"],  # PG(3, 61) has 230764 points
     ],
 )
 def test_construct_builds_orders_at_the_cap(capsys, monkeypatch, argv):
-    for name in ("sts_generate", "affine_girth6_graph"):
+    for name in _BUILDERS:
         monkeypatch.setattr(cli, name, _never_built)
     with pytest.raises(_Built):
         main(["construct", *argv])
+
+
+def test_construct_steiner_refuses_a_bad_truncation_before_generating(capsys, monkeypatch):
+    # v = 1251 = 3 (mod 6) is under the cap, but n = 624 is not -1 (mod 3)
+    monkeypatch.setattr(cli, "sts_generate", _never_built)
+    code, stdout, err = run(capsys, "construct", "--family", "steiner-cage", "--v", "1251")
+    assert (code, stdout) == (2, "")
+    assert err == "bbcage: error: needs n = -1 (mod m): n=624, m=3\n"
+
+
+def test_construct_t2_slab_refuses_an_ambient_space_over_the_cap(capsys, monkeypatch):
+    # PG(3, 67) has 305320 points, all enumerated before the slab is cut
+    monkeypatch.setattr(cli, "affine_slab_graph", _never_built)
+    code, stdout, err = run(capsys, "construct", *_SLAB, "67", "--m1", "2", "--n1", "2")
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "bbcage: error: t2-slab needs the 305320 points of PG(3, 67), over "
+        f"verify's cap of {cli.VERIFY_MAX_ORDER}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -3,17 +3,17 @@ import pytest
 from conftest import brute_girth, edge_count_conserved
 
 from bbcage.bounds import excess_of, moore_even
-from bbcage.deletions import (
-    construct_named,
-    delete_blocks,
-    delete_points,
-    delete_subquadrangle,
-    hyperplane_delete,
-)
-from bbcage.gf import field_new
+from bbcage.deletions import construct_named, delete_blocks, delete_points, hyperplane_delete
+from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import bb_check, girth, levi
 from bbcage.incidence import IncidenceStructure
-from bbcage.polygons import ConstructionError, expect_biregular, gq_q4, gq_q5, ovoid_of_q4
+from bbcage.polygons import (
+    ConstructionError,
+    expect_biregular,
+    gq_q4,
+    gq_q5,
+    ovoid_hyperplane,
+)
 from bbcage.projective import Hyperplane, hyperplane_section
 
 F2 = field_new(2, 1)
@@ -22,7 +22,8 @@ F3 = field_new(3, 1)
 
 def test_delete_ovoid_q43():
     s = gq_q4(F3)
-    out = delete_points(s, ovoid_of_q4(F3))
+    ovoid, _, _ = hyperplane_section(s.points, s.blocks, Hyperplane(ovoid_hyperplane(F3)), F3)
+    out = delete_points(s, ovoid)
     assert out.num_points == 30
     assert out.num_blocks == 40
     assert levi(out).degree_sets()[1] == {3}
@@ -40,24 +41,24 @@ def test_delete_nothing_is_identity():
 
 def test_delete_everything_then_levi_errors():
     s = gq_q4(F2)
-    out = delete_points(s, range(s.num_points), drop_empty_blocks=True)
-    assert out.num_points == 0
+    out = delete_points(delete_blocks(s, range(s.num_blocks)), range(s.num_points))
+    assert out.num_points == out.num_blocks == 0
     with pytest.raises(Exception):
         levi(out)
 
 
 def test_delete_points_empty_block_guard():
     s = IncidenceStructure([None] * 3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="deletion emptied a block"):
         delete_points(s, [0, 1])
-    out = delete_points(s, [0, 1], drop_empty_blocks=True)
-    assert out.num_blocks == 1
+    with pytest.raises(ValueError, match="deletion emptied a block"):
+        delete_points(gq_q4(F2), range(15))
 
 
 def test_delete_points_duplicate_blocks_caught():
     s = IncidenceStructure([None] * 4, [(0, 1, 2), (0, 1, 3)])
     with pytest.raises(ConstructionError):
-        delete_points(s, [2, 3], drop_empty_blocks=True)
+        delete_points(s, [2, 3])
 
 
 def test_delete_one_line_drops_degrees():
@@ -90,8 +91,11 @@ def _find_spread(structure):
 def test_spread_deletion():
     s = gq_q4(F2)
     spread = _find_spread(s)
-    assert spread is not None and len(spread) == 5  # st + 1
-    out = delete_blocks(s, spread, as_spread=True)
+    # a spread: st + 1 = 5 pairwise disjoint lines
+    assert spread is not None and len(spread) == 5
+    lines = [set(s.blocks[bi]) for bi in spread]
+    assert all(a.isdisjoint(b) for i, a in enumerate(lines) for b in lines[i + 1 :])
+    out = delete_blocks(s, spread)
     g = levi(out)
     assert g.n_vertices == 25  # (st+1)(s+t+1)
     # the q = 2 quadrangle is self-dual, so spread deletion mirrors ovoid
@@ -101,55 +105,35 @@ def test_spread_deletion():
     assert brute_girth(g) == 10
 
 
-def test_spread_validation_errors():
-    s = gq_q4(F2)
-    with pytest.raises(ValueError):
-        delete_blocks(s, [0, 1, 2, 3], as_spread=True)  # wrong count
-    overlapping = [0, 1, 2, 3, 4]
-    if _disjoint(s, overlapping):
-        pytest.skip("first five lines unexpectedly disjoint")
-    with pytest.raises(ValueError):
-        delete_blocks(s, overlapping, as_spread=True)
+# A subquadrangle of order (m, n/m) in a quadrangle of order (m, n), as a
+# hyperplane section: Q(4,q) in Q(5,q) (parabolic), and the (q, 1) grid in
+# Q(4,q) (hyperbolic).  name -> (host, coefficients, q -> (points, lines) of
+# the section)
+_SUBQUADRANGLES = {
+    "q5-parabolic": (gq_q5, (0, 0, 0, 0, 1, 0), lambda q: ((q + 1) * (q * q + 1),) * 2),
+    "q4-grid": (gq_q4, (1, 0, 0, 0, 0), lambda q: ((q + 1) ** 2, 2 * (q + 1))),
+}
 
 
-def _disjoint(s, ids):
-    seen = set()
-    for bi in ids:
-        if seen.intersection(s.blocks[bi]):
-            return False
-        seen.update(s.blocks[bi])
-    return True
-
-
-def test_subquadrangle_deletion_q52():
-    s = gq_q5(F2)
-    pts_in, blocks_in, _ = hyperplane_section(
-        s.points, s.blocks, Hyperplane((0, 0, 0, 0, 1, 0)), F2
-    )
-    assert len(pts_in) == 15 and len(blocks_in) == 15  # a Q(4,2) inside
-    g = delete_subquadrangle(s, pts_in, blocks_in)
-    assert g.n_vertices == 42
-    assert bb_check(g, 2, 5, 8).passed
-
-
-def test_subquadrangle_deletion_q43_grid():
-    s = gq_q4(F3)
-    pts_in, blocks_in, _ = hyperplane_section(
-        s.points, s.blocks, Hyperplane((1, 0, 0, 0, 0)), F3
-    )
-    assert len(pts_in) == 16 and len(blocks_in) == 8  # the (3, 1) grid
-    g = delete_subquadrangle(s, pts_in, blocks_in)
-    assert g.n_vertices == 56
-    assert bb_check(g, 3, 4, 8).passed
-
-
-def test_subquadrangle_rejects_bad_inputs():
-    s = gq_q4(F2)
-    with pytest.raises(ValueError):
-        delete_subquadrangle(s, [0, 1, 2], [0])  # not a one-point-per-line set
-    fake = IncidenceStructure([None] * 4, [(0, 1), (2, 3)], tag={"order": (2, 3)})
-    with pytest.raises(ValueError):
-        delete_subquadrangle(fake, [0], [0])  # 2 does not divide 3
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("section", sorted(_SUBQUADRANGLES))
+def test_hyperplane_delete_subquadrangle(section, q):
+    host, coeffs, sizes = _SUBQUADRANGLES[section]
+    field = field_of_order(q)
+    s = host(field)
+    m, n = s.tag["order"]
+    assert n % m == 0
+    pts_in, blocks_in, _ = hyperplane_section(s.points, s.blocks, Hyperplane(coeffs), field)
+    assert (len(pts_in), len(blocks_in)) == sizes(q)
+    # every remaining line contains exactly one deleted point
+    inside, doomed = set(blocks_in), set(pts_in)
+    for bi, blk in enumerate(s.blocks):
+        if bi not in inside:
+            assert len(doomed.intersection(blk)) == 1
+    # the subquadrangle contract: (m, n+1; 8) of order (m+n+1)(m^2-1)n/m
+    g = hyperplane_delete(s, Hyperplane(coeffs))
+    assert g.n_vertices == (m + n + 1) * (m * m - 1) * n // m
+    assert bb_check(g, m, n + 1, 8).passed
 
 
 def test_subquadrangle_rejects_ids_outside_the_structure():
@@ -160,9 +144,9 @@ def test_subquadrangle_rejects_ids_outside_the_structure():
         s.points, s.blocks, Hyperplane((0, 0, 0, 0, 1, 0)), F2
     )
     with pytest.raises(ValueError, match="point set to delete is not a subset"):
-        delete_subquadrangle(s, pts_in + [s.num_points], blocks_in)
+        delete_points(delete_blocks(s, blocks_in), pts_in + [s.num_points])
     with pytest.raises(ValueError, match="block set to delete is not a subset"):
-        delete_subquadrangle(s, pts_in, blocks_in + [s.num_blocks])
+        delete_blocks(s, blocks_in + [s.num_blocks])
 
 
 def test_hyperplane_delete_q43_is_certified_cage():

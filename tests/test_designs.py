@@ -11,6 +11,7 @@ from bbcage.designs import (
     design_validate,
     steiner_truncate,
     sts_generate,
+    truncation_degrees,
 )
 from bbcage.gf import field_new
 from bbcage.graphs import bb_check, bfs_distances, girth, levi
@@ -87,6 +88,23 @@ def test_truncate_sts9_rejected():
     # replication 4 gives n = 3, and 3 is not -1 mod 3
     with pytest.raises(DesignError):
         steiner_truncate(sts_generate(9))
+
+
+@pytest.mark.parametrize(
+    "v,k,message",
+    [
+        (9, 2, "block size must be at least 3"),
+        (10, 3, "replication (v-1)/(k-1) is not integral for v=10"),
+        (7, 3, "needs block size <= truncated degree, got m=3 > n=2"),
+        (1251, 3, "needs n = -1 (mod m): n=624, m=3"),
+    ],
+)
+def test_truncation_degrees_refusals(v, k, message):
+    # the truncation conditions need only (v, k), so no design is built
+    assert (truncation_degrees(13, 3), truncation_degrees(19, 3)) == ((3, 5), (3, 8))
+    with pytest.raises(DesignError) as err:
+        truncation_degrees(v, k)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("v", [13, 19])

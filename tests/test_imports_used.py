@@ -123,11 +123,11 @@ def unread_module_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_unread_module_names_detector():
-    a = "import logging\nlog = logging.getLogger(__name__)\nLIMIT: int = 3\n__all__ = []\n"
+    a = "import re\npat = re.compile(__name__)\nLIMIT: int = 3\n__all__ = []\n"
     b = "X, (Y, Z) = 1, (2, 3)\nLIMIT = 4\ndef f():\n    return X + mod.Y\n"
     c = "Z = 5\n"
     found = unread_module_names({"a": a, "b": b, "c": c})
-    assert found == ["a:log", "a:LIMIT", "b:Z", "b:LIMIT", "c:Z"]
+    assert found == ["a:pat", "a:LIMIT", "b:Z", "b:LIMIT", "c:Z"]
 
 
 def test_module_names_are_read():

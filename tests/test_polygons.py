@@ -7,14 +7,16 @@ from bbcage.graphs import girth, levi
 from bbcage.polygons import (
     gq_q4,
     gq_q5,
-    ovoid_of_q4,
+    ovoid_hyperplane,
     polygon_certify,
     quadric_structure,
     split_cayley_hexagon,
 )
 from bbcage.projective import (
     GeometryError,
+    Hyperplane,
     form_by_tag,
+    hyperplane_section,
     projective_space,
     quadric_points,
 )
@@ -113,8 +115,9 @@ def test_octonion_product_anticommutes_on_quadric_lines(field):
 @pytest.mark.parametrize("field,q", [(F2, 2), (F3, 3)])
 def test_ovoid(field, q):
     s = gq_q4(field)
-    ovoid = ovoid_of_q4(field)
-    assert len(ovoid) == q * q + 1
+    h = Hyperplane(ovoid_hyperplane(field))
+    ovoid, lines_inside, _ = hyperplane_section(s.points, s.blocks, h, field)
+    assert len(ovoid) == q * q + 1 and not lines_inside
     oset = set(ovoid)
     # exhaustive pair check: no two ovoid points share a line
     for blk in s.blocks:
@@ -133,14 +136,11 @@ def test_ovoid_search_sections_each_hyperplane_once(monkeypatch, field):
         return real(*args)
 
     monkeypatch.setattr(polygons, "hyperplane_section", counted)
-    polygons._ovoid.cache_clear()
-    coeffs = polygons.ovoid_hyperplane(field)
-    ovoid = ovoid_of_q4(field)
-    ovoid.clear()  # each call returns a fresh list
-    assert len(ovoid_of_q4(field)) == field.q ** 2 + 1
-    assert polygons.ovoid_hyperplane(field) == coeffs
+    ovoid_hyperplane.cache_clear()
+    coeffs = ovoid_hyperplane(field)
+    assert ovoid_hyperplane(field) == coeffs
     # the search sections hyperplanes in point order up to the accepted one,
-    # and neither public function sections it again
+    # and a second call sections nothing
     hyperplanes = [h.coeffs for h in projective_space(4, field).hyperplanes()]
     assert calls == hyperplanes[: hyperplanes.index(coeffs) + 1]
 

@@ -295,6 +295,18 @@ def test_prune_rejects_disconnected_host(prune):
         prune(*args)
 
 
+@pytest.mark.parametrize("prune", [mixed_degree_prune, induced_branch_graph])
+def test_prune_rejects_a_host_that_is_not_biregular(prune):
+    # a path of three edges: degrees {1, 2} on both sides; the refusal is
+    # graphs.biregular_pair's, a GraphError and so a ValueError (exit 2)
+    from bbcage.graphs import BipartiteGraph, GraphError
+
+    host = BipartiteGraph(2, 2, [[0, 1], [1]])
+    args = (host,) if prune is mixed_degree_prune else (host, 2, 2)
+    with pytest.raises(GraphError, match=r"^not biregular: degree sets \[1, 2\]/\[1, 2\]$"):
+        prune(*args)
+
+
 def test_prune_anchor_must_be_an_edge():
     host = levi(gq_q4(F2))
     adj = host.adjacency()
