@@ -73,16 +73,8 @@ def _build_family(args) -> BipartiteGraph:
     if fam == "t2-slab":
         field = field_of_order(args.q)
         p, m1, n1 = field.p, args.m1, args.n1
-        if field.k == 1:  # else affine_slab_graph names the non-prime field
-            # the slab is cut from PG(3, p), which is enumerated whole first
-            ambient = p ** 3 + p * p + p + 1
-            _require(
-                ambient <= VERIFY_MAX_ORDER,
-                f"{fam} needs the {ambient} points of PG(3, {p}), over "
-                f"verify's cap of {VERIFY_MAX_ORDER}",
-            )
-            if 2 <= m1 <= p and 2 <= n1 <= p + 1:  # else the builder names it
-                _require_order(fam, (m1 + n1) * p * p)
+        if field.k == 1 and 2 <= m1 <= p and 2 <= n1 <= p + 1:  # else the builder names it
+            _require_order(fam, (m1 + n1) * p * p)
         return affine_slab_graph(field, m1, n1)
     g = levi(HOSTS[args.host](field_of_order(args.q)))
     edge = None

@@ -334,12 +334,19 @@ def hyperplane_section(
 
 def conic_oval(field: Field) -> list[ProjectivePoint]:
     """The q+1 conic points {(1, t, t^2)} + {(0, 0, 1)} of PG(2, q); no three
-    are collinear (asserted)."""
+    are collinear (asserted: the lines joining two of them, as cross
+    products, are all distinct)."""
     space = projective_space(2, field)
     ids = [space.id_of((1, t, field.mul(t, t))) for t in range(field.q)]
     ids.append(space.id_of((0, 0, 1)))
     pts = [space.points[i] for i in sorted(ids)]
-    for a, b, c in itertools.combinations(range(len(pts)), 3):
-        if pts[c].id in space.line_through(pts[a].id, pts[b].id):
-            raise GeometryError("conic produced three collinear points")
+    mul, sub = field.mul, field.sub
+    joins = {
+        space.normalize(
+            [sub(mul(a[i - 2], b[i - 1]), mul(a[i - 1], b[i - 2])) for i in range(3)]
+        )
+        for a, b in itertools.combinations([pt.coords for pt in pts], 2)
+    }
+    if len(joins) != len(pts) * (len(pts) - 1) // 2:
+        raise GeometryError("conic produced three collinear points")
     return pts

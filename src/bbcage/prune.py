@@ -9,6 +9,7 @@ PG(3, p) and from horizontal lines of AG(2, p).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -192,6 +193,22 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
     raise ConstructionError(f"no cycle of length {length} through vertex {root}")
 
 
+def _first_line_missing(plane, targets: set[int]) -> tuple[int, ...]:
+    """The first line of plane.lines_in(all points) with no point in targets.
+    Sorted lines differ in their two smallest ids, so it is the line of the
+    first pair a < b whose line misses targets."""
+    n = len(plane.points)
+    for a in sorted(set(range(n)) - targets):
+        seen = set(targets)  # and every point on a line already walked from a
+        for b in range(a + 1, n):
+            if b not in seen:
+                line = plane.line_through(a, b)
+                if targets.isdisjoint(line):
+                    return line
+                seen.update(line)
+    raise ConstructionError("no ideal line disjoint from the conic found")
+
+
 def affine_slab_graph(
     field: Field, m1: int, n1: int, arc: list[int] | None = None
 ) -> BipartiteGraph:
@@ -199,62 +216,57 @@ def affine_slab_graph(
     affine point set of m1 planes through a line of the ideal plane disjoint
     from a conic, V2 the affine lines through n1 conic points (or a supplied
     ideal arc); degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
+
+    Only the ideal plane X0 = 0, numbered as PG(2, p) and so as in PG(3, p),
+    and the slab are built: the work grows with the output.
     """
     if field.k != 1:
         raise ValueError("slab construction needs a prime field")
     p = field.p
     if not 2 <= m1 <= p:
         raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
-    space = projective_space(3, field)
-    ideal = [pt.id for pt in space.points if pt.coords[0] == 0]
-    ideal_set = set(ideal)
-    affine = [pt.id for pt in space.points if pt.coords[0] != 0]
-    oval = [space.id_of((0,) + pt.coords) for pt in conic_oval(field)]
+    if arc is None and not 2 <= n1 <= p + 1:
+        raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
+    ideal = projective_space(2, field)
+    oval = [pt.id for pt in conic_oval(field)]
     if arc is None:
-        if not 2 <= n1 <= p + 1:
-            raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
         chosen = oval[:n1]
     else:
         chosen = list(arc)
         if len(chosen) != n1 or len(set(chosen)) != n1 or n1 < 2:
             raise ValueError("arc must list n1 distinct ideal point ids")
-        if any(x not in ideal_set for x in chosen):
+        if any(x not in range(len(ideal.points)) for x in chosen):
             raise ValueError("arc points must be ideal (first coordinate 0)")
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                line = space.line_through(chosen[i], chosen[j])
-                if any(x in line for x in chosen if x not in (chosen[i], chosen[j])):
-                    raise ValueError("arc has three collinear points")
+        for a, b in itertools.combinations(chosen, 2):
+            if len(set(chosen).intersection(ideal.line_through(a, b))) > 2:
+                raise ValueError("arc has three collinear points")
     # first ideal line disjoint from the source oval (or the supplied arc)
-    targets = set(oval if arc is None else chosen)
-    ell = next((l for l in space.lines_in(ideal) if not targets.intersection(l)), None)
-    if ell is None:
-        raise ConstructionError("no ideal line disjoint from the conic found")
-    ell_pts = [space.points[x].coords for x in ell[:2]]
-    planes = [
-        h
-        for h in space.hyperplanes()
-        if h.coeffs != (1, 0, 0, 0)
-        and all(field.dot(h.coeffs, c) == 0 for c in ell_pts)
-    ]
-    if len(planes) != p:
-        raise ConstructionError(f"expected {p} slab planes, found {len(planes)}")
-    slab: list[int] = []
-    for h in planes[:m1]:
-        slab.extend(x for x in affine if field.dot(h.coeffs, space.points[x].coords) == 0)
-    if len(slab) != m1 * p * p or len(set(slab)) != len(slab):
-        raise ConstructionError("slab planes do not partition their affine points")
-    slab.sort()
-    slab_index = {x: i for i, x in enumerate(slab)}
-    blocks = []
+    ell = _first_line_missing(ideal, set(oval if arc is None else chosen))
+    # the planes through ell other than X0 = 0 are (c, u), u the coordinates
+    # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
+    # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
+    u = next(h.coeffs for h in ideal.hyperplanes() if all(
+        field.dot(h.coeffs, ideal.points[x].coords) == 0 for x in ell))
+    planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
+    lines = []
     for point_id in chosen:
-        covered = set()
-        for a in affine:
-            if a in covered:
-                continue
-            members = tuple(x for x in space.line_through(a, point_id) if x != point_id)
-            covered.update(members)
-            blocks.append([slab_index[x] for x in members if x in slab_index])
+        d = ideal.points[point_id].coords
+        lead = d.index(1)
+        # r + lam * d meets (h0, w) at lam = -(h0 + w . r) / (w . d)
+        steps = [field.neg(field.inv(field.dot(w, d))) for _, *w in planes]
+        # the affine lines in direction d, each from its smallest point, the
+        # one whose coordinate lead is 0, in PG(3, p) id order
+        for rest in itertools.product(range(p), repeat=2):
+            r = [*rest[:lead], 0, *rest[lead:]]
+            meets = []
+            for (h0, *w), s in zip(planes, steps):
+                lam = field.mul(s, field.add(h0, field.dot(w, r)))
+                meets.append(tuple(field.add(a, field.mul(lam, b)) for a, b in zip(r, d)))
+            lines.append(sorted(meets))
+    # every slab point lies on one line of each direction
+    slab = sorted(set(itertools.chain.from_iterable(lines)))
+    slab_index = {x: i for i, x in enumerate(slab)}
+    blocks = [[slab_index[x] for x in line] for line in lines]
     g = levi(
         IncidenceStructure([None] * len(slab), blocks),
         meta={"construction": "t2-slab", "p": p, "m1": m1, "n1": n1},

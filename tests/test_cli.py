@@ -431,6 +431,7 @@ def _never_built(*args):
         (_AG2 + ["--m1", "65521", "--n1", "65521"], 131042 * 65521),
         (_AG2 + ["--m1", "2", "--n1", "3"], 5 * 65521),
         (_SLAB + ["53", "--m1", "53", "--n1", "54"], 107 * 53 * 53),
+        (_SLAB + ["257", "--m1", "2", "--n1", "2"], 4 * 257 * 257),
     ],
 )
 def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, order):
@@ -451,7 +452,7 @@ def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, orde
         # the largest v = 1 (mod 6) under the cap; v = 3 (mod 6) never truncates
         ["--family", "steiner-cage", "--v", "1249"],  # order 260416
         _AG2 + ["--m1", "2", "--n1", "2"],  # order 262084
-        _SLAB + ["61", "--m1", "2", "--n1", "2"],  # PG(3, 61) has 230764 points
+        _SLAB + ["251", "--m1", "2", "--n1", "2"],  # order 252004
     ],
 )
 def test_construct_builds_orders_at_the_cap(capsys, monkeypatch, argv):
@@ -469,17 +470,6 @@ def test_construct_steiner_refuses_a_bad_truncation_before_generating(capsys, mo
     assert err == "bbcage: error: needs n = -1 (mod m): n=624, m=3\n"
 
 
-def test_construct_t2_slab_refuses_an_ambient_space_over_the_cap(capsys, monkeypatch):
-    # PG(3, 67) has 305320 points, all enumerated before the slab is cut
-    monkeypatch.setattr(cli, "affine_slab_graph", _never_built)
-    code, stdout, err = run(capsys, "construct", *_SLAB, "67", "--m1", "2", "--n1", "2")
-    assert (code, stdout) == (2, "")
-    assert err == (
-        "bbcage: error: t2-slab needs the 305320 points of PG(3, 67), over "
-        f"verify's cap of {cli.VERIFY_MAX_ORDER}\n"
-    )
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -487,6 +477,11 @@ def test_construct_t2_slab_refuses_an_ambient_space_over_the_cap(capsys, monkeyp
         (["--family", "steiner-cage", "--v", "-1000000001"], "no Steiner triple"),
         (_AG2 + ["--m1", "70000", "--n1", "3"], "only 65521 horizontal lines"),
         (_AG2 + ["--m1", "3", "--n1", "-70000"], "only 65521 non-horizontal directions"),
+        (_SLAB + ["67", "--m1", "1", "--n1", "2"], "need 2 <= m1 <= 67, got 1"),
+        (_SLAB + ["65521", "--m1", "0", "--n1", "2"], "need 2 <= m1 <= 65521, got 0"),
+        (_SLAB + ["67", "--m1", "2", "--n1", "69"], "need 2 <= n1 <= 68 conic points"),
+        # 63001 = 251^2: an order over the cap, but the field is named first
+        (_SLAB + ["63001", "--m1", "251", "--n1", "252"], "needs a prime field"),
     ],
 )
 def test_construct_bad_parameters_keep_their_message(capsys, argv, message):

@@ -349,4 +349,9 @@ def test_every_hyperplane_section_pinned(build, q):
 @pytest.mark.parametrize("field", [F2, F3, F5, field_new(7, 1), F4])
 def test_conic_oval(field):
     pts = conic_oval(field)
-    assert len(pts) == field.q + 1  # no-3-collinear is asserted inside
+    assert len(pts) == field.q + 1
+    # no three collinear, by walking the line through each pair
+    ids = {pt.id for pt in pts}
+    space = projective_space(2, field)
+    for a, b in itertools.combinations(sorted(ids), 2):
+        assert len(ids.intersection(space.line_through(a, b))) == 2
