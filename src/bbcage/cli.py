@@ -154,7 +154,7 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-# verify's diameter search does O(n) work per ROOT_CHUNK roots, so it grows as
+# verify's diameter search does O(n) work per chunk of roots, so it grows as
 # n^2; a declared order past this cap is refused before anything is allocated.
 VERIFY_MAX_ORDER = 2 ** 18
 

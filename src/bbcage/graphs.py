@@ -8,6 +8,7 @@ in construction order), class B occupies n_a..n_a+n_b-1 (blocks).
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -123,9 +124,16 @@ def girth(g: BipartiteGraph) -> int | float:
     return g._girth
 
 
-# Roots share one Python-int bitset per vertex, ROOT_CHUNK roots at a time,
-# so the girth and diameter searches hold O(n * ROOT_CHUNK) bits, not n^2.
+# Roots share one Python-int bitset per vertex, a chunk of roots at a time:
+# as many roots as fit ROOT_BITS bits over the n bitsets of one list, but
+# never fewer than ROOT_CHUNK.  So a graph of up to 23,170 vertices is one
+# chunk, and a list holds at most max(ROOT_BITS, n * ROOT_CHUNK) bits.
 ROOT_CHUNK = 1024
+ROOT_BITS = 2**29
+
+
+def _root_chunk(n: int) -> int:
+    return max(ROOT_CHUNK, min(n, ROOT_BITS // max(n, 1)))
 
 
 def _girth_search(g: BipartiteGraph) -> int | float:
@@ -138,9 +146,10 @@ def _girth_search(g: BipartiteGraph) -> int | float:
     best = math.inf
     # A vertex of degree < 2 lies on no cycle, so it is no root.
     roots = [v for v in range(g.n_a) if len(adj[v]) >= 2]
-    for start in range(0, len(roots), ROOT_CHUNK):
+    chunk = _root_chunk(n)
+    for start in range(0, len(roots), chunk):
         seen = [0] * n
-        for i, root in enumerate(roots[start : start + ROOT_CHUNK]):
+        for i, root in enumerate(roots[start : start + chunk]):
             seen[root] = 1 << i
         frontier = seen[:]
         level = 1
@@ -172,15 +181,16 @@ def _girth_search(g: BipartiteGraph) -> int | float:
 
 def diameter(g: BipartiteGraph) -> int | float:
     """Largest eccentricity, found by growing every root's reach bitset one
-    step per round, ROOT_CHUNK roots at a time; math.inf for a disconnected
+    step per round, a chunk of roots at a time; math.inf for a disconnected
     graph, so this one search also answers connectivity.  Measured on the
     first call and stored on the graph, like girth."""
     if g._diameter is None:
         adj = g.adjacency()
         n = len(adj)
         diam = 0
-        for start in range(0, n, ROOT_CHUNK):
-            width = min(ROOT_CHUNK, n - start)
+        chunk = _root_chunk(n)
+        for start in range(0, n, chunk):
+            width = min(chunk, n - start)
             full = (1 << width) - 1
             reach = [0] * n
             for i in range(width):
@@ -307,9 +317,12 @@ def to_graph6(g: BipartiteGraph) -> bytes:
 
 
 # Translation tables between graph6 characters and their 6-bit values.
-_G6_CHARS = bytes(range(63, 127)) + bytes(192)
+_G6_VALID = bytes(range(63, 127))
+_G6_CHARS = _G6_VALID + bytes(192)
 _G6_VALUES = bytes(63) + bytes(range(64)) + bytes(129)
-_G6_BITS = [format(v, "06b") for v in range(64)]
+# The offsets, high bit first, of the set bits of each 6-bit value.
+_G6_BITS = [[t for t in range(6) if v & 32 >> t] for v in range(64)]
+_G6_NONZERO = re.compile(rb"[^\x00]")
 
 
 def _ascii_text(data) -> str:
@@ -330,7 +343,7 @@ def from_graph6(data) -> tuple[int, list[tuple[int, int]]]:
     if not s:
         raise GraphError("empty graph6 input")
     raw = s.encode("ascii")
-    if min(raw) < 63 or max(raw) > 126:
+    if raw.translate(None, _G6_VALID):
         raise GraphError("invalid graph6 byte")
     raw = raw.translate(_G6_VALUES)
     if raw[0] != 63:
@@ -346,13 +359,20 @@ def from_graph6(data) -> tuple[int, list[tuple[int, int]]]:
     need = n * (n - 1) // 2
     if 6 * (len(raw) - head) < need:
         raise GraphError("graph6 data truncated")
-    bits = "".join(map(_G6_BITS.__getitem__, raw[head:]))
+    body = raw[head : head + -(-need // 6)]
     edges = []
-    p = bits.find("1", 0, need)
-    while p >= 0:
-        j = (1 + math.isqrt(8 * p + 1)) // 2
-        edges.append((p - j * (j - 1) // 2, j))
-        p = bits.find("1", p + 1, need)
+    # Bit p of the body is edge (p - base, j) for base = j(j-1)/2 <= p <
+    # base + j.  Only the nonzero bytes hold edges; bits past need are padding.
+    j, base = 1, 0
+    for byte in _G6_NONZERO.finditer(body):
+        k = 6 * byte.start()
+        for t in _G6_BITS[byte[0][0]]:
+            p = k + t
+            while p >= base + j:
+                base += j
+                j += 1
+            if j < n:
+                edges.append((p - base, j))
     return n, edges
 
 

@@ -3,17 +3,19 @@ hexagon as incidence structures, plus ovoids and polygon certification.
 
 The hexagon lives on the parabolic quadric of PG(6, q).  That quadric is
 exactly the norm-zero locus of trace-zero split octonions (Zorn vector
-matrices with a = X0, v = (X1, X3, X5), w = (X2, X4, X6), b = -X0), and the
-hexagon lines are the quadric lines spanned by points whose octonion product
-vanishes.  Certification (biregular, girth 12, diameter 6) is the operational
-acceptance oracle for the line filter.
+matrices with a = X0, v = (X1, X3, X5), w = (X2, X4, X6), b = -X0), and two
+points x, y are collinear in the hexagon exactly when the octonion product
+x.y vanishes.  For fixed x that is linear in y, so the points collinear with
+x are the plane where the 8 x 7 matrix of y -> x.y vanishes, and the lines
+are read off these planes as for the quadrangles.  Certification (biregular,
+girth 12, diameter 6) is the operational acceptance oracle for the hexagon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .gf import Field
 from .graphs import BipartiteGraph, bb_check, diameter, girth, levi
@@ -22,8 +24,11 @@ from .projective import (
     GeometryError,
     form_by_tag,
     hyperplane_section,
+    perp_lines,
+    perp_masks,
+    polar_perps,
     projective_space,
-    quadric_lines,
+    quadric_points,
 )
 
 GQ_MAX_Q = 5
@@ -54,19 +59,23 @@ class PolygonCertificate:
 
 
 def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
-    """Points and full line set of a named quadric, locally re-indexed.  The
-    points are read off the lines: every point of Q(4,q), Q(5,q) and Q(6,q)
-    lies on a quadric line, and the callers pin the point counts.  Any
+    """The generalized polygon on a named quadric, locally re-indexed: every
+    line of Q(4,q) or Q(5,q), or the split Cayley hexagon's lines on the
+    points of Q(6,q).  The lines are perp_lines of the point perps: the
+    polar perps on a quadrangle, the Zorn kernels (_zorn_rows) on the
+    hexagon, whose q+1 lines through a point fill the plane x.y = 0.  Any
     further tag entries (a polygon's family, order and gonality) are set at
     construction, since the tag is read-only."""
     form = form_by_tag(tag, field)
-    lines = quadric_lines(form, field)
-    ids = sorted(set().union(*lines))
-    local = {x: i for i, x in enumerate(ids)}
-    space = projective_space(form.dim, field)
+    points = tuple(p.coords for p in quadric_points(form, field))
+    if form.dim == 6:
+        q = field.q
+        perps = perp_masks(points, field, partial(_zorn_rows, field=field), q * q + q + 1)
+    else:
+        perps = polar_perps(form, points, field)
     return IncidenceStructure(
-        [space.points[x].coords for x in ids],
-        [tuple(map(local.__getitem__, line)) for line in lines],
+        points,
+        perp_lines(perps),
         tag={"family": f"quadric:{tag}", "q": field.q, "field": field, **tags},
     )
 
@@ -97,70 +106,45 @@ def gq_q5(field: Field) -> IncidenceStructure:
     return _quadrangle(field, "elliptic-5", "Q(5,q)", 2)
 
 
-def _zorn(coords, field: Field):
-    a = coords[0]
+def _zorn_rows(x, field: Field) -> tuple[tuple[int, ...], ...]:
+    """The 8 x 7 matrix of the linear map y -> x.y on Q(6,q) coordinates.
+
+    A point (X0, ..., X6) is the trace-zero Zorn vector matrix with a = X0,
+    v = (X1, X3, X5), w = (X2, X4, X6) and b = -X0, and
+    x.y = (a a' + v.w', a v' + b' v - w x w', a' w + b w' + v x v', b b' + w.v').
+    The rows give the a entry, the three v entries, the three w entries and
+    the b entry of x.y, each as coefficients of y's coordinates.
+    """
+    x0, x1, x2, x3, x4, x5, x6 = x
+    n = field.neg
     return (
-        a,
-        (coords[1], coords[3], coords[5]),
-        (coords[2], coords[4], coords[6]),
-        field.neg(a),
+        (x0, 0, x1, 0, x3, 0, x5),
+        (n(x1), x0, 0, 0, x6, 0, n(x4)),
+        (n(x3), 0, n(x6), x0, 0, 0, x2),
+        (n(x5), 0, x4, 0, n(x2), x0, 0),
+        (x2, 0, n(x0), n(x5), 0, x3, 0),
+        (x4, x5, 0, 0, n(x0), n(x1), 0),
+        (x6, n(x3), 0, x1, 0, 0, n(x0)),
+        (x0, x2, 0, x4, 0, x6, 0),
     )
-
-
-def _cross(u, v, field: Field):
-    m, s = field.mul, field.sub
-    return (
-        s(m(u[1], v[2]), m(u[2], v[1])),
-        s(m(u[2], v[0]), m(u[0], v[2])),
-        s(m(u[0], v[1]), m(u[1], v[0])),
-    )
-
-
-def _zorn_mul(x, y, field: Field):
-    a1, v1, w1, b1 = x
-    a2, v2, w2, b2 = y
-    m, add, sub = field.mul, field.add, field.sub
-    cw = _cross(w1, w2, field)
-    cv = _cross(v1, v2, field)
-    a = add(m(a1, a2), field.dot(v1, w2))
-    v = tuple(sub(add(m(a1, v2[i]), m(b2, v1[i])), cw[i]) for i in range(3))
-    w = tuple(add(add(m(a2, w1[i]), m(b1, w2[i])), cv[i]) for i in range(3))
-    b = add(m(b1, b2), field.dot(w1, v2))
-    return a, v, w, b
-
-
-def _zorn_is_zero(x) -> bool:
-    a, v, w, b = x
-    return a == 0 and b == 0 and not any(v) and not any(w)
 
 
 @lru_cache(maxsize=None)
 def split_cayley_hexagon(field: Field) -> IncidenceStructure:
     """The split Cayley hexagon of order (q, q), q in {2, 3}.
 
-    Points are every point of the parabolic quadric in PG(6, q); the lines are
-    the quadric lines on which the split-octonion product vanishes.  The
-    result must certify as a generalized hexagon or construction aborts.
+    Points are every point of the parabolic quadric in PG(6, q); y is
+    collinear with x exactly when the split-octonion product x.y vanishes
+    (Tits 1959), so the lines come from the Zorn kernels (quadric_structure).
+    The result must certify as a generalized hexagon or construction aborts.
     """
     q = field.q
     if q not in HEXAGON_Q:
         raise GeometryError(f"hexagon construction is capped at q in {HEXAGON_Q}")
-    base = quadric_structure("parabolic-6", field)
-    # x and y below are trace-zero, norm-zero octonions on one quadric line,
-    # so B(x, y) = N(x+y) - N(x) - N(y) = 0.  Linearizing z^2 - T(z)z + N(z) = 0
-    # at z = x + y gives xy + yx = T(x)y + T(y)x - B(x, y) = 0 in every
-    # characteristic: yx = -(xy), so testing xy alone also tests yx.
-    kept = []
-    for blk in base.blocks:
-        x = _zorn(base.points[blk[0]], field)
-        y = _zorn(base.points[blk[1]], field)
-        if _zorn_is_zero(_zorn_mul(x, y, field)):
-            kept.append(blk)
-    tag = {**base.tag, "family": "H(q)", "order": (q, q), "gonality": 6}
-    s = IncidenceStructure(base.points, kept, tag=tag)
+    s = quadric_structure("parabolic-6", field, family="H(q)", order=(q, q), gonality=6)
     cert = polygon_certify(s, 6)
     if not cert.certified:
-        raise ConstructionError(f"hexagon line filter failed certification: {cert}")
+        raise ConstructionError(f"hexagon lines failed certification: {cert}")
     expect(s.num_points == (q ** 6 - 1) // (q - 1), "hexagon point count")
     expect(s.num_blocks == s.num_points, "hexagon line count")
     return s

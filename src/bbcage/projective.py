@@ -4,6 +4,12 @@ quadric point/line enumeration, hyperplane sections, and the conic oval.
 Point representatives are normalized (first nonzero coordinate = 1) and listed
 in lexicographic coordinate order; a point's id is its position in that list,
 so every downstream structure is bit-reproducible.
+
+Lines are listed in two ways.  ProjectiveSpace.lines_in walks the lines of
+PG(d, q) inside any point set.  perp_lines reads the lines of a generalized
+polygon off its perps, the masks of the points collinear with each point,
+with no walk: quadric_lines gives it the polar perps of Q(4,q) and Q(5,q),
+and the split Cayley hexagon gives it the kernels of its octonion product.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ class ProjectiveSpace:
             raise GeometryError("line_through needs two distinct points")
         return tuple(sorted((a_id, b_id, *self._rest_of_line(a_id, b_id))))
 
-    def lines_in(self, ids, candidates=None) -> list[tuple[int, ...]]:
+    def lines_in(self, ids) -> list[tuple[int, ...]]:
         """Every line whose q+1 points all lie in ids, as sorted id tuples in
         sorted order.
 
@@ -96,11 +102,7 @@ class ProjectiveSpace:
         on a found line is walked point by point and dropped at the first
         point outside ids; so a line is found at its two smallest ids and
         the lines come out sorted.  Coverage is one bitmask per point over
-        the positions of sorted(set(ids)).  candidates, if given, holds one
-        such bitmask per point of sorted(set(ids)): only the pairs inside a
-        point's mask are walked, so it must contain every partner of that
-        point on a line inside ids (quadric_lines passes the quadric points
-        on each point's polar hyperplane).
+        the positions of sorted(set(ids)).
         """
         members = sorted(set(ids))
         inside = set(members)
@@ -110,8 +112,6 @@ class ProjectiveSpace:
         lines = []
         for i, a in enumerate(members):
             rest = full >> (i + 1) << (i + 1) & ~covered[i]
-            if candidates is not None:
-                rest &= candidates[i]
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -210,23 +210,75 @@ def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
 
 
 def quadric_lines(form: QuadraticForm, field: Field) -> list[tuple[int, ...]]:
-    """Lines of PG(d, q) fully contained in the quadric, as sorted id tuples,
-    from ProjectiveSpace.lines_in.
+    """Lines of PG(d, q) fully contained in the quadric Q(4,q) or Q(5,q), as
+    sorted id tuples in sorted order: perp_lines of the polar perps."""
+    pts = quadric_points(form, field)
+    perps = polar_perps(form, tuple(p.coords for p in pts), field)
+    ids = [p.id for p in pts]
+    return [tuple(map(ids.__getitem__, line)) for line in perp_lines(perps)]
+
+
+def polar_perps(form: QuadraticForm, point_coords, field: Field) -> list[int]:
+    """The perps of the quadric Q(4,q) or Q(5,q) whose points, all of them,
+    are point_coords: for each point, the mask of the points collinear with
+    it, itself included.
 
     For a and b on Q, Q(a + lam * b) = lam * B(a, b) with B the polar form,
     so line ab lies on Q exactly when b is on the polar hyperplane
-    (M + M^T) a.  Each point's candidate partners are therefore the quadric
-    points that one mask scan puts on its polar hyperplane, and only those
-    lines are walked.  The polar matrix M + M^T is summed once per call.
+    (M + M^T) a: one mask scan per point.  The polar matrix is summed once
+    per call.  A quadric of PG(6, q) is refused: it contains planes, so the
+    points collinear with two collinear points are more than their line.
     """
-    space = projective_space(form.dim, field)
-    pts = quadric_points(form, field)
-    coords = tuple(p.coords for p in pts)
-    masks, full = _mask_index(coords, field)
+    if form.dim >= 6:
+        raise GeometryError(
+            f"the {form.tag} quadric contains planes: its lines are not ANDs of perps"
+        )
     rows, dot = form.matrix, field.dot
     polar = [tuple(map(field.add, r, c)) for r, c in zip(rows, zip(*rows))]
-    partners = [_scan(masks, full, [dot(r, x) for r in polar], field) for x in coords]
-    return space.lines_in([p.id for p in pts], partners)
+    return perp_masks(point_coords, field, lambda x: ([dot(r, x) for r in polar],))
+
+
+def perp_masks(point_coords, field: Field, rows_of, size: int = 0) -> list[int]:
+    """For each point x of point_coords, the mask of the points y with
+    R . y = 0 for every row R of rows_of(x).
+
+    Each row is one mask scan, started from the points the previous rows
+    left.  The rows of x stop at the first mask of size points: the caller
+    passes a size only when the solutions are known to number that many,
+    and the mask always holds them all.
+    """
+    masks, full = _indexed(_mask_index, point_coords, field)
+    out = []
+    for x in point_coords:
+        found = full
+        for row in rows_of(x):
+            found = _scan(masks, found, row, field)
+            if found.bit_count() == size:
+                break
+        out.append(found)
+    return out
+
+
+def perp_lines(perps) -> list[tuple[int, ...]]:
+    """The lines of a generalized polygon, as sorted tuples of point indices
+    in sorted order, from its perps: perps[i] is the mask of the points
+    collinear with point i, itself included.
+
+    A generalized polygon has no triangles, so the points collinear with
+    two collinear points i and j are exactly the points of line ij:
+    perps[i] & perps[j].  At point i the partners j > i are taken in order,
+    each dropping the rest of its line, and a line is kept at its smallest
+    point; so the lines come out sorted.
+    """
+    lines = []
+    for i, perp in enumerate(perps):
+        rest = perp >> (i + 1) << (i + 1)
+        while rest:
+            line = perp & perps[(rest & -rest).bit_length() - 1]
+            rest &= ~line
+            if line & -line == 1 << i:
+                lines.append(tuple(_bits(line)))
+    return lines
 
 
 def _coordinate_masks(point_coords, q: int) -> tuple[tuple[int, ...], ...]:
@@ -247,14 +299,39 @@ def _mask_index(point_coords: tuple[tuple[int, ...], ...], field: Field):
     return _coordinate_masks(point_coords, field.q), (1 << len(point_coords)) - 1
 
 
-def _scan(masks, full: int, coeffs, field: Field) -> int:
-    """The mask of the points whose dot product with coeffs vanishes.
+# Entries of _indexed for tuples of tuples, keyed by identity.  Each entry
+# holds its key object, so that object's id is not reused while it lives.
+_BY_IDENTITY: dict = {}
+
+
+def _indexed(build, rows, arg):
+    """build(rows as a tuple of tuples, arg), whose lru_cache keys on the
+    value.  A tuple of tuples, which cannot change, is also keyed by
+    identity, so a structure's points and blocks are not re-hashed on every
+    section; any other rows are copied to a tuple of tuples first."""
+    if type(rows) is tuple:
+        key = build, id(rows), arg
+        hit = _BY_IDENTITY.get(key)
+        if hit is not None:
+            return hit[1]
+        if all(type(r) is tuple for r in rows):
+            value = build(rows, arg)
+            if len(_BY_IDENTITY) >= 16:
+                del _BY_IDENTITY[next(iter(_BY_IDENTITY))]
+            _BY_IDENTITY[key] = rows, value
+            return value
+    return build(tuple(map(tuple, rows)), arg)
+
+
+def _scan(masks, start: int, coeffs, field: Field) -> int:
+    """The mask of the points of start whose dot product with coeffs
+    vanishes.
 
     Residue masks of the partial dot product are carried through the
     coordinates, res'[t + h_i * v] |= res[t] & masks[i][v]; at the end
     res[0] holds the points on the hyperplane."""
     add, mul = field.add, field.mul
-    res = [full] + [0] * (field.q - 1)
+    res = [start] + [0] * (field.q - 1)
     for h, row in zip(coeffs, masks):
         if h == 0:
             continue
@@ -307,15 +384,14 @@ def hyperplane_section(
     GeometryError naming the first such block; so does a block naming a
     point index outside 0..len(point_coords)-1.
 
-    The points on h come from one coordinate-mask scan (the masks are cached
-    per point-list value), and each block's count of points on h is summed
-    over the stars of those points, so the work is q^2 mask operations per
-    coordinate plus one step per incidence on h.
+    The points on h come from one coordinate-mask scan, and each block's
+    count of points on h is summed over the stars of those points, so the
+    work is q^2 mask operations per coordinate plus one step per incidence
+    on h.  The masks and the stars are cached per point-list and blocks
+    value (see _indexed).
     """
-    stars, sizes, tangent_marks = _star_index(
-        tuple(map(tuple, blocks)), len(point_coords)
-    )
-    masks, full = _mask_index(tuple(map(tuple, point_coords)), field)
+    stars, sizes, tangent_marks = _indexed(_star_index, blocks, len(point_coords))
+    masks, full = _indexed(_mask_index, point_coords, field)
     inside_pts = _bits(_scan(masks, full, h.coeffs, field))
     cnt = [0] * len(sizes)
     for i in inside_pts:

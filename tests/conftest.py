@@ -196,3 +196,66 @@ def degree_measures(monkeypatch):
 
     monkeypatch.setattr(BipartiteGraph, "degree_sets", counting)
     return measured
+
+
+def zorn(coords, field):
+    """The trace-zero split octonion of a point of Q(6,q), as a Zorn vector
+    matrix (a, v, w, b) with a = X0, v = (X1, X3, X5), w = (X2, X4, X6) and
+    b = -X0."""
+    a = coords[0]
+    v, w = (coords[1], coords[3], coords[5]), (coords[2], coords[4], coords[6])
+    return a, v, w, field.neg(a)
+
+
+def _cross(u, v, field):
+    m, s = field.mul, field.sub
+    return (
+        s(m(u[1], v[2]), m(u[2], v[1])),
+        s(m(u[2], v[0]), m(u[0], v[2])),
+        s(m(u[0], v[1]), m(u[1], v[0])),
+    )
+
+
+def zorn_mul(x, y, field):
+    """The Zorn vector-matrix product of two split octonions, written out
+    from the definition, independent of the library's kernel rows."""
+    a1, v1, w1, b1 = x
+    a2, v2, w2, b2 = y
+    m, add, sub = field.mul, field.add, field.sub
+    cw = _cross(w1, w2, field)
+    cv = _cross(v1, v2, field)
+    a = add(m(a1, a2), field.dot(v1, w2))
+    v = tuple(sub(add(m(a1, v2[i]), m(b2, v1[i])), cw[i]) for i in range(3))
+    w = tuple(add(add(m(a2, w1[i]), m(b1, w2[i])), cv[i]) for i in range(3))
+    b = add(m(b1, b2), field.dot(w1, v2))
+    return a, v, w, b
+
+
+def zorn_is_zero(x) -> bool:
+    a, v, w, b = x
+    return a == 0 and b == 0 and not any(v) and not any(w)
+
+
+def parabolic6_lines(field):
+    """The points of Q(6,q) as coordinate tuples, and every line of PG(6, q)
+    on it in local indices, from the generic ProjectiveSpace.lines_in walk."""
+    from bbcage.projective import parabolic_form, projective_space, quadric_points
+
+    pts = quadric_points(parabolic_form(6, field), field)
+    local = {p.id: i for i, p in enumerate(pts)}
+    walk = projective_space(6, field).lines_in(local)
+    return [p.coords for p in pts], [tuple(map(local.__getitem__, line)) for line in walk]
+
+
+def octonion_hexagon_lines(field):
+    """The split Cayley hexagon's lines in local indices of Q(6,q): the lines
+    of Q(6,q) on which the octonion product of two points vanishes.  For two
+    points x, y of one quadric line, y.x = -(x.y), so testing the first two
+    points tests the line."""
+    pts, lines = parabolic6_lines(field)
+    octonions = [zorn(c, field) for c in pts]
+    return [
+        line
+        for line in lines
+        if zorn_is_zero(zorn_mul(octonions[line[0]], octonions[line[1]], field))
+    ]

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import octonion_hexagon_lines, parabolic6_lines, zorn, zorn_is_zero, zorn_mul
+
 from bbcage import polygons, projective
 from bbcage.deletions import construct_named
 from bbcage.gf import Field, field_new
@@ -88,28 +90,47 @@ def test_hexagon_q3_counts():
 
 def test_hexagon_lines_lie_on_quadric():
     s = split_cayley_hexagon(F2)
-    base = quadric_structure("parabolic-6", F2)
-    assert set(s.blocks) <= set(base.blocks)
+    pts, quadric_lines = parabolic6_lines(F2)
+    assert s.points == tuple(pts)
+    assert set(s.blocks) <= set(quadric_lines)
 
 
 @pytest.mark.parametrize("field", [F2, F3])
 def test_octonion_product_anticommutes_on_quadric_lines(field):
-    # the hexagon line filter tests x*y only, because y*x = -(x*y) for any
-    # two points x, y of one line of Q(6,q), in every characteristic
+    # the octonion oracle tests x*y only, because y*x = -(x*y) for any two
+    # points x, y of one line of Q(6,q), in every characteristic
     def neg(z):
         a, v, w, b = z
         return field.neg(a), tuple(map(field.neg, v)), tuple(map(field.neg, w)), field.neg(b)
 
-    base = quadric_structure("parabolic-6", field)
-    zorn = [polygons._zorn(c, field) for c in base.points]
+    pts, lines = parabolic6_lines(field)
+    octonions = [zorn(c, field) for c in pts]
     nonzero = 0
-    for blk in base.blocks:
+    for blk in lines:
         for i, a in enumerate(blk):
             for b in blk[i + 1 :]:
-                xy = polygons._zorn_mul(zorn[a], zorn[b], field)
-                assert polygons._zorn_mul(zorn[b], zorn[a], field) == neg(xy)
-                nonzero += not polygons._zorn_is_zero(xy)
+                xy = zorn_mul(octonions[a], octonions[b], field)
+                assert zorn_mul(octonions[b], octonions[a], field) == neg(xy)
+                nonzero += not zorn_is_zero(xy)
     assert nonzero  # some quadric lines are not hexagon lines
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_zorn_rows_match_octonion_product(field):
+    # row k of the kernel matrix of x, dotted with y, is entry k of x.y
+    pts = [p.coords for p in quadric_points(form_by_tag("parabolic-6", field), field)]
+    octonions = [zorn(c, field) for c in pts]
+    for x, zx in zip(pts, octonions):
+        rows = polygons._zorn_rows(x, field)
+        for y, zy in zip(pts, octonions):
+            a, v, w, b = zorn_mul(zx, zy, field)
+            assert [field.dot(r, y) for r in rows] == [a, *v, *w, b]
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_hexagon_lines_match_octonion_filter(field):
+    s = split_cayley_hexagon(field)
+    assert list(s.blocks) == octonion_hexagon_lines(field)
 
 
 @pytest.mark.parametrize("field,q", [(F2, 2), (F3, 3)])
@@ -197,6 +218,7 @@ def test_quadric_structure_evaluates_the_form_once(monkeypatch):
 
     monkeypatch.setattr(Field, "dot", counted_dot)
     monkeypatch.setattr(projective, "quadric_points", counted_points)
+    monkeypatch.setattr(polygons, "quadric_points", counted_points)
     quadric_structure("elliptic-5", F4)
     assert len(passes) == 1
     # 7 per point of PG(5, 4) for the form, 6 per point of Q(5, 4) for its

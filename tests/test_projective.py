@@ -123,14 +123,22 @@ def test_quadric_lines_exhaustive_crosscheck_q2():
 @pytest.mark.parametrize(
     "tag,q",
     [(t, q) for t in ("parabolic-4", "elliptic-5", "parabolic-6") for q in (2, 3, 4)]
-    + [("parabolic-4", 5)],
+    + [("parabolic-4", 5), ("elliptic-5", 5)],
 )
 def test_quadric_lines_match_generic_walk(tag, q):
-    # the polar-hyperplane candidates only skip pairs whose line leaves Q
+    # the ANDs of polar perps give exactly the lines the generic walk finds
     field = field_of_order(q)
     form = form_by_tag(tag, field)
     ids = [p.id for p in quadric_points(form, field)]
-    assert quadric_lines(form, field) == projective_space(form.dim, field).lines_in(ids)
+    walk = projective_space(form.dim, field).lines_in(ids)
+    if form.dim == 6:
+        # Q(6,q) contains planes, so polar perps do not give its lines; each
+        # of its points lies on (q+1)(q^2+1) lines, the points of Q(4,q)
+        with pytest.raises(GeometryError, match="contains planes"):
+            quadric_lines(form, field)
+        assert len(walk) == len(ids) * (q * q + 1)
+    else:
+        assert quadric_lines(form, field) == walk
 
 
 def test_quadric_lines_lie_on_quadric():
@@ -164,7 +172,11 @@ def _structure(tag, field):
     form = form_by_tag(tag, field)
     pts = quadric_points(form, field)
     local = {p.id: i for i, p in enumerate(pts)}
-    blocks = [tuple(local[x] for x in l) for l in quadric_lines(form, field)]
+    if form.dim == 6:  # quadric_lines refuses Q(6,q)
+        lines = projective_space(6, field).lines_in(local)
+    else:
+        lines = quadric_lines(form, field)
+    blocks = [tuple(local[x] for x in l) for l in lines]
     return [p.coords for p in pts], blocks
 
 
@@ -256,6 +268,35 @@ def test_hyperplane_section_sees_blocks_mutated_between_calls():
     blocks[1][:] = [0, 1]
     blocks[0][0] = 0
     assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == ([1, 2], [2], [0, 1])
+
+
+def test_hyperplane_section_sees_tuples_of_lists_mutated_between_calls():
+    # only a tuple of tuples is keyed by identity: a tuple of lists can change
+    pts, blocks = tuple(map(list, _TRIANGLE)), ([1, 2], [0, 1])
+    assert hyperplane_section(pts, blocks, _X0, F2) == ([1, 2], [0], [1])
+    blocks[0][0] = 0
+    assert hyperplane_section(pts, blocks, _X0, F2) == ([1, 2], [], [0, 1])
+    pts[1][0] = 1
+    assert hyperplane_section(pts, (), _X0, F2) == ([2], [], [])
+
+
+def test_hyperplane_section_indexes_a_structure_once(monkeypatch):
+    # a structure's tuples of tuples are looked up by identity, not re-hashed
+    calls = []
+    stars, masks = projective._star_index, projective._mask_index
+    monkeypatch.setattr(projective, "_star_index", lambda b, n: calls.append(1) or stars(b, n))
+    monkeypatch.setattr(projective, "_mask_index", lambda c, f: calls.append(2) or masks(c, f))
+    s = gq_q4(F3)
+    hyperplanes = projective_space(4, F3).hyperplanes()
+    for h in hyperplanes[:10]:
+        assert hyperplane_section(s.points, s.blocks, h, F3) == scan_section(
+            s.points, s.blocks, h, F3
+        )
+    assert calls == [1, 2]
+    # lists are looked up by value on every call
+    for h in hyperplanes[:3]:
+        hyperplane_section(list(s.points), list(s.blocks), h, F3)
+    assert calls == [1, 2] * 4
 
 
 def test_hyperplane_section_returns_fresh_lists():

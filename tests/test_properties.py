@@ -59,7 +59,9 @@ def bipartite_graphs(draw):
 @given(g=bipartite_graphs())
 def test_kernels_match_bfs_oracles(chunk, g):
     with pytest.MonkeyPatch.context() as mp:
+        # no bit budget: the chunk is ROOT_CHUNK roots, so 3 and 1 split roots
         mp.setattr(graphs, "ROOT_CHUNK", chunk)
+        mp.setattr(graphs, "ROOT_BITS", 0)
         assert girth(g) == bfs_girth(g)
         want = bfs_diameter(g)
         assert diameter(g) == (math.inf if want is None else want)
@@ -155,6 +157,28 @@ def test_graph_from_edges_rejects_a_repeated_edge(case, data):
     pos = data.draw(st.integers(0, len(edges)))
     with pytest.raises(GraphError, match="has a repeated edge"):
         graph_from_edges(n, edges[:pos] + [again] + edges[pos:])
+
+
+def _graph6_edges(n, body):
+    """The edges of a graph6 body read bit by bit: edge (i, j) is bit
+    j(j-1)/2 + i, six bits to a byte from the high bit, each byte offset by 63."""
+    return [
+        (i, j)
+        for j in range(n)
+        for i in range(j)
+        if (body[(j * (j - 1) // 2 + i) // 6] - 63) & 32 >> (j * (j - 1) // 2 + i) % 6
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 80), data=st.data())
+def test_from_graph6_matches_bit_by_bit_decode(n, data):
+    # padding bits and bytes past the triangle are ignored
+    size = -(-n * (n - 1) // 12)
+    raw = data.draw(st.binary(min_size=size, max_size=size + 3))
+    body = bytes(63 + b % 64 for b in raw)
+    head = bytes([63 + n]) if n < 63 else b"~" + bytes(63 + (n >> s & 63) for s in (12, 6, 0))
+    assert from_graph6(head + body) == (n, _graph6_edges(n, body))
 
 
 _SEEDS = [
