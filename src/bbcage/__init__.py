@@ -43,10 +43,8 @@ from .graphs import (
 from .incidence import IncidenceStructure
 from .polygons import (
     ConstructionError,
-    PolygonCertificate,
     gq_q4,
     gq_q5,
-    polygon_certify,
     quadric_structure,
     split_cayley_hexagon,
 )
@@ -57,7 +55,6 @@ from .projective import (
     conic_oval,
     hyperplane_section,
     pg_points,
-    quadric_lines,
     quadric_points,
 )
 from .prune import (

@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
+from .gf import prime_power
 from .graphs import BipartiteGraph, biregular_pair, girth as graph_girth
 
 
@@ -233,11 +234,11 @@ def _row_templates():
 def polygon_family_table(q_values) -> list[dict]:
     """One row per known polygon family and q: the edge-prune graph order and
     tree-bound columns recomputed from the general formulas next to the
-    published per-family formulas, with any disagreeing cell flagged."""
+    published per-family formulas, with any disagreeing cell flagged.  Each
+    q must be a prime power within the field cap (FieldError otherwise)."""
     rows = []
     for q in q_values:
-        if q < 2:
-            raise BoundsError(f"table needs prime powers q >= 2, got {q}")
+        prime_power(q)
         for name, order_fn, r, f_pub, b_pub, e_pub in _row_templates():
             m, n = order_fn(q)
             scale = m + n + 1

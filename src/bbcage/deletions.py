@@ -63,7 +63,7 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     Every remaining line loses exactly one point (checked via the section
     classification), giving an (m, n+1) biregular graph whose order is pinned
     by the section size u and whose girth never drops below the host's 2r.
-    The measured girth is stored in the graph meta; at boundary parameters a
+    The measured girth is stored in g.meta["girth"]; at boundary parameters a
     deletion can kill every shortest cycle and push the girth above 2r.
     """
     field: Field | None = structure.tag.get("field")
@@ -79,7 +79,7 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     m, n = order
     u = len(pts_in)
     remaining = delete_points(delete_blocks(structure, blocks_inside), pts_in)
-    g = levi(remaining, meta={"construction": "hyperplane-delete", "u": u})
+    g = levi(remaining)
     expected = (m + n + 1) * (
         Fraction((m + 1) * ((m * n) ** (r // 2) - 1), m * (m * n - 1)) - Fraction(u, m)
     )
@@ -139,6 +139,4 @@ def construct_named(family: str, q: int) -> BipartiteGraph:
     field = field_of_order(q)
     g = hyperplane_delete(host(field), Hyperplane(coeffs(field)))
     m, n, girth_expected, order = contract(q)
-    expect_biregular(g, m, n, girth_expected, order, family)
-    g.meta.update(construction=family, family=family, m=m, n=n)
-    return g
+    return expect_biregular(g, m, n, girth_expected, order, family)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .bounds import girth6_bound
 from .graphs import BipartiteGraph, levi
 from .incidence import IncidenceStructure
-from .polygons import ConstructionError, expect_biregular
+from .polygons import expect, expect_biregular
 
 
 class DesignError(ValueError):
@@ -89,8 +89,7 @@ def sts_generate(v: int) -> Design:
                 blocks.append(tuple(sorted((pt(i, c), pt(j, c), pt(h, (c + 1) % 3)))))
     design = Design(v, tuple(sorted(blocks)))
     report = design_validate(design)
-    if not report.valid:
-        raise ConstructionError(f"generated triple system is invalid: {report.problems}")
+    expect(report.valid, f"generated triple system is invalid: {report.problems}")
     return design
 
 
@@ -170,8 +169,7 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
         kept,
         tag={"family": "steiner-truncated", "m": m, "n": n},
     )
-    g = levi(structure, meta={"construction": "steiner-cage", "m": m, "n": n})
-    return expect_biregular(g, m, n, 6, girth6_bound(m, n), "truncation")
+    return expect_biregular(levi(structure), m, n, 6, girth6_bound(m, n), "truncation")
 
 
 def design_save(design: Design) -> str:

@@ -228,6 +228,12 @@ def field_new(p: int, k: int) -> Field:
 
 def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, factoring q as p^k."""
+    return field_new(*prime_power(q))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, p prime, for a q within the field cap; else
+    FieldError."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")
     if q > MAX_ORDER:  # before factoring: trial division of a huge q never ends
@@ -244,4 +250,4 @@ def field_of_order(q: int) -> Field:
         k += 1
     if r != 1:
         raise FieldError(f"{q} is not a prime power")
-    return field_new(p, k)
+    return p, k

@@ -20,7 +20,7 @@ class GraphError(ValueError):
 
 
 class BipartiteGraph:
-    def __init__(self, n_a: int, n_b: int, adj_a, meta=None):
+    def __init__(self, n_a: int, n_b: int, adj_a):
         """adj_a[u] lists the B-side indices (0-based within B) adjacent to u,
         ascending, in range and without repeats; rows are stored as given.
         levi, induced_subgraph and graph_from_edges make their rows so."""
@@ -31,7 +31,7 @@ class BipartiteGraph:
         self.adj_a = tuple(map(tuple, adj_a))
         if len(self.adj_a) != n_a:
             raise GraphError("adjacency length does not match class size")
-        self.meta = dict(meta) if meta else {}
+        self.meta = {}  # free for callers: hyperplane_delete records its girth
         self._adj = None
         self._degree_sets = None
         self._girth = None
@@ -83,19 +83,19 @@ class BipartiteGraph:
         return f"<BipartiteGraph {self.n_a}+{self.n_b} vertices, {self.num_edges} edges>"
 
 
-def levi(structure: IncidenceStructure, meta=None) -> BipartiteGraph:
-    """Incidence graph: class A = points, class B = blocks, edge iff incident."""
-    if structure.num_points == 0 or structure.num_blocks == 0:
-        raise GraphError("cannot build the incidence graph of an empty structure")
-    m = dict(structure.tag)
-    if meta:
-        m.update(meta)
-    return BipartiteGraph(
-        structure.num_points,
-        structure.num_blocks,
-        structure.point_blocks,
-        meta=m,
-    )
+def levi(structure: IncidenceStructure) -> BipartiteGraph:
+    """Incidence graph: class A = points, class B = blocks, edge iff incident.
+
+    Built on the first call and stored on the structure, like girth on the
+    graph: one structure is one graph, so its invariants are measured once.
+    """
+    if structure._levi is None:
+        if structure.num_points == 0 or structure.num_blocks == 0:
+            raise GraphError("cannot build the incidence graph of an empty structure")
+        structure._levi = BipartiteGraph(
+            structure.num_points, structure.num_blocks, structure.point_blocks
+        )
+    return structure._levi
 
 
 def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
@@ -262,7 +262,7 @@ def biregular_pair(g: BipartiteGraph) -> tuple[int, int]:
     return min(pair), max(pair)
 
 
-def induced_subgraph(g: BipartiteGraph, keep, meta=None) -> BipartiteGraph:
+def induced_subgraph(g: BipartiteGraph, keep) -> BipartiteGraph:
     """Induced subgraph on exactly the given global vertex ids, re-indexed
     in increasing id order within each class."""
     keep = set(keep)
@@ -274,10 +274,7 @@ def induced_subgraph(g: BipartiteGraph, keep, meta=None) -> BipartiteGraph:
         [b_index[w] for w in adj[v] if w in keep]
         for v in a_ids
     ]
-    m = dict(g.meta)
-    if meta:
-        m.update(meta)
-    return BipartiteGraph(len(a_ids), len(b_ids), new_adj, meta=m)
+    return BipartiteGraph(len(a_ids), len(b_ids), new_adj)
 
 
 # -- export / import ---------------------------------------------------------

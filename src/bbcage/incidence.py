@@ -25,7 +25,8 @@ class IncidenceStructure:
 
     The tag mapping carries construction metadata (family, q, order pair,
     gonality, field) used by downstream contracts.  Points, blocks,
-    point_blocks and tag are read-only, so cached structures can be shared.
+    point_blocks and tag are read-only, so cached structures can be shared,
+    and so can the incidence graph that graphs.levi stores on the structure.
     """
 
     def __init__(self, points, blocks, tag=None):
@@ -41,6 +42,7 @@ class IncidenceStructure:
             clean.append(t)
         self.blocks = tuple(clean)
         self.tag = MappingProxyType(dict(tag) if tag else {})
+        self._levi = None
 
     @property
     def num_points(self) -> int:

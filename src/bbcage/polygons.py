@@ -1,5 +1,6 @@
 """Classical generalized quadrangles Q(4,q), Q(5,q) and the split Cayley
-hexagon as incidence structures, plus ovoids and polygon certification.
+hexagon as incidence structures, plus ovoids and the construction contract
+(expect, expect_biregular).
 
 The hexagon lives on the parabolic quadric of PG(6, q).  That quadric is
 exactly the norm-zero locus of trace-zero split octonions (Zorn vector
@@ -7,18 +8,18 @@ matrices with a = X0, v = (X1, X3, X5), w = (X2, X4, X6), b = -X0), and two
 points x, y are collinear in the hexagon exactly when the octonion product
 x.y vanishes.  For fixed x that is linear in y, so the points collinear with
 x are the plane where the 8 x 7 matrix of y -> x.y vanishes, and the lines
-are read off these planes as for the quadrangles.  Certification (biregular,
-girth 12, diameter 6) is the operational acceptance oracle for the hexagon.
+are read off these planes as for the quadrangles.  The hexagon is accepted
+by the one construction contract, expect_biregular, on its incidence graph
+(degrees q+1, girth 12 and the order), plus diameter 6 measured on the same
+graph, which every later caller reuses through levi.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .gf import Field
-from .graphs import BipartiteGraph, bb_check, diameter, girth, levi
+from .graphs import BipartiteGraph, bb_check, diameter, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
@@ -37,25 +38,6 @@ HEXAGON_Q = (2, 3)
 
 class ConstructionError(RuntimeError):
     """A construction violated its own mathematical contract."""
-
-
-@dataclass(frozen=True)
-class PolygonCertificate:
-    gonality: int
-    s: int
-    t: int
-    num_points: int
-    num_lines: int
-    connected: bool
-    biregular: bool
-    girth_ok: bool
-    diameter_ok: bool
-    girth_measured: int | float
-    diameter_measured: int | None
-
-    @property
-    def certified(self) -> bool:
-        return self.connected and self.biregular and self.girth_ok and self.diameter_ok
 
 
 def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
@@ -136,45 +118,18 @@ def split_cayley_hexagon(field: Field) -> IncidenceStructure:
     Points are every point of the parabolic quadric in PG(6, q); y is
     collinear with x exactly when the split-octonion product x.y vanishes
     (Tits 1959), so the lines come from the Zorn kernels (quadric_structure).
-    The result must certify as a generalized hexagon or construction aborts.
+    Its incidence graph must be a generalized hexagon's (biregular of degree
+    q+1, girth 12, diameter 6, on (q^6-1)/(q-1) points and as many lines) or
+    construction aborts.
     """
     q = field.q
     if q not in HEXAGON_Q:
         raise GeometryError(f"hexagon construction is capped at q in {HEXAGON_Q}")
     s = quadric_structure("parabolic-6", field, family="H(q)", order=(q, q), gonality=6)
-    cert = polygon_certify(s, 6)
-    if not cert.certified:
-        raise ConstructionError(f"hexagon lines failed certification: {cert}")
-    expect(s.num_points == (q ** 6 - 1) // (q - 1), "hexagon point count")
-    expect(s.num_blocks == s.num_points, "hexagon line count")
+    order = 2 * (q ** 6 - 1) // (q - 1)
+    g = expect_biregular(levi(s), q + 1, q + 1, 12, order, "hexagon")
+    expect(diameter(g) == 6, f"hexagon diameter {diameter(g)} != 6")
     return s
-
-
-def polygon_certify(structure: IncidenceStructure, r: int) -> PolygonCertificate:
-    """Certify a structure as a generalized r-gon via its incidence graph:
-    connected, biregular, girth 2r, diameter r.  Flags are only set from
-    measurements."""
-    if structure.num_points == 0 or structure.num_blocks == 0:
-        raise GeometryError("cannot certify an empty structure")
-    g = levi(structure)
-    pair = g.degrees()
-    t_val, s_val = (pair[0] - 1, pair[1] - 1) if pair else (-1, -1)
-    gi = girth(g)
-    diam = diameter(g)
-    connected = diam != math.inf
-    return PolygonCertificate(
-        gonality=r,
-        s=s_val,
-        t=t_val,
-        num_points=structure.num_points,
-        num_lines=structure.num_blocks,
-        connected=connected,
-        biregular=pair is not None,
-        girth_ok=(gi == 2 * r),
-        diameter_ok=(diam == r),
-        girth_measured=gi,
-        diameter_measured=diam if connected else None,
-    )
 
 
 @lru_cache(maxsize=None)

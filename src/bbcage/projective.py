@@ -1,5 +1,6 @@
 """Projective geometry over GF(q): points, lines and hyperplanes of PG(d, q),
-quadric point/line enumeration, hyperplane sections, and the conic oval.
+quadric points and their polar perps, the lines of a generalized polygon
+read off its perps, hyperplane sections, and the conic oval.
 
 Point representatives are normalized (first nonzero coordinate = 1) and listed
 in lexicographic coordinate order; a point's id is its position in that list,
@@ -8,8 +9,9 @@ so every downstream structure is bit-reproducible.
 Lines are listed in two ways.  ProjectiveSpace.lines_in walks the lines of
 PG(d, q) inside any point set.  perp_lines reads the lines of a generalized
 polygon off its perps, the masks of the points collinear with each point,
-with no walk: quadric_lines gives it the polar perps of Q(4,q) and Q(5,q),
-and the split Cayley hexagon gives it the kernels of its octonion product.
+with no walk: polar_perps gives it the perps of Q(4,q) and Q(5,q), and the
+split Cayley hexagon the kernels of its octonion product
+(polygons.quadric_structure).
 """
 
 from __future__ import annotations
@@ -147,10 +149,21 @@ def pg_points(d: int, field: Field) -> list[ProjectivePoint]:
 
 
 def evaluate_form(form: QuadraticForm, coords, field: Field) -> int:
-    """Q(x) = sum over i <= j of m_ij x_i x_j, i.e. x . (M x) for the
-    upper-triangular M."""
-    dot = field.dot
-    return dot(coords, [dot(row, coords) for row in form.matrix])
+    """Q(x) = sum over i <= j of m_ij x_i x_j for the upper-triangular M,
+    summed over the nonzero m_ij only (at most 5 in each form here)."""
+    add, mul = field.add, field.mul
+    acc = 0
+    for i, j, m in _form_terms(form):
+        acc = add(acc, mul(m, mul(coords[i], coords[j])))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _form_terms(form: QuadraticForm) -> tuple[tuple[int, int, int], ...]:
+    """The (i, j, m_ij) of the nonzero entries of the form's matrix."""
+    return tuple(
+        (i, j, m) for i, row in enumerate(form.matrix) for j, m in enumerate(row) if m
+    )
 
 
 def _blank(d: int) -> list[list[int]]:
@@ -207,15 +220,6 @@ def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
     """All projective points with Q(x) = 0, keeping their PG(d, q) ids."""
     space = projective_space(form.dim, field)
     return [p for p in space.points if evaluate_form(form, p.coords, field) == 0]
-
-
-def quadric_lines(form: QuadraticForm, field: Field) -> list[tuple[int, ...]]:
-    """Lines of PG(d, q) fully contained in the quadric Q(4,q) or Q(5,q), as
-    sorted id tuples in sorted order: perp_lines of the polar perps."""
-    pts = quadric_points(form, field)
-    perps = polar_perps(form, tuple(p.coords for p in pts), field)
-    ids = [p.id for p in pts]
-    return [tuple(map(ids.__getitem__, line)) for line in perp_lines(perps)]
 
 
 def polar_perps(form: QuadraticForm, point_coords, field: Field) -> list[int]:

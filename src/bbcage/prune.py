@@ -94,10 +94,7 @@ def induced_branch_graph(
     for anchor, roots in ((v, roots_v), (u, roots_u)):
         for root in roots:
             keep.update(distance_sets(g, anchor, root, r - 1, r - 2, rows))
-    out = induced_subgraph(
-        g, keep, meta={"construction": "branch-prune", "m1": m1, "n1": n1}
-    )
-    return expect_biregular(out, m1, n1, 2 * r, order, "branch prune")
+    return expect_biregular(induced_subgraph(g, keep), m1, n1, 2 * r, order, "branch prune")
 
 
 def mixed_degree_prune(
@@ -122,9 +119,8 @@ def mixed_degree_prune(
     for root in [w for w in adj[v] if w != u][1:]:
         keep.update(distance_sets(g, v, root, r - 1, r - 2, rows))
         keep.update(distance_sets(g, v, root, r - 2, r - 3, rows))
-    out = induced_subgraph(g, keep, meta={"construction": "mixed-prune"})
     order = (s * t) ** (r // 2 - 1) * (s + t + 1)
-    return expect_biregular(out, s, t + 1, 2 * r, order, "mixed prune")
+    return expect_biregular(induced_subgraph(g, keep), s, t + 1, 2 * r, order, "mixed prune")
 
 
 def find_free_edge(g: BipartiteGraph) -> tuple[int, int]:
@@ -267,10 +263,7 @@ def affine_slab_graph(
     slab = sorted(set(itertools.chain.from_iterable(lines)))
     slab_index = {x: i for i, x in enumerate(slab)}
     blocks = [[slab_index[x] for x in line] for line in lines]
-    g = levi(
-        IncidenceStructure([None] * len(slab), blocks),
-        meta={"construction": "t2-slab", "p": p, "m1": m1, "n1": n1},
-    )
+    g = levi(IncidenceStructure([None] * len(slab), blocks))
     da, db = g.degree_sets()
     expect(g.degrees() == (n1, m1), f"slab degrees {sorted(da)}/{sorted(db)}")
     return g
@@ -307,10 +300,7 @@ def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
                     x = field.mul(field.inv(s), field.sub(y, b))
                     members.append(pid(x, y))
                 blocks.append(members)
-    g = levi(
-        IncidenceStructure([None] * m1 * p, blocks),
-        meta={"construction": "ag2-girth6", "p": p, "m1": m1, "n1": n1},
-    )
+    g = levi(IncidenceStructure([None] * m1 * p, blocks))
     da, db = g.degree_sets()
     expect(g.degrees() == (n1, m1), f"affine degrees {sorted(da)}/{sorted(db)}")
     return g

@@ -24,7 +24,7 @@ from bbcage.designs import steiner_truncate, sts_generate
 from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import bb_check, bfs_distances, diameter, girth, levi
 from bbcage.incidence import IncidenceStructure
-from bbcage.polygons import gq_q4, gq_q5, polygon_certify, split_cayley_hexagon
+from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import hyperplane_section, projective_space
 from bbcage.prune import (
     affine_girth6_graph,
@@ -99,11 +99,11 @@ def test_criterion_3_q5_constructions():
 
 def test_criterion_4_hexagon_pipeline():
     budget = Budget("4 hexagon pipeline", 120.0)
-    cert = polygon_certify(split_cayley_hexagon(F2), 6)
-    assert cert.certified
-    assert (cert.num_points, cert.num_lines) == (63, 63)
-    assert cert.girth_measured == 12
-    assert cert.diameter_measured == 6
+    host = levi(split_cayley_hexagon(F2))
+    assert (host.n_a, host.n_b) == (63, 63)
+    assert host.degrees() == (3, 3)
+    assert girth(host) == 12
+    assert diameter(host) == 6
     g2 = construct_named("hexagon-hyperbolic-prune", 2)
     assert g2.n_vertices == 70 == (2 * 2 + 1) * (2 ** 4 - 2)
     da, db = g2.degree_sets()

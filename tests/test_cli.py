@@ -14,6 +14,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_hosts():
+    """Clear the cached host polygons: levi stores each host's graph, and so
+    its measured invariants, on the structure, so a test that counts the
+    measurements of a host builds it afresh."""
+    for build in cli.HOSTS.values():
+        build.cache_clear()
+
+
 def test_construct_cage_report(tmp_path, capsys):
     out = tmp_path / "g.g6"
     code, stdout, _ = run(
@@ -158,6 +166,7 @@ def test_construct_branch_prune_auto_edge(capsys):
 def test_branch_prune_auto_edge_searches_host_girth_once(tmp_path, capsys, girth_searches):
     # find_free_edge reads the host's girth from the CLI's own Levi graph, so
     # Levi(Q(4, 4)) is searched once and the pruned graph once
+    fresh_hosts()
     graph, report = tmp_path / "g.g6", tmp_path / "r.json"
     code, _, _ = run(
         capsys,
@@ -258,18 +267,62 @@ def test_verify_searches_girth_once(tmp_path, capsys, girth_searches):
         # at (24, 32) the deletion's output; the host Q(4, 3) is never measured
         (["--family", "q4-hyperbolic-prune", "--q", "3"], [(24, 32)]),
         (["--family", "mixed-prune", "--host", "q5", "--q", "4"], [(325, 1105), (256, 1088)]),
-        # H(3) is measured when polygon_certify accepts it, then the output
+        # H(3) is measured when split_cayley_hexagon checks its contract, then
+        # the output
         (["--family", "hexagon-hyperbolic-prune", "--q", "3"], [(364, 364), (234, 312)]),
+        # the checked H(3) is the reported graph
+        (["--family", "hexagon", "--q", "3"], [(364, 364)]),
+        # the host H(2) once, then the prune
+        (["--family", "mixed-prune", "--host", "hexagon", "--q", "2"], [(63, 63), (32, 48)]),
     ],
 )
 def test_construct_measures_degrees_once_per_graph(capsys, degree_measures, argv, shapes):
-    from bbcage.polygons import split_cayley_hexagon
-
-    split_cayley_hexagon.cache_clear()  # build and certify H(3) in this test
+    fresh_hosts()
     code, _, _ = run(capsys, "construct", *argv)
     assert code == 0
     assert [(g.n_a, g.n_b) for g in degree_measures] == shapes
     assert len(set(map(id, degree_measures))) == len(shapes)
+
+
+@pytest.mark.parametrize(
+    "argv,searches",
+    [
+        (["construct", "--family", "hexagon", "--q", "3"], 1),
+        (["construct", "--family", "mixed-prune", "--host", "hexagon", "--q", "2"], 2),
+        # Q(4,2) and its prune, H(2) and its prune
+        (["table", "--q", "2"], 4),
+    ],
+)
+def test_each_graph_is_searched_once(capsys, monkeypatch, girth_searches, argv, searches):
+    from bbcage.graphs import BipartiteGraph
+
+    adjacencies = []
+    adjacency = BipartiteGraph.adjacency
+
+    def counting(g):
+        if g._adj is None:
+            adjacencies.append(g)
+        return adjacency(g)
+
+    monkeypatch.setattr(BipartiteGraph, "adjacency", counting)
+    fresh_hosts()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(girth_searches) == searches
+    assert len(set(map(id, girth_searches))) == searches
+    assert adjacencies == girth_searches  # one adjacency per graph, too
+
+
+def test_broken_hexagon_exit3(capsys, monkeypatch):
+    from bbcage import polygons
+
+    perp_lines = polygons.perp_lines
+    monkeypatch.setattr(polygons, "perp_lines", lambda perps: perp_lines(perps)[1:])
+    fresh_hosts()  # a refused build is not cached
+    code, stdout, err = run(capsys, "construct", "--family", "hexagon", "--q", "2")
+    assert code == 3
+    assert stdout == ""
+    assert err == "bbcage: assertion failed: violated invariant: hexagon order 125 != 126\n"
 
 
 def test_verify_measures_degrees_once(tmp_path, capsys, degree_measures):
@@ -307,6 +360,13 @@ def test_bounds_command(capsys):
     assert json.loads(stdout)["improved_lower_bound"] == 32
     code, _, _ = run(capsys, "bounds", "--m", "5", "--n", "3", "--girth", "8")
     assert code == 2
+
+
+def test_table_refuses_a_q_that_is_no_prime_power(capsys):
+    code, stdout, err = run(capsys, "table", "--q", "2", "--q", "6")
+    assert code == 2
+    assert stdout == ""
+    assert err == "bbcage: error: 6 is not a prime power\n"
 
 
 def test_table_command(capsys):

@@ -255,10 +255,10 @@ def test_named_construction_searches_girth_once_per_graph(girth_searches):
     assert any(x is g for x in girth_searches)
 
 
-def test_q5_subgq_meta_names_the_family():
-    g = construct_named("q5-subgq-delete", 2)
-    assert (g.meta["construction"], g.meta["family"]) == ("q5-subgq-delete",) * 2
-    assert (g.meta["m"], g.meta["n"]) == (2, 5)
+def test_hyperplane_delete_records_its_girth():
+    # the measured girth, here above the host's 2r = 8, is all the meta holds
+    g = construct_named("q4-ovoid-delete", 2)
+    assert g.meta == {"girth": 10} and girth(g) == 10
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@ __init__ (whose imports are re-exports) and __future__ imports are exempt.
 Every module-level private function is referenced somewhere in the package,
 and every module-level name bound by assignment is read somewhere in it.
 The text "violated invariant" appears only in polygons.expect, the one place a
-construction contract fails.  A BipartiteGraph is constructed only by the
-three builders in graphs: levi, induced_subgraph and graph_from_edges."""
+construction contract fails, and ConstructionError is raised only there and
+by the four searches that can come up empty.  A BipartiteGraph is constructed
+only by the three builders in graphs: levi, induced_subgraph and
+graph_from_edges."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,49 @@ def test_invariant_texts_detector():
 def test_violated_invariant_only_in_expect():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert set(invariant_texts(sources)) == {"polygons:expect"}
+
+
+def construction_raises(sources: dict[str, str]) -> list[str]:
+    """'module:owner' for each raise of ConstructionError (called or bare, by
+    name or as an attribute), where owner is the enclosing top-level function
+    or class, or <module>."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if "ConstructionError" in (
+                        getattr(exc, "id", None),
+                        getattr(exc, "attr", None),
+                    ):
+                        found.append(f"{module}:{owner}")
+    return found
+
+
+def test_construction_raises_detector():
+    a = 'def expect(c):\n    if not c:\n        raise ConstructionError("x")\n'
+    b = (
+        "def search():\n    raise polygons.ConstructionError\n"
+        "class C:\n    def f(self):\n        raise ConstructionError('y') from None\n"
+        "def other():\n    raise ValueError('ConstructionError')\n"
+        "def reraise():\n    try:\n        pass\n    except ConstructionError:\n        raise\n"
+        "raise ConstructionError()\n"
+    )
+    found = construction_raises({"polygons": a, "prune": b})
+    assert found == ["polygons:expect", "prune:search", "prune:C", "prune:<module>"]
+
+
+def test_construction_errors_only_from_expect_and_exhausted_searches():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(construction_raises(sources)) == [
+        "polygons:expect",
+        "polygons:ovoid_hyperplane",
+        "prune:_first_line_missing",
+        "prune:_girth_cycle_through",
+        "prune:find_free_edge",
+    ]
 
 
 def unread_module_names(sources: dict[str, str]) -> list[str]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import octonion_hexagon_lines, parabolic6_lines, zorn, zorn_is_zero, zorn_mul
@@ -5,12 +7,14 @@ from conftest import octonion_hexagon_lines, parabolic6_lines, zorn, zorn_is_zer
 from bbcage import polygons, projective
 from bbcage.deletions import construct_named
 from bbcage.gf import Field, field_new
-from bbcage.graphs import girth, levi
+from bbcage.graphs import diameter, girth, levi
+from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import (
+    ConstructionError,
+    expect_biregular,
     gq_q4,
     gq_q5,
     ovoid_hyperplane,
-    polygon_certify,
     quadric_structure,
     split_cayley_hexagon,
 )
@@ -53,33 +57,46 @@ def test_gq_caps():
 
 
 def test_certify_q43():
-    cert = polygon_certify(gq_q4(F3), 4)
-    assert cert.certified
-    assert (cert.s, cert.t) == (3, 3)
-    assert cert.girth_measured == 8
-    assert cert.diameter_measured == 4
+    # a generalized quadrangle of order (s, t): degrees (t+1, s+1), girth 8,
+    # diameter 4
+    g = levi(gq_q4(F3))
+    assert g.degrees() == (4, 4)
+    assert girth(g) == 8
+    assert diameter(g) == 4
 
 
 def test_certify_q52():
-    cert = polygon_certify(gq_q5(F2), 4)
-    assert cert.certified
-    assert (cert.s, cert.t) == (2, 4)
+    g = levi(gq_q5(F2))
+    assert g.degrees() == (5, 3)  # order (2, 4)
+    assert girth(g) == 8
+    assert diameter(g) == 4
 
 
 def test_certify_wrong_gonality_fails():
-    cert = polygon_certify(gq_q4(F2), 6)
-    assert not cert.certified
-    assert cert.girth_measured == 8
+    # the hexagon contract refuses a quadrangle: Q(4,2) has girth 8, not 12
+    g = levi(gq_q4(F2))
+    with pytest.raises(ConstructionError, match="girth 8 != expected 12"):
+        expect_biregular(g, 3, 3, 12, 30, "hexagon")
 
 
 def test_hexagon_q2():
     s = split_cayley_hexagon(F2)
     assert (s.num_points, s.num_blocks) == (63, 63)
-    cert = polygon_certify(s, 6)
-    assert cert.certified
-    assert (cert.s, cert.t) == (2, 2)
-    assert cert.girth_measured == 12
-    assert cert.diameter_measured == 6
+    g = levi(s)
+    assert g.degrees() == (3, 3)  # order (2, 2)
+    assert girth(g) == 12
+    assert diameter(g) == 6
+
+
+def test_levi_is_one_graph_per_structure():
+    s = split_cayley_hexagon(F3)
+    assert levi(s) is levi(s)
+    # the hexagon was measured when it was built: the stored girth and
+    # diameter come back with the graph
+    assert (levi(s)._girth, levi(s)._diameter) == (12, 6)
+    copy = IncidenceStructure(s.points, s.blocks, tag=s.tag)
+    assert levi(copy) is not levi(s)
+    assert levi(copy).adj_a == levi(s).adj_a
 
 
 def test_hexagon_q3_counts():
@@ -184,16 +201,13 @@ def test_cached_structures_are_read_only():
 
 
 def test_certify_disconnected_structure():
-    # two disjoint triangles: each is a generalized 3-gon, together they are
-    # not connected, so there is no diameter to report
-    from bbcage.incidence import IncidenceStructure
-
+    # two disjoint triangles: each is a generalized 3-gon, and together they
+    # pass the 3-gon contract (degrees 2, girth 6, order 12), but they are
+    # not connected, so the diameter that a polygon also needs is infinite
     blocks = [(a + o, b + o) for o in (0, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
-    cert = polygon_certify(IncidenceStructure(range(6), blocks), 3)
-    assert cert.connected is False
-    assert cert.diameter_measured is None
-    assert cert.girth_measured == 6 and cert.girth_ok
-    assert not cert.diameter_ok and not cert.certified
+    g = levi(IncidenceStructure(range(6), blocks))
+    assert expect_biregular(g, 2, 2, 6, 12, "two triangles") is g
+    assert diameter(g) == math.inf
 
 
 @pytest.mark.parametrize("tag", ["parabolic-4", "elliptic-5", "parabolic-6"])
@@ -221,6 +235,6 @@ def test_quadric_structure_evaluates_the_form_once(monkeypatch):
     monkeypatch.setattr(polygons, "quadric_points", counted_points)
     quadric_structure("elliptic-5", F4)
     assert len(passes) == 1
-    # 7 per point of PG(5, 4) for the form, 6 per point of Q(5, 4) for its
-    # polar hyperplane
-    assert len(dots) == 1365 * 7 + 325 * 6 == 11505
+    # 6 per point of Q(5, 4) for its polar hyperplane; the form itself is
+    # summed over its nonzero terms with no dot product
+    assert len(dots) == 325 * 6 == 1950

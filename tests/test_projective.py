@@ -8,7 +8,7 @@ from conftest import scan_section
 from bbcage import projective
 from bbcage.gf import field_new, field_of_order
 from bbcage.incidence import IncidenceStructure, point_stars
-from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
+from bbcage.polygons import gq_q4, gq_q5, quadric_structure, split_cayley_hexagon
 from bbcage.projective import (
     GeometryError,
     Hyperplane,
@@ -19,8 +19,8 @@ from bbcage.projective import (
     hyperplane_section,
     parabolic_form,
     pg_points,
+    polar_perps,
     projective_space,
-    quadric_lines,
     quadric_points,
 )
 
@@ -99,11 +99,18 @@ def test_quadric_point_counts():
     assert len(quadric_points(elliptic_form(F3), F3)) == 112
 
 
+def _pg_lines(tag, field):
+    """The lines of quadric_structure(tag, field) in PG(d, q) point ids: its
+    points are the quadric points, in order (see test_polygons)."""
+    ids = [p.id for p in quadric_points(form_by_tag(tag, field), field)]
+    return [tuple(map(ids.__getitem__, b)) for b in quadric_structure(tag, field).blocks]
+
+
 def test_quadric_line_counts():
-    assert len(quadric_lines(parabolic_form(4, F2), F2)) == 15
-    assert len(quadric_lines(parabolic_form(4, F3), F3)) == 40
-    assert len(quadric_lines(elliptic_form(F2), F2)) == 45
-    assert len(quadric_lines(elliptic_form(F3), F3)) == 280
+    assert len(_pg_lines("parabolic-4", F2)) == 15
+    assert len(_pg_lines("parabolic-4", F3)) == 40
+    assert len(_pg_lines("elliptic-5", F2)) == 45
+    assert len(_pg_lines("elliptic-5", F3)) == 280
 
 
 def test_quadric_lines_exhaustive_crosscheck_q2():
@@ -117,7 +124,7 @@ def test_quadric_lines_exhaustive_crosscheck_q2():
         for line in {space.line_through(i, j) for i, j in pairs}
         if all(x in on for x in line)
     }
-    assert all_on == set(quadric_lines(form, F2))
+    assert all_on == set(_pg_lines("parabolic-4", F2))
 
 
 @pytest.mark.parametrize(
@@ -134,17 +141,18 @@ def test_quadric_lines_match_generic_walk(tag, q):
     if form.dim == 6:
         # Q(6,q) contains planes, so polar perps do not give its lines; each
         # of its points lies on (q+1)(q^2+1) lines, the points of Q(4,q)
+        coords = tuple(p.coords for p in quadric_points(form, field))
         with pytest.raises(GeometryError, match="contains planes"):
-            quadric_lines(form, field)
+            polar_perps(form, coords, field)
         assert len(walk) == len(ids) * (q * q + 1)
     else:
-        assert quadric_lines(form, field) == walk
+        assert _pg_lines(tag, field) == walk
 
 
 def test_quadric_lines_lie_on_quadric():
     form = elliptic_form(F3)
     space = projective_space(5, F3)
-    for line in quadric_lines(form, F3):
+    for line in _pg_lines("elliptic-5", F3):
         for x in line:
             assert evaluate_form(form, space.points[x].coords, F3) == 0
 
@@ -169,14 +177,15 @@ def test_form_by_tag():
 
 
 def _structure(tag, field):
+    """Every line of the quadric on its points, in local ids."""
     form = form_by_tag(tag, field)
     pts = quadric_points(form, field)
-    local = {p.id: i for i, p in enumerate(pts)}
-    if form.dim == 6:  # quadric_lines refuses Q(6,q)
+    if form.dim == 6:  # Q(6,q) has more lines than the hexagon's
+        local = {p.id: i for i, p in enumerate(pts)}
         lines = projective_space(6, field).lines_in(local)
+        blocks = [tuple(local[x] for x in l) for l in lines]
     else:
-        lines = quadric_lines(form, field)
-    blocks = [tuple(local[x] for x in l) for l in lines]
+        blocks = list(quadric_structure(tag, field).blocks)
     return [p.coords for p in pts], blocks
 
 
@@ -282,11 +291,11 @@ def test_hyperplane_section_sees_tuples_of_lists_mutated_between_calls():
 
 def test_hyperplane_section_indexes_a_structure_once(monkeypatch):
     # a structure's tuples of tuples are looked up by identity, not re-hashed
+    s = gq_q4(F3)  # built first: building scans its points too
     calls = []
     stars, masks = projective._star_index, projective._mask_index
     monkeypatch.setattr(projective, "_star_index", lambda b, n: calls.append(1) or stars(b, n))
     monkeypatch.setattr(projective, "_mask_index", lambda c, f: calls.append(2) or masks(c, f))
-    s = gq_q4(F3)
     hyperplanes = projective_space(4, F3).hyperplanes()
     for h in hyperplanes[:10]:
         assert hyperplane_section(s.points, s.blocks, h, F3) == scan_section(
@@ -337,7 +346,7 @@ def test_coordinate_masks_built_once_per_point_list_value(monkeypatch):
 
     monkeypatch.setattr(projective, "_coordinate_masks", counted)
     projective._mask_index.cache_clear()
-    # quadric_lines scans the same point list, so its masks are reused below
+    # the polar perps scan the same point list, so its masks are reused below
     pts, blocks = _structure("parabolic-4", F3)
     for h in projective_space(4, F3).hyperplanes()[:10]:
         hyperplane_section(pts, blocks, h, F3)
