@@ -383,43 +383,38 @@ def to_dimacs(g: BipartiteGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _dimacs_ints(ln: str, fields: list[str]) -> list[int]:
-    """The fields of a DIMACS line as non-negative integers, or GraphError."""
-    if not all(f.isdecimal() for f in fields):
-        raise GraphError(f"bad DIMACS line: {ln!r}")
-    try:
-        return [int(f) for f in fields]
-    except ValueError:  # past int()'s digit limit
-        raise GraphError(f"DIMACS number too long: {ln[:40]!r}") from None
-
-
 def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
     n = problem = None
     edges = []
-    for ln in _ascii_text(data).splitlines():
-        ln = ln.strip()
-        parts = ln.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphError(f"bad DIMACS problem line: {ln!r}")
-            if problem is not None:
-                raise GraphError(f"second DIMACS problem line: {ln!r}")
-            problem = ln
-            n, m = _dimacs_ints(ln, parts[2:])
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphError("DIMACS edge before problem line")
-            if len(parts) != 3:
-                raise GraphError(f"bad DIMACS line: {ln!r}")
-            u, v = _dimacs_ints(ln, parts[1:])
-            a, b = u - 1, v - 1
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphError(f"DIMACS edge out of range: {ln!r}")
-            edges.append((min(a, b), max(a, b)))
-        else:
-            raise GraphError(f"unrecognized DIMACS line: {ln!r}")
+    try:
+        for ln in _ascii_text(data).splitlines():
+            parts = ln.split()
+            if not parts or parts[0] == "c":
+                continue
+            if parts[0] == "e":
+                if n is None:
+                    raise GraphError("DIMACS edge before problem line")
+                if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+                    raise GraphError(f"bad DIMACS line: {ln.strip()!r}")
+                a, b = int(parts[1]) - 1, int(parts[2]) - 1
+                if not (0 <= a < n and 0 <= b < n):
+                    raise GraphError(f"DIMACS edge out of range: {ln.strip()!r}")
+                edges.append((a, b) if a < b else (b, a))
+            elif parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise GraphError(f"bad DIMACS problem line: {ln.strip()!r}")
+                if problem is not None:
+                    raise GraphError(f"second DIMACS problem line: {ln.strip()!r}")
+                if not (parts[2].isdecimal() and parts[3].isdecimal()):
+                    raise GraphError(f"bad DIMACS line: {ln.strip()!r}")
+                problem = ln.strip()
+                n, m = int(parts[2]), int(parts[3])
+            else:
+                raise GraphError(f"unrecognized DIMACS line: {ln.strip()!r}")
+    except GraphError:
+        raise
+    except ValueError:  # a number past int()'s digit limit
+        raise GraphError(f"DIMACS number too long: {ln.strip()[:40]!r}") from None
     if n is None:
         raise GraphError("missing DIMACS problem line")
     if len(edges) != m:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import eq
 
 from .gf import Field
 from .incidence import point_stars
@@ -251,7 +250,7 @@ def perp_masks(point_coords, field: Field, rows_of, size: int = 0) -> list[int]:
     passes a size only when the solutions are known to number that many,
     and the mask always holds them all.
     """
-    masks, full = _indexed(_mask_index, point_coords, field)
+    masks, full, _ = _indexed(_mask_index, point_coords, field)
     out = []
     for x in point_coords:
         found = full
@@ -297,10 +296,11 @@ def _coordinate_masks(point_coords, q: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=8)
 def _mask_index(point_coords: tuple[tuple[int, ...], ...], field: Field):
-    """The coordinate masks of a point list and the mask of all its points.
-    Cached per point-list value: a structure is usually sectioned by many
-    hyperplanes."""
-    return _coordinate_masks(point_coords, field.q), (1 << len(point_coords)) - 1
+    """The coordinate masks of a point list, the mask of all its points and
+    their ids 0..n-1.  Cached per point-list value: a structure is usually
+    sectioned by many hyperplanes."""
+    n = len(point_coords)
+    return _coordinate_masks(point_coords, field.q), (1 << n) - 1, tuple(range(n))
 
 
 # Entries of _indexed for tuples of tuples, keyed by identity.  Each entry
@@ -362,16 +362,59 @@ def _bits(mask: int) -> list[int]:
 
 @lru_cache(maxsize=8)
 def _star_index(blocks: tuple[tuple[int, ...], ...], n: int):
-    """The point stars of blocks on n points, each block's size, and the
-    count a tangent block shows (1, or -1 for a 1-point block, which is inside
-    h whenever it meets h).  Cached per blocks value: a structure is usually
-    sectioned by many hyperplanes."""
+    """The blocks on n points as masks, cached per blocks value: a structure
+    is usually sectioned by many hyperplanes.
+
+    Per point: its star, the mask of the blocks through it; the mask of the
+    blocks naming it more than once, for the points that have one; and its
+    star size, counting each block as often as it names the point.  Per
+    block: the ids 0..b-1, the masks of the empty blocks, of the one-point
+    blocks and of all blocks, and one (size, mask) pair per block size.
+    """
     try:
         stars = point_stars(n, blocks)
     except ValueError as exc:
         raise GeometryError(str(exc)) from None
+    b = len(blocks)
+    bit = [1 << bi for bi in range(b)].__getitem__
+    masks, repeats = [], {}
+    for x, star in enumerate(stars):
+        m = sum(map(bit, star))
+        if m.bit_count() != len(star):  # a carry: some block names x twice
+            m = sum(map(bit, set(star)))
+            repeats[x] = sum(bit(bi) for bi in set(star) if star.count(bi) > 1)
+        masks.append(m)
     sizes = tuple(map(len, blocks))
-    return stars, sizes, tuple(-1 if k == 1 else 1 for k in sizes)
+    by_size = {k: _mask_of(map(k.__eq__, sizes)) for k in set(sizes)}
+    return (
+        tuple(masks),
+        repeats,
+        tuple(map(len, stars)),
+        tuple(range(b)),
+        by_size.get(0, 0),
+        by_size.get(1, 0),
+        (1 << b) - 1,
+        tuple(by_size.items()),
+    )
+
+
+# bin(mask)[:1:-1] lists the bits of mask from bit 0 up as the characters
+# 0 and 1; these tables turn them into the bytes 0 and 1 and back.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _members(mask: int, ids: tuple[int, ...]) -> list[int]:
+    """The set bits of mask, ascending, for a mask of at most len(ids) bits
+    and ids = (0, 1, ..., len(ids) - 1): one pass in C, where _bits takes
+    one step per set bit."""
+    return list(itertools.compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _mask_of(flags) -> int:
+    """The mask with bit i set when flags[i] is true, for a non-empty
+    iterable of bools: the inverse of _members."""
+    return int(bytes(flags)[::-1].translate(_BIT_CHARS), 2)
 
 
 def hyperplane_section(
@@ -388,28 +431,45 @@ def hyperplane_section(
     GeometryError naming the first such block; so does a block naming a
     point index outside 0..len(point_coords)-1.
 
-    The points on h come from one coordinate-mask scan, and each block's
-    count of points on h is summed over the stars of those points, so the
-    work is q^2 mask operations per coordinate plus one step per incidence
-    on h.  The masks and the stars are cached per point-list and blocks
-    value (see _indexed).
+    The points on h come from one coordinate-mask scan, and the blocks from
+    the stars of those points: the blocks met once and the blocks met at
+    least twice are two masks, accumulated as in graphs._girth_search.  So
+    the work is q^2 mask operations per coordinate, a few mask operations
+    per point on h and a few passes in C; only a violation is counted block
+    by block, to name it.  The masks and the stars are cached per
+    point-list and blocks value (see _indexed).
     """
-    stars, sizes, tangent_marks = _indexed(_star_index, blocks, len(point_coords))
-    masks, full = _indexed(_mask_index, point_coords, field)
-    inside_pts = _bits(_scan(masks, full, h.coeffs, field))
-    cnt = [0] * len(sizes)
-    for i in inside_pts:
-        for bi in stars[i]:
-            cnt[bi] += 1
-    ids = range(len(cnt))
-    blocks_inside = list(itertools.compress(ids, map(eq, cnt, sizes)))
-    blocks_tangent = list(itertools.compress(ids, map(eq, cnt, tangent_marks)))
-    if len(blocks_inside) + len(blocks_tangent) < len(cnt):
-        bi = next(b for b in ids if cnt[b] != sizes[b] and cnt[b] != 1)
-        raise GeometryError(
-            f"block {bi} meets the hyperplane in {cnt[bi]} of {sizes[bi]} points"
-        )
-    return inside_pts, blocks_inside, blocks_tangent
+    stars, repeats, star_sizes, block_ids, empty, single, every, by_size = _indexed(
+        _star_index, blocks, len(point_coords)
+    )
+    masks, full, point_ids = _indexed(_mask_index, point_coords, field)
+    on = _scan(masks, full, h.coeffs, field)
+    inside_pts = _members(on, point_ids)
+    once = twice = 0
+    for m in map(stars.__getitem__, inside_pts):
+        twice |= once & m
+        once |= m
+    for x, m in repeats.items():
+        if on >> x & 1:
+            twice |= m
+    one = once & ~twice
+    # No block meets h in more points than its size, so the blocks met twice
+    # all lie inside h exactly when their counts, the incidences on h less
+    # those of the blocks met once, add up to their sizes.
+    twice_counts = sum(map(star_sizes.__getitem__, inside_pts)) - one.bit_count()
+    twice_sizes = sum(k * (twice & m).bit_count() for k, m in by_size)
+    if twice_counts != twice_sizes or every & ~(once | empty):
+        for bi, blk in enumerate(blocks):
+            k = sum(on >> x & 1 for x in blk)
+            if k != len(blk) and k != 1:
+                raise GeometryError(
+                    f"block {bi} meets the hyperplane in {k} of {len(blk)} points"
+                )
+    return (
+        inside_pts,
+        _members(twice | empty | (one & single), block_ids),
+        _members(one & ~single, block_ids),
+    )
 
 
 def conic_oval(field: Field) -> list[ProjectivePoint]:

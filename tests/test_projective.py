@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -249,6 +250,51 @@ def test_hyperplane_section_rejects_point_ids_outside_structure(bad):
         hyperplane_section(_TRIANGLE, blocks, _X0, F2)
 
 
+# Five full blocks hide one violation, or two; the error names the first.
+_FULL = [(1, 2)] * 5
+
+
+@pytest.mark.parametrize(
+    "blocks,error",
+    [
+        (_FULL + [(0, 1, 2)], "block 5 meets the hyperplane in 2 of 3 points"),
+        (_FULL + [(0,), (0, 1, 2)], "block 5 meets the hyperplane in 0 of 1 points"),
+        (_FULL + [(0, 1, 2), (0,)], "block 5 meets the hyperplane in 2 of 3 points"),
+    ],
+)
+def test_hyperplane_section_names_the_first_violation(blocks, error):
+    for b in (blocks, tuple(blocks)):
+        with pytest.raises(GeometryError, match=rf"^{error}$"):
+            hyperplane_section(_TRIANGLE, b, _X0, F2)
+        with pytest.raises(GeometryError, match=rf"^{error}$"):
+            scan_section(_TRIANGLE, b, _X0, F2)
+
+
+def test_hyperplane_section_counts_repeated_points():
+    # a block naming a point of h twice meets h twice there
+    blocks = [(1, 1), (2, 1, 2), (1, 0, 0), (1, 1, 1)]
+    want = ([1, 2], [0, 1, 3], [2])
+    assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == want
+    assert scan_section(_TRIANGLE, blocks, _X0, F2) == want
+    for bad, k in (((1, 1, 0), 2), ((0, 1, 1, 1), 3), ((0, 0), 0)):
+        with pytest.raises(GeometryError, match=rf"^block 1 meets the hyperplane in {k} of"):
+            hyperplane_section(_TRIANGLE, [(1, 2), bad], _X0, F2)
+
+
+def test_members_and_mask_of_invert_bits():
+    rng = random.Random(20)
+    ids = tuple(range(3000))
+    masks = [0, 1, (1 << 3000) - 1]
+    for n in (1, 64, 1105, 3000):
+        masks.append(sum(1 << rng.randrange(n) for _ in range(5)))  # sparse
+        masks.append(rng.getrandbits(n) | rng.getrandbits(n))  # dense
+    for m in masks:
+        got = projective._members(m, ids)
+        assert got == projective._bits(m)
+        on = set(got)
+        assert projective._mask_of(map(on.__contains__, range(3000))) == m
+
+
 def test_hyperplane_section_one_point_and_empty_blocks():
     blocks = [(), (1,), (2,), (0, 1), ()]
     # a one-point block on h is inside it, never tangent
@@ -377,13 +423,14 @@ def test_point_stars():
 # SHA-256 of repr(hyperplane_section(...)) over every hyperplane of the
 # structure's PG(d, q), in point order; taken from the per-block scan
 _SECTION_SHA256 = {
+    (gq_q4, 2): "af13a2610c58cd3355f56c96fb6ad1c9b42be29e69606aa0cd897300db9b9a74",
     (gq_q4, 3): "4385dc577bac14e7a0fc6b38b5170e770607c22e7ca50910db460bf708719e00",
     (gq_q5, 2): "cfcb836680b0956629fb5302002e7baf759f326a01d4cea8aa279cda43139133",
     (split_cayley_hexagon, 2): "5264f684cda91c13c522073b0287705c15f690a89fac67a9daaa990712577e11",
 }
 
 
-@pytest.mark.parametrize("build,q", sorted(_SECTION_SHA256, key=lambda k: k[0].__name__))
+@pytest.mark.parametrize("build,q", sorted(_SECTION_SHA256, key=lambda k: (k[0].__name__, k[1])))
 def test_every_hyperplane_section_pinned(build, q):
     s = build(field_of_order(q))
     field = s.tag["field"]

@@ -306,10 +306,11 @@ _SECTION_SPACES = _SPACES + [(2, 4)]
 @st.composite
 def sectioned_structures(draw):
     """Up to 12 points of PG(2, q) or PG(3, q) (q = 2, 3, and PG(2, 4); repeats
-    allowed), a hyperplane h, and up to 8 blocks: each drawn inside h, tangent
-    to it or at random (so often violating), possibly repeating a point, with
-    one point or none, and sometimes naming a point outside the structure.
-    The blocks come as a tuple of tuples or as a list of lists."""
+    allowed), a hyperplane h, and up to 40 blocks: each drawn inside h or
+    tangent to it, except at most two drawn at random (so often violating)
+    or naming a point outside the structure; so one bad block hides among
+    many good ones.  Blocks may repeat a point and may have one point or
+    none.  The blocks come as a tuple of tuples or as a list of lists."""
     d, q = draw(st.sampled_from(_SECTION_SPACES))
     field = field_of_order(q)
     coords = [p.coords for p in projective_space(d, field).points]
@@ -318,9 +319,11 @@ def sectioned_structures(draw):
     on = [i for i, c in enumerate(pts) if field.dot(h.coeffs, c) == 0]
     off = [i for i, c in enumerate(pts) if field.dot(h.coeffs, c) != 0]
     any_id = st.integers(0, len(pts) - 1)
+    kinds = draw(st.lists(st.sampled_from(["inside", "tangent"]), max_size=40))
+    for _ in range(draw(st.integers(0, 2)) if kinds else 0):
+        kinds[draw(st.integers(0, len(kinds) - 1))] = draw(st.sampled_from(["random", "bad id"]))
     blocks = []
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["inside", "tangent", "random", "bad id"]))
+    for kind in kinds:
         if kind == "inside" and on:
             blk = draw(st.lists(st.sampled_from(on), max_size=4))
         elif kind == "tangent" and on and off:
