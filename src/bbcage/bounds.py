@@ -9,10 +9,9 @@ usually quoted).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
-from .gf import prime_power
 from .graphs import BipartiteGraph, biregular_pair, girth as graph_girth
 
 
@@ -109,20 +108,20 @@ def hexagon_square(s: int, t: int) -> bool:
     return isqrt(s * t) ** 2 == s * t
 
 
-@dataclass
-class BoundsReport:
-    m: int
-    n: int
-    girth: int
-    moore_bound: int
-    improved_lower_bound: int
-    provenance: str
-    order: int | None = None
-    excess: int | None = None
-    cage_certified: bool | None = None
+class BoundsReport(
+    namedtuple(
+        "BoundsReport",
+        "m n girth moore_bound improved_lower_bound provenance order excess cage_certified",
+        defaults=(None, None, None),
+    )
+):
+    """The bounds for (m, n; girth); order, excess and cage_certified are
+    None unless the report is of a graph (excess_of)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"schema": 1, **asdict(self)}
+        return {"schema": 1, **self._asdict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -190,10 +189,12 @@ def excess_of(g: BipartiteGraph) -> BoundsReport:
     if gi == float("inf") or gi % 2:
         raise BoundsError(f"graph has no even finite girth (girth {gi})")
     report = improved_bound(m, n, int(gi))
-    report.order = g.n_vertices
-    report.excess = report.order - report.moore_bound
-    report.cage_certified = report.order == report.improved_lower_bound
-    return report
+    order = g.n_vertices
+    return report._replace(
+        order=order,
+        excess=order - report.moore_bound,
+        cage_certified=order == report.improved_lower_bound,
+    )
 
 
 # -- known-polygon prune table -------------------------------------------------
@@ -236,6 +237,8 @@ def polygon_family_table(q_values) -> list[dict]:
     tree-bound columns recomputed from the general formulas next to the
     published per-family formulas, with any disagreeing cell flagged.  Each
     q must be a prime power within the field cap (FieldError otherwise)."""
+    from .gf import prime_power
+
     rows = []
     for q in q_values:
         prime_power(q)

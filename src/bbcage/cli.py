@@ -12,35 +12,22 @@ import json
 import math
 import sys
 
-from .bounds import excess_of, girth6_bound, improved_bound, polygon_family_table
-from .deletions import NAMED_FAMILIES, construct_named
-from .designs import sts_generate, steiner_truncate, truncation_degrees
-from .gf import field_of_order
-from .graphs import (
-    BipartiteGraph,
-    GraphError,
-    diameter,
-    from_dimacs,
-    from_graph6,
-    girth,
-    graph_from_edges,
-    levi,
-    to_dimacs,
-    to_graph6,
-)
-from .polygons import ConstructionError, expect, gq_q4, gq_q5, split_cayley_hexagon
-from .prune import (
-    affine_girth6_graph,
-    affine_slab_graph,
-    find_free_edge,
-    induced_branch_graph,
-    mixed_degree_prune,
-)
+# Each command imports, inside its own functions, only the modules it runs,
+# so a process compiles and loads no more of the package than its command
+# uses: verify loads graphs, incidence and bounds and nothing else.
 
-HOSTS = {"q4": gq_q4, "q5": gq_q5, "hexagon": split_cayley_hexagon}
+HOSTS = ("q4", "q5", "hexagon")
+# the hosts, deletions.NAMED_FAMILIES sorted, then the prunes and designs;
+# a literal, so that --help imports no construction module
 FAMILIES = (
-    *HOSTS,
-    *sorted(NAMED_FAMILIES),
+    "q4",
+    "q5",
+    "hexagon",
+    "hexagon-hyperbolic-prune",
+    "q4-hyperbolic-prune",
+    "q4-ovoid-delete",
+    "q5-parabolic-prune",
+    "q5-subgq-delete",
     "branch-prune",
     "mixed-prune",
     "t2-slab",
@@ -49,9 +36,27 @@ FAMILIES = (
 )
 
 
-def _build_family(args) -> BipartiteGraph:
+def _host_graph(host: str, q: int):
+    """The Levi graph of a host polygon over GF(q), its builder looked up in
+    polygons when called."""
+    from . import polygons
+    from .gf import field_of_order
+    from .graphs import levi
+
+    build = {
+        "q4": polygons.gq_q4,
+        "q5": polygons.gq_q5,
+        "hexagon": polygons.split_cayley_hexagon,
+    }[host]
+    return levi(build(field_of_order(q)))
+
+
+def _build_family(args):
     fam = args.family
     if fam == "steiner-cage":
+        from .bounds import girth6_bound
+        from .designs import steiner_truncate, sts_generate, truncation_degrees
+
         _require(args.v is not None, "--v is required for steiner-cage")
         v = args.v
         if v >= 7 and v % 6 in (1, 3):  # else sts_generate names the bad v
@@ -61,29 +66,39 @@ def _build_family(args) -> BipartiteGraph:
     if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
         _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
     if fam == "ag2-girth6":
+        from .gf import field_of_order
+        from .prune import affine_girth6_graph
+
         field = field_of_order(args.q)
         p, m1, n1 = field.p, args.m1, args.n1
         if 2 <= m1 <= p and 2 <= n1 <= p:  # else affine_girth6_graph names the bad one
             _require_order(fam, (m1 + n1) * p)
         return affine_girth6_graph(field, m1, n1)
     if fam in HOSTS:
-        return levi(HOSTS[fam](field_of_order(args.q)))
-    if fam in NAMED_FAMILIES:
-        return construct_named(fam, args.q)
+        return _host_graph(fam, args.q)
     if fam == "t2-slab":
+        from .gf import field_of_order
+        from .prune import affine_slab_graph
+
         field = field_of_order(args.q)
         p, m1, n1 = field.p, args.m1, args.n1
         if field.k == 1 and 2 <= m1 <= p and 2 <= n1 <= p + 1:  # else the builder names it
             _require_order(fam, (m1 + n1) * p * p)
         return affine_slab_graph(field, m1, n1)
-    g = levi(HOSTS[args.host](field_of_order(args.q)))
-    edge = None
-    if args.edge == "auto":
-        point, block = find_free_edge(g)
-        edge = (point, g.n_a + block)
-    if fam == "branch-prune":
-        return induced_branch_graph(g, args.m1, args.n1, edge=edge)
-    return mixed_degree_prune(g, edge=edge)
+    if fam in ("branch-prune", "mixed-prune"):
+        from .prune import find_free_edge, induced_branch_graph, mixed_degree_prune
+
+        g = _host_graph(args.host, args.q)
+        edge = None
+        if args.edge == "auto":
+            point, block = find_free_edge(g)
+            edge = (point, g.n_a + block)
+        if fam == "branch-prune":
+            return induced_branch_graph(g, args.m1, args.n1, edge=edge)
+        return mixed_degree_prune(g, edge=edge)
+    from .deletions import construct_named
+
+    return construct_named(fam, args.q)
 
 
 def _require(cond: bool, msg: str):
@@ -100,7 +115,10 @@ def _require_order(family: str, order: int):
     )
 
 
-def _graph_report(g: BipartiteGraph, family: str, params: dict) -> dict:
+def _graph_report(g, family: str, params: dict) -> dict:
+    from .bounds import excess_of
+    from .graphs import diameter, girth
+
     da, db = g.degree_sets()
     gi = girth(g)
     diam = diameter(g)
@@ -147,6 +165,8 @@ def _cmd_construct(args) -> int:
         if v is not None
     }
     if args.out:
+        from .graphs import to_dimacs, to_graph6
+
         data = to_dimacs(g) if args.format == "dimacs" else to_graph6(g)
         with open(args.out, "wb") as fh:
             fh.write(data)
@@ -154,12 +174,17 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-# verify's diameter search does O(n) work per chunk of roots, so it grows as
-# n^2; a declared order past this cap is refused before anything is allocated.
+# A declared order past this cap is refused before anything is allocated.
+# The cap bounds memory, not time: verify's girth and diameter searches take
+# one level per step of the longest distance, each level O(n) work per chunk
+# of roots, so a graph of large diameter, such as a long cycle, costs about
+# n^3 (C_4000 2.5 s, C_8000 38 s; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
 
 
 def _cmd_verify(args) -> int:
+    from .graphs import GraphError, from_dimacs, from_graph6, graph_from_edges
+
     with open(args.infile, "rb") as fh:
         data = fh.read()
     # "p" and "c" are also the graph6 size bytes of 49 and 36 vertices, so
@@ -194,20 +219,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import improved_bound
+
     report = improved_bound(args.m, args.n, args.girth)
     sys.stdout.write(report.to_json())
     return 0
 
 
 def _cmd_table(args) -> int:
+    from .bounds import polygon_family_table
+    from .polygons import expect
+    from .prune import mixed_degree_prune
+
     rows = polygon_family_table(args.q)
     measured = {}
     for q in args.q:
         if q <= 3:
-            g = mixed_degree_prune(levi(gq_q4(field_of_order(q))))
+            g = mixed_degree_prune(_host_graph("q4", q))
             measured[("gq(q,q)", q)] = g.n_vertices
         if q == 2:
-            g = mixed_degree_prune(levi(split_cayley_hexagon(field_of_order(q))))
+            g = mixed_degree_prune(_host_graph("hexagon", q))
             measured[("hex(q,q)", q)] = g.n_vertices
     header = (
         f"{'family':<12} {'q':>2} {'degs':>7} {'girth':>5} "
@@ -279,14 +310,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConstructionError as exc:
-        print(f"bbcage: assertion failed: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         # every domain error class (FieldError, GeometryError, GraphError,
         # DesignError, BoundsError) subclasses ValueError
         print(f"bbcage: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # ConstructionError, imported only here: a command that never loads
+        # polygons cannot raise it
+        from .polygons import ConstructionError
+
+        if not isinstance(exc, ConstructionError):
+            raise
+        print(f"bbcage: assertion failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ grids of the quadrics are all hyperplane sections, so each is deleted here."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .gf import Field, field_of_order
 from .graphs import BipartiteGraph, girth, levi
@@ -80,12 +80,16 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     u = len(pts_in)
     remaining = delete_points(delete_blocks(structure, blocks_inside), pts_in)
     g = levi(remaining)
-    expected = (m + n + 1) * (
-        Fraction((m + 1) * ((m * n) ** (r // 2) - 1), m * (m * n - 1)) - Fraction(u, m)
-    )
+    # the order (m+n+1) * ((m+1)((mn)^(r/2) - 1) / (m(mn-1)) - u/m), as an
+    # exact fraction in lowest terms; one that is not an integer is no order
+    num = (m + n + 1) * ((m + 1) * ((m * n) ** (r // 2) - 1) - u * (m * n - 1))
+    den = m * (m * n - 1)
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    expect(den == 1, f"hyperplane deletion order {g.n_vertices} != {num}/{den}")
     # the girth is measured, not predicted: only its floor 2r is a contract
     gi = girth(g)
-    expect_biregular(g, m, n + 1, gi, expected, "hyperplane deletion")
+    expect_biregular(g, m, n + 1, gi, num, "hyperplane deletion")
     expect(gi >= 2 * r, f"deletion decreased girth to {gi} from {2 * r}")
     g.meta["girth"] = gi
     return g

@@ -10,7 +10,7 @@ separators) makes the file malformed.  Lines of spaces only are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .bounds import girth6_bound
 from .graphs import BipartiteGraph, levi
@@ -22,10 +22,10 @@ class DesignError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Design:
-    v: int
-    blocks: tuple[tuple[int, ...], ...]
+class Design(namedtuple("Design", "v blocks")):
+    """A design on the points 0..v-1 and its blocks, tuples of point indices."""
+
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -36,13 +36,15 @@ class Design:
         return len(self.blocks)
 
 
-@dataclass
-class DesignReport:
-    valid: bool
-    uniform_block_size: bool
-    pair_coverage: bool
-    uniform_replication: bool
-    problems: list = dc_field(default_factory=list)
+class DesignReport(
+    namedtuple(
+        "DesignReport",
+        "valid uniform_block_size pair_coverage uniform_replication problems",
+    )
+):
+    """design_validate's verdict, each check on its own, and the problems found."""
+
+    __slots__ = ()
 
 
 def _half_label(n2: int):

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .incidence import IncidenceStructure
 
@@ -234,10 +233,10 @@ def distance_sets(
     return [w for w in range(n) if du[w] == i and dv[w] == j]
 
 
-@dataclass(frozen=True)
-class BbReport:
-    passed: bool
-    violation: str | None
+class BbReport(namedtuple("BbReport", "passed violation")):
+    """Whether a graph met a bb_check contract, and the first violation."""
+
+    __slots__ = ()
 
 
 def bb_check(g: BipartiteGraph, m: int, n: int, girth_expected: int) -> BbReport:

@@ -17,37 +17,32 @@ split Cayley hexagon the kernels of its octonion product
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .gf import Field
-from .incidence import point_stars
 
 
 class GeometryError(ValueError):
     """Inconsistent geometric input (bad dimension, degenerate section, ...)."""
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    id: int
-    coords: tuple[int, ...]
+class ProjectivePoint(namedtuple("ProjectivePoint", "id coords")):
+    """A point's id in its PG(d, q) list and its normalized coordinates."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", "coeffs")):
     """Coefficient vector; a point lies on it iff the dot product vanishes."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(namedtuple("QuadraticForm", "dim matrix tag")):
     """Upper-triangular coefficient matrix of a homogeneous quadratic form."""
 
-    dim: int
-    matrix: tuple[tuple[int, ...], ...]
-    tag: str
+    __slots__ = ()
 
 
 class ProjectiveSpace:
@@ -370,30 +365,41 @@ def _star_index(blocks: tuple[tuple[int, ...], ...], n: int):
     star size, counting each block as often as it names the point.  Per
     block: the ids 0..b-1, the masks of the empty blocks, of the one-point
     blocks and of all blocks, and one (size, mask) pair per block size.
+
+    One pass over the incidences checks the point ids and lists each
+    point's block bits; a point index outside 0..n-1 is a KeyError of the
+    id lookup, which names the first such block.
     """
-    try:
-        stars = point_stars(n, blocks)
-    except ValueError as exc:
-        raise GeometryError(str(exc)) from None
-    b = len(blocks)
-    bit = [1 << bi for bi in range(b)].__getitem__
+    bits = [[] for _ in range(n)]
+    append = dict(enumerate(row.append for row in bits))
+    bit = 1
+    for bi, blk in enumerate(blocks):
+        try:
+            for x in blk:
+                append[x](bit)
+        except KeyError:
+            raise GeometryError(f"block {bi} has out-of-range point index {x}") from None
+        bit <<= 1
     masks, repeats = [], {}
-    for x, star in enumerate(stars):
-        m = sum(map(bit, star))
-        if m.bit_count() != len(star):  # a carry: some block names x twice
-            m = sum(map(bit, set(star)))
-            repeats[x] = sum(bit(bi) for bi in set(star) if star.count(bi) > 1)
+    for x, row in enumerate(bits):
+        m = sum(row)
+        if m.bit_count() != len(row):  # a carry: some block names x twice
+            distinct = set(row)
+            m = sum(distinct)
+            repeats[x] = sum(bt for bt in distinct if row.count(bt) > 1)
         masks.append(m)
+    b = len(blocks)
+    every = (1 << b) - 1
     sizes = tuple(map(len, blocks))
     by_size = {k: _mask_of(map(k.__eq__, sizes)) for k in set(sizes)}
     return (
         tuple(masks),
         repeats,
-        tuple(map(len, stars)),
+        tuple(map(len, bits)),
         tuple(range(b)),
         by_size.get(0, 0),
         by_size.get(1, 0),
-        (1 << b) - 1,
+        every,
         tuple(by_size.items()),
     )
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bbcage import cli
+from bbcage import cli, deletions, designs, polygons, prune
 from bbcage.cli import main
 from bbcage.graphs import from_dimacs, from_graph6
 
@@ -18,7 +18,7 @@ def fresh_hosts():
     """Clear the cached host polygons: levi stores each host's graph, and so
     its measured invariants, on the structure, so a test that counts the
     measurements of a host builds it afresh."""
-    for build in cli.HOSTS.values():
+    for build in (polygons.gq_q4, polygons.gq_q5, polygons.split_cayley_hexagon):
         build.cache_clear()
 
 
@@ -105,10 +105,33 @@ def test_internal_assertion_exit3(capsys, monkeypatch):
     def boom(family, q):
         raise ConstructionError("violated invariant: synthetic")
 
-    monkeypatch.setattr("bbcage.cli.construct_named", boom)
+    monkeypatch.setattr(deletions, "construct_named", boom)
     code, _, err = run(capsys, "construct", "--family", "q4-ovoid-delete", "--q", "2")
     assert code == 3
     assert "violated invariant" in err
+
+
+def test_other_runtime_errors_are_not_assertions(monkeypatch):
+    # only a ConstructionError exits 3; any other RuntimeError is a bug
+    def boom(family, q):
+        raise RuntimeError("not a contract")
+
+    monkeypatch.setattr(deletions, "construct_named", boom)
+    with pytest.raises(RuntimeError, match="not a contract"):
+        main(["construct", "--family", "q4-ovoid-delete", "--q", "2"])
+
+
+def test_families_literal_matches_the_builders():
+    # FAMILIES is a literal so that --help imports no construction module
+    assert cli.FAMILIES == (
+        *cli.HOSTS,
+        *sorted(deletions.NAMED_FAMILIES),
+        "branch-prune",
+        "mixed-prune",
+        "t2-slab",
+        "ag2-girth6",
+        "steiner-cage",
+    )
 
 
 def test_construct_cap_exit2(capsys):
@@ -473,7 +496,11 @@ class _Built(Exception):
 
 _AG2 = ["--family", "ag2-girth6", "--q", "65521"]  # 65521 is prime
 _SLAB = ["--family", "t2-slab", "--q"]
-_BUILDERS = ("sts_generate", "affine_girth6_graph", "affine_slab_graph")
+_BUILDERS = (
+    (designs, "sts_generate"),
+    (prune, "affine_girth6_graph"),
+    (prune, "affine_slab_graph"),
+)
 
 
 def _never_built(*args):
@@ -496,8 +523,8 @@ def _never_built(*args):
 )
 def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, order):
     # refused from the closed-form order, before anything is generated
-    for name in _BUILDERS:
-        monkeypatch.setattr(cli, name, _never_built)
+    for module, name in _BUILDERS:
+        monkeypatch.setattr(module, name, _never_built)
     code, stdout, err = run(capsys, "construct", *argv)
     assert (code, stdout) == (2, "")
     assert err == (
@@ -516,15 +543,15 @@ def test_construct_refuses_orders_verify_refuses(capsys, monkeypatch, argv, orde
     ],
 )
 def test_construct_builds_orders_at_the_cap(capsys, monkeypatch, argv):
-    for name in _BUILDERS:
-        monkeypatch.setattr(cli, name, _never_built)
+    for module, name in _BUILDERS:
+        monkeypatch.setattr(module, name, _never_built)
     with pytest.raises(_Built):
         main(["construct", *argv])
 
 
 def test_construct_steiner_refuses_a_bad_truncation_before_generating(capsys, monkeypatch):
     # v = 1251 = 3 (mod 6) is under the cap, but n = 624 is not -1 (mod 3)
-    monkeypatch.setattr(cli, "sts_generate", _never_built)
+    monkeypatch.setattr(designs, "sts_generate", _never_built)
     code, stdout, err = run(capsys, "construct", "--family", "steiner-cage", "--v", "1251")
     assert (code, stdout) == (2, "")
     assert err == "bbcage: error: needs n = -1 (mod m): n=624, m=3\n"

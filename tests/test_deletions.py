@@ -309,7 +309,7 @@ def test_expect_biregular_rejects_wrong_order_and_girth():
 
 def test_hyperplane_delete_checks_its_order_formula():
     # Q(4,2) tagged with the wrong order (3, 3): the u-formula order is not
-    # even an integer, and expect_biregular aborts on it
+    # even an integer, and the exact order check aborts on it
     s = gq_q4(F2)
     wrong = IncidenceStructure(s.points, s.blocks, tag={**s.tag, "order": (3, 3)})
     with pytest.raises(ConstructionError, match="hyperplane deletion order 15 != 217/3"):
