@@ -35,7 +35,7 @@ _EXPORTS = {
     "gf": ("Field", "FieldError", "field_new", "field_of_order"),
     "graphs": (
         "BipartiteGraph",
-        "bb_check",
+        "ConstructionError",
         "diameter",
         "distance_sets",
         "from_dimacs",
@@ -47,7 +47,6 @@ _EXPORTS = {
     ),
     "incidence": ("IncidenceStructure",),
     "polygons": (
-        "ConstructionError",
         "gq_q4",
         "gq_q5",
         "quadric_structure",

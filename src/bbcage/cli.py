@@ -228,7 +228,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_table(args) -> int:
     from .bounds import polygon_family_table
-    from .polygons import expect
+    from .graphs import expect
     from .prune import mixed_degree_prune
 
     rows = polygon_family_table(args.q)
@@ -317,8 +317,8 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         # ConstructionError, imported only here: a command that never loads
-        # polygons cannot raise it
-        from .polygons import ConstructionError
+        # graphs cannot raise it
+        from .graphs import ConstructionError
 
         if not isinstance(exc, ConstructionError):
             raise

@@ -8,16 +8,9 @@ from __future__ import annotations
 from math import gcd
 
 from .gf import Field, field_of_order
-from .graphs import BipartiteGraph, girth, levi
+from .graphs import BipartiteGraph, expect, expect_biregular, girth, levi
 from .incidence import IncidenceStructure
-from .polygons import (
-    expect,
-    expect_biregular,
-    gq_q4,
-    gq_q5,
-    ovoid_hyperplane,
-    split_cayley_hexagon,
-)
+from .polygons import gq_q4, gq_q5, ovoid_hyperplane, split_cayley_hexagon
 from .projective import Hyperplane, hyperplane_section
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bounds import girth6_bound
-from .graphs import BipartiteGraph, levi
+from .graphs import BipartiteGraph, expect, expect_biregular, levi
 from .incidence import IncidenceStructure
-from .polygons import expect, expect_biregular
 
 
 class DesignError(ValueError):

@@ -1,5 +1,7 @@
 """Bipartite graphs with exact girth/diameter machinery, distance-set
-extraction, biregularity checks, and graph6/DIMACS export.
+extraction, graph6/DIMACS export, and the construction contract: expect
+aborts a construction with ConstructionError, and expect_biregular checks
+a construction's order, degrees and girth.
 
 Vertex ids are global and deterministic: class A occupies 0..n_a-1 (points,
 in construction order), class B occupies n_a..n_a+n_b-1 (blocks).
@@ -9,13 +11,17 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque, namedtuple
+from collections import deque
 
 from .incidence import IncidenceStructure
 
 
 class GraphError(ValueError):
     pass
+
+
+class ConstructionError(RuntimeError):
+    """A construction violated its own mathematical contract."""
 
 
 class BipartiteGraph:
@@ -233,23 +239,27 @@ def distance_sets(
     return [w for w in range(n) if du[w] == i and dv[w] == j]
 
 
-class BbReport(namedtuple("BbReport", "passed violation")):
-    """Whether a graph met a bb_check contract, and the first violation."""
+def expect(cond: bool, what: str):
+    """The one place a construction reports a violated invariant."""
+    if not cond:
+        raise ConstructionError(f"violated invariant: {what}")
 
-    __slots__ = ()
 
-
-def bb_check(g: BipartiteGraph, m: int, n: int, girth_expected: int) -> BbReport:
-    """Verify degrees {n} on one class and {m} on the other (either
-    orientation) and girth exactly girth_expected; report the first violation."""
+def expect_biregular(
+    g: BipartiteGraph, m: int, n: int, girth_expected: int, order: int, what: str
+) -> BipartiteGraph:
+    """The contract of a construction: order vertices, degrees {m} on one
+    class and {n} on the other (either orientation), and girth exactly
+    girth_expected, checked in that order; the first violation aborts."""
+    expect(g.n_vertices == order, f"{what} order {g.n_vertices} != {order}")
     da, db = g.degree_sets()
+    expect(
+        g.degrees() in ((m, n), (n, m)),
+        f"{what}: degree sets {sorted(da)}/{sorted(db)} are not {{{m}}}/{{{n}}}",
+    )
     gi = girth(g)
-    violation = None
-    if g.degrees() not in ((m, n), (n, m)):
-        violation = f"degree sets {sorted(da)}/{sorted(db)} are not {{{m}}}/{{{n}}}"
-    elif gi != girth_expected:
-        violation = f"girth {gi} != expected {girth_expected}"
-    return BbReport(passed=violation is None, violation=violation)
+    expect(gi == girth_expected, f"{what}: girth {gi} != expected {girth_expected}")
+    return g
 
 
 def biregular_pair(g: BipartiteGraph) -> tuple[int, int]:

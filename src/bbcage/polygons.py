@@ -1,6 +1,6 @@
 """Classical generalized quadrangles Q(4,q), Q(5,q) and the split Cayley
-hexagon as incidence structures, plus ovoids and the construction contract
-(expect, expect_biregular).
+hexagon as incidence structures, plus ovoids; each is accepted by the
+construction contract of graphs (expect, expect_biregular).
 
 The hexagon lives on the parabolic quadric of PG(6, q).  That quadric is
 exactly the norm-zero locus of trace-zero split octonions (Zorn vector
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .gf import Field
-from .graphs import BipartiteGraph, bb_check, diameter, levi
+from .graphs import ConstructionError, diameter, expect, expect_biregular, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
@@ -34,10 +34,6 @@ from .projective import (
 
 GQ_MAX_Q = 5
 HEXAGON_Q = (2, 3)
-
-
-class ConstructionError(RuntimeError):
-    """A construction violated its own mathematical contract."""
 
 
 def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
@@ -146,19 +142,3 @@ def ovoid_hyperplane(field: Field) -> tuple[int, ...]:
             return h.coeffs
     raise ConstructionError(f"no ovoid section found on Q(4,{q})")
 
-
-def expect(cond: bool, what: str):
-    """The one place a construction reports a violated invariant."""
-    if not cond:
-        raise ConstructionError(f"violated invariant: {what}")
-
-
-def expect_biregular(
-    g: BipartiteGraph, m: int, n: int, girth_expected: int, order: int, what: str
-) -> BipartiteGraph:
-    """The contract of a construction: order vertices, degrees {m}/{n} and
-    girth exactly girth_expected (bb_check); anything else aborts."""
-    expect(g.n_vertices == order, f"{what} order {g.n_vertices} != {order}")
-    rep = bb_check(g, m, n, girth_expected)
-    expect(rep.passed, f"{what}: {rep.violation}")
-    return g

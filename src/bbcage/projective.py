@@ -435,7 +435,9 @@ def hyperplane_section(
     meeting h in exactly one point).  A block meeting h in any other number
     of points (none, or 2 to size-1) is a geometric violation and raises
     GeometryError naming the first such block; so does a block naming a
-    point index outside 0..len(point_coords)-1.
+    point index outside 0..len(point_coords)-1, and so do coefficients that
+    are no hyperplane of the points' space: a count other than the points'
+    coordinate count, a coefficient outside 0..q-1, or all coefficients 0.
 
     The points on h come from one coordinate-mask scan, and the blocks from
     the stars of those points: the blocks met once and the blocks met at
@@ -449,7 +451,17 @@ def hyperplane_section(
         _star_index, blocks, len(point_coords)
     )
     masks, full, point_ids = _indexed(_mask_index, point_coords, field)
-    on = _scan(masks, full, h.coeffs, field)
+    coeffs = h.coeffs
+    if masks and len(coeffs) != len(masks):
+        raise GeometryError(
+            f"hyperplane has {len(coeffs)} coefficients, the points {len(masks)} coordinates"
+        )
+    bad = next((c for c in coeffs if not 0 <= c < field.q), None)
+    if bad is not None:
+        raise GeometryError(f"hyperplane coefficient {bad} is outside 0..{field.q - 1}")
+    if not any(coeffs):
+        raise GeometryError("hyperplane coefficients are all 0")
+    on = _scan(masks, full, coeffs, field)
     inside_pts = _members(on, point_ids)
     once = twice = 0
     for m in map(stars.__getitem__, inside_pts):

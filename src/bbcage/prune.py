@@ -16,11 +16,10 @@ from collections import deque
 from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
-    BipartiteGraph, GraphError, biregular_pair, diameter, distance_sets, girth,
-    induced_subgraph, levi,
+    BipartiteGraph, ConstructionError, GraphError, biregular_pair, diameter,
+    distance_sets, expect, expect_biregular, girth, induced_subgraph, levi,
 )
 from .incidence import IncidenceStructure
-from .polygons import ConstructionError, expect, expect_biregular
 from .projective import conic_oval, projective_space
 
 

@@ -22,7 +22,7 @@ from bbcage.cli import main
 from bbcage.deletions import construct_named, hyperplane_delete
 from bbcage.designs import steiner_truncate, sts_generate
 from bbcage.gf import field_new, field_of_order
-from bbcage.graphs import bb_check, bfs_distances, diameter, girth, levi
+from bbcage.graphs import bfs_distances, diameter, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import hyperplane_section, projective_space
@@ -91,7 +91,7 @@ def test_criterion_3_q5_constructions():
     for q, order in ((2, 42), (3, 312)):
         g = construct_named("q5-parabolic-prune", q)
         assert g.n_vertices == order
-        assert bb_check(g, q, q * q + 1, 8).passed
+        assert expect_biregular(g, q, q * q + 1, 8, g.n_vertices, "q5-parabolic-prune") is g
     rep = excess_of(construct_named("q5-parabolic-prune", 3))
     assert rep.order - rep.improved_lower_bound == 52  # (q^2+q+1)(q^2-q-2)
     budget.done()
@@ -110,7 +110,7 @@ def test_criterion_4_hexagon_pipeline():
     assert {min(*da, *db), max(*da, *db)} == {2, 3}
     g3 = construct_named("hexagon-hyperbolic-prune", 3)
     assert g3.n_vertices == 546 == (2 * 3 + 1) * (3 ** 4 - 3)
-    assert bb_check(g3, 3, 4, 12).passed
+    assert expect_biregular(g3, 3, 4, 12, g3.n_vertices, "hexagon-hyperbolic-prune") is g3
     budget.done()
 
 
@@ -197,11 +197,11 @@ def test_criterion_5_steiner_cages():
     budget = Budget("5 girth-6 cages", 1.0)
     g13 = steiner_truncate(sts_generate(13))
     assert g13.n_vertices == 32 == girth6_bound(3, 5)
-    assert bb_check(g13, 3, 5, 6).passed
+    assert expect_biregular(g13, 3, 5, 6, g13.n_vertices, "STS(13) truncation") is g13
     assert excess_of(g13).cage_certified
     g19 = steiner_truncate(sts_generate(19))
     assert g19.n_vertices == 66 == girth6_bound(3, 8)
-    assert bb_check(g19, 3, 8, 6).passed
+    assert expect_biregular(g19, 3, 8, 6, g19.n_vertices, "STS(19) truncation") is g19
     assert excess_of(g19).cage_certified
     for g in (g13, g19):
         adj = g.adjacency()
@@ -313,10 +313,10 @@ def test_criterion_9_prune_correctness():
     host = levi(gq_q4(F3))
     g33 = induced_branch_graph(host, 3, 3)
     assert g33.n_vertices == 6 * 9
-    assert bb_check(g33, 3, 3, 8).passed
+    assert expect_biregular(g33, 3, 3, 8, g33.n_vertices, "branch prune") is g33
     g34 = induced_branch_graph(host, 3, 4)  # anchor-partner slot
     assert g34.n_vertices == 7 * 9
-    assert bb_check(g34, 3, 4, 8).passed
+    assert expect_biregular(g34, 3, 4, 8, g34.n_vertices, "branch prune") is g34
     try:
         induced_branch_graph(host, 2, 3)  # order 45 over the girth-10 bound
         assert False, "(2,3) should be outside the hypothesis on Q(4,3)"
@@ -324,5 +324,5 @@ def test_criterion_9_prune_correctness():
         pass
     slab = affine_slab_graph(field_new(5, 1), 3, 4)
     assert slab.n_vertices == 175
-    assert bb_check(slab, 3, 4, 8).passed
+    assert expect_biregular(slab, 3, 4, 8, slab.n_vertices, "slab") is slab
     budget.done()

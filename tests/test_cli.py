@@ -100,7 +100,7 @@ def test_construct_ag2_family(capsys):
 
 
 def test_internal_assertion_exit3(capsys, monkeypatch):
-    from bbcage.polygons import ConstructionError
+    from bbcage.graphs import ConstructionError
 
     def boom(family, q):
         raise ConstructionError("violated invariant: synthetic")

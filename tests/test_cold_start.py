@@ -17,6 +17,9 @@ import bbcage
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 VERIFY_MODULES = ["bbcage", "bbcage.bounds", "bbcage.cli", "bbcage.graphs", "bbcage.incidence"]
+STEINER_MODULES = [
+    "bbcage", "bbcage.bounds", "bbcage.cli", "bbcage.designs", "bbcage.graphs", "bbcage.incidence",
+]
 NEVER_LOADED = ("dataclasses", "fractions", "inspect")
 
 # Run one command line as the console script does, then write the loaded
@@ -82,6 +85,14 @@ def test_verify_loads_graphs_incidence_and_bounds_only(tmp_path, graph_files, na
     assert package_modules(modules) == VERIFY_MODULES
 
 
+def test_steiner_cage_loads_no_geometry(tmp_path):
+    # the construction contract lives in graphs, so a design build loads
+    # neither polygons nor projective nor gf
+    code, modules = loaded(tmp_path, "construct", "--family", "steiner-cage", "--v", "13")
+    assert code == 0
+    assert package_modules(modules) == STEINER_MODULES
+
+
 def test_help_loads_only_the_cli(tmp_path):
     code, modules = loaded(tmp_path, "construct", "--help")
     assert code == 0
@@ -115,7 +126,7 @@ def test_no_command_loads_dataclasses_fractions_or_inspect(tmp_path, argv):
 
 
 def test_exports_resolve_to_their_defining_modules():
-    assert len(bbcage.__all__) == len(set(bbcage.__all__)) == 52
+    assert len(bbcage.__all__) == len(set(bbcage.__all__)) == 51
     assert set(bbcage.__all__) <= set(dir(bbcage))
     for name in bbcage.__all__:
         value = getattr(bbcage, name)

@@ -5,15 +5,9 @@ from conftest import brute_girth, edge_count_conserved
 from bbcage.bounds import excess_of, moore_even
 from bbcage.deletions import construct_named, delete_blocks, delete_points, hyperplane_delete
 from bbcage.gf import field_new, field_of_order
-from bbcage.graphs import bb_check, girth, levi
+from bbcage.graphs import ConstructionError, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
-from bbcage.polygons import (
-    ConstructionError,
-    expect_biregular,
-    gq_q4,
-    gq_q5,
-    ovoid_hyperplane,
-)
+from bbcage.polygons import gq_q4, gq_q5, ovoid_hyperplane
 from bbcage.projective import Hyperplane, hyperplane_section
 
 F2 = field_new(2, 1)
@@ -29,7 +23,7 @@ def test_delete_ovoid_q43():
     assert levi(out).degree_sets()[1] == {3}
     g = levi(out)
     assert g.n_vertices == 70
-    assert bb_check(g, 3, 4, 8).passed
+    assert expect_biregular(g, 3, 4, 8, g.n_vertices, "ovoid deletion") is g
 
 
 def test_delete_nothing_is_identity():
@@ -100,7 +94,7 @@ def test_spread_deletion():
     assert g.n_vertices == 25  # (st+1)(s+t+1)
     # the q = 2 quadrangle is self-dual, so spread deletion mirrors ovoid
     # deletion: what remains is the subdivided Petersen graph of girth 10
-    assert bb_check(g, 2, 3, 10).passed
+    assert expect_biregular(g, 2, 3, 10, g.n_vertices, "spread deletion") is g
     assert girth(g) >= 8
     assert brute_girth(g) == 10
 
@@ -133,7 +127,7 @@ def test_hyperplane_delete_subquadrangle(section, q):
     # the subquadrangle contract: (m, n+1; 8) of order (m+n+1)(m^2-1)n/m
     g = hyperplane_delete(s, Hyperplane(coeffs))
     assert g.n_vertices == (m + n + 1) * (m * m - 1) * n // m
-    assert bb_check(g, m, n + 1, 8).passed
+    assert expect_biregular(g, m, n + 1, 8, g.n_vertices, section) is g
 
 
 def test_subquadrangle_rejects_ids_outside_the_structure():
@@ -156,9 +150,12 @@ def test_hyperplane_delete_q43_is_certified_cage():
     assert rep.moore_bound == 49
     assert rep.excess == 7
     assert rep.cage_certified
-    assert bb_check(g, 3, 4, 8).passed
-    wrong = bb_check(g, 3, 4, 10)
-    assert not wrong.passed and "girth" in wrong.violation
+    assert expect_biregular(g, 3, 4, 8, g.n_vertices, "hyperplane deletion") is g
+    with pytest.raises(
+        ConstructionError,
+        match="^violated invariant: hyperplane deletion: girth 8 != expected 10$",
+    ):
+        expect_biregular(g, 3, 4, 10, g.n_vertices, "hyperplane deletion")
 
 
 def test_hyperplane_delete_q42_zero_excess():
@@ -202,7 +199,7 @@ def test_hyperplane_delete_tangent_section_still_consistent():
 def test_construct_named(family, q, order, m, n, girth_expected):
     g = construct_named(family, q)
     assert g.n_vertices == order
-    assert bb_check(g, m, n, girth_expected).passed
+    assert expect_biregular(g, m, n, girth_expected, g.n_vertices, family) is g
     assert edge_count_conserved(g)
 
 

@@ -14,7 +14,7 @@ from bbcage.designs import (
     truncation_degrees,
 )
 from bbcage.gf import field_new
-from bbcage.graphs import bb_check, bfs_distances, girth, levi
+from bbcage.graphs import bfs_distances, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
 from bbcage.projective import projective_space
 
@@ -75,13 +75,13 @@ def test_truncate_sts13():
     g = steiner_truncate(sts_generate(13))
     assert g.n_vertices == 32
     assert (g.n_a, g.n_b) == (12, 20)
-    assert bb_check(g, 3, 5, 6).passed
+    assert expect_biregular(g, 3, 5, 6, g.n_vertices, "STS(13) truncation") is g
 
 
 def test_truncate_sts19():
     g = steiner_truncate(sts_generate(19))
     assert g.n_vertices == 66
-    assert bb_check(g, 3, 8, 6).passed
+    assert expect_biregular(g, 3, 8, 6, g.n_vertices, "STS(19) truncation") is g
 
 
 def test_truncate_sts9_rejected():

@@ -10,10 +10,11 @@ from bbcage.designs import sts_generate
 from bbcage.gf import field_new
 from bbcage.graphs import (
     BipartiteGraph,
+    ConstructionError,
     GraphError,
-    bb_check,
     diameter,
     distance_sets,
+    expect_biregular,
     from_dimacs,
     from_graph6,
     girth,
@@ -140,13 +141,16 @@ def test_distance_sets_subset_property():
             assert abs(i - j) == 1  # bipartite parity across the edge uv
 
 
-def test_bb_check():
+def test_expect_biregular_on_k33():
     k33 = BipartiteGraph(3, 3, [range(3)] * 3)
-    assert bb_check(k33, 3, 3, 4).passed
-    rep = bb_check(k33, 3, 3, 6).passed
-    assert not rep
-    rep = bb_check(k33, 2, 3, 4)
-    assert not rep.passed and "degree" in rep.violation
+    assert expect_biregular(k33, 3, 3, 4, k33.n_vertices, "K33") is k33
+    with pytest.raises(ConstructionError, match="^violated invariant: K33: girth 4 != expected 6$"):
+        expect_biregular(k33, 3, 3, 6, k33.n_vertices, "K33")
+    with pytest.raises(
+        ConstructionError,
+        match=r"^violated invariant: K33: degree sets \[3\]/\[3\] are not \{2\}/\{3\}$",
+    ):
+        expect_biregular(k33, 2, 3, 4, k33.n_vertices, "K33")
 
 
 def test_induced_subgraph_keeps_what_it_is_given():

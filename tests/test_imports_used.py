@@ -2,7 +2,7 @@
 __init__ (whose imports are re-exports) and __future__ imports are exempt.
 Every module-level private function is referenced somewhere in the package,
 and every module-level name bound by assignment is read somewhere in it.
-The text "violated invariant" appears only in polygons.expect, the one place a
+The text "violated invariant" appears only in graphs.expect, the one place a
 construction contract fails, and ConstructionError is raised only there and
 by the four searches that can come up empty.  A BipartiteGraph is constructed
 only by the three builders in graphs: levi, induced_subgraph and
@@ -100,7 +100,7 @@ def test_invariant_texts_detector():
 
 def test_violated_invariant_only_in_expect():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert set(invariant_texts(sources)) == {"polygons:expect"}
+    assert set(invariant_texts(sources)) == {"graphs:expect"}
 
 
 def construction_raises(sources: dict[str, str]) -> list[str]:
@@ -138,7 +138,7 @@ def test_construction_raises_detector():
 def test_construction_errors_only_from_expect_and_exhausted_searches():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(construction_raises(sources)) == [
-        "polygons:expect",
+        "graphs:expect",
         "polygons:ovoid_hyperplane",
         "prune:_first_line_missing",
         "prune:_girth_cycle_through",

@@ -7,11 +7,9 @@ from conftest import octonion_hexagon_lines, parabolic6_lines, zorn, zorn_is_zer
 from bbcage import polygons, projective
 from bbcage.deletions import construct_named
 from bbcage.gf import Field, field_new
-from bbcage.graphs import diameter, girth, levi
+from bbcage.graphs import ConstructionError, diameter, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import (
-    ConstructionError,
-    expect_biregular,
     gq_q4,
     gq_q5,
     ovoid_hyperplane,

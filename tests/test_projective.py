@@ -7,6 +7,7 @@ import pytest
 from conftest import scan_section
 
 from bbcage import projective
+from bbcage.deletions import hyperplane_delete
 from bbcage.gf import field_new, field_of_order
 from bbcage.incidence import IncidenceStructure, point_stars
 from bbcage.polygons import gq_q4, gq_q5, quadric_structure, split_cayley_hexagon
@@ -352,6 +353,27 @@ def test_hyperplane_section_indexes_a_structure_once(monkeypatch):
     for h in hyperplanes[:3]:
         hyperplane_section(list(s.points), list(s.blocks), h, F3)
     assert calls == [1, 2] * 4
+
+
+# Coefficient vectors that are no hyperplane of PG(4, 3), the space of
+# Q(4,3)'s five coordinates: each is refused by name, by the section and so
+# by the deletion built on it.
+@pytest.mark.parametrize(
+    "coeffs,error",
+    [
+        ((1, 0, 0, 0), "hyperplane has 4 coefficients, the points 5 coordinates"),
+        ((1, 0, 0, 0, 0, 2, 2), "hyperplane has 7 coefficients, the points 5 coordinates"),
+        ((1, 0, 7, 0, 0), r"hyperplane coefficient 7 is outside 0\.\.2"),
+        ((0, 0, 0, 0, 0), "hyperplane coefficients are all 0"),
+    ],
+    ids=["short", "long", "out-of-field", "zero"],
+)
+def test_hyperplane_section_rejects_non_hyperplanes(coeffs, error):
+    s = gq_q4(F3)
+    with pytest.raises(GeometryError, match=f"^{error}$"):
+        hyperplane_section(s.points, s.blocks, Hyperplane(coeffs), F3)
+    with pytest.raises(GeometryError, match=f"^{error}$"):
+        hyperplane_delete(s, Hyperplane(coeffs))
 
 
 def test_hyperplane_section_returns_fresh_lists():

@@ -6,7 +6,7 @@ from conftest import brute_girth, edge_count_conserved
 
 from bbcage import graphs
 from bbcage.gf import field_new
-from bbcage.graphs import bb_check, girth, levi, to_graph6
+from bbcage.graphs import expect_biregular, girth, levi, to_graph6
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.prune import (
     affine_girth6_graph,
@@ -25,20 +25,20 @@ F5 = field_new(5, 1)
 def test_branch_prune_q43():
     g = induced_branch_graph(levi(gq_q4(F3)), 3, 3)
     assert g.n_vertices == 54
-    assert bb_check(g, 3, 3, 8).passed
+    assert expect_biregular(g, 3, 3, 8, g.n_vertices, "branch prune") is g
     assert edge_count_conserved(g)
 
 
 def test_branch_prune_q42_with_partner_slot():
     g = induced_branch_graph(levi(gq_q4(F2)), 2, 3)
     assert g.n_vertices == 20
-    assert bb_check(g, 2, 3, 8).passed
+    assert expect_biregular(g, 2, 3, 8, g.n_vertices, "branch prune") is g
 
 
 def test_branch_prune_q43_partner_slot():
     g = induced_branch_graph(levi(gq_q4(F3)), 3, 4)
     assert g.n_vertices == 63
-    assert bb_check(g, 3, 4, 8).passed
+    assert expect_biregular(g, 3, 4, 8, g.n_vertices, "branch prune") is g
 
 
 def test_branch_prune_rejections():
@@ -74,7 +74,7 @@ def test_mixed_prune_orders_and_parameters():
     for host, order, (m, n, g) in cases:
         out = mixed_degree_prune(host)
         assert out.n_vertices == order
-        assert bb_check(out, m, n, g).passed
+        assert expect_biregular(out, m, n, g, out.n_vertices, "mixed prune") is out
         assert edge_count_conserved(out)
 
 
@@ -129,7 +129,7 @@ def test_free_edge_really_free():
     # graph from at least one quadrangle; check the returned pair is incident
     # and that the branch prune anchored there works at full width
     out = induced_branch_graph(g, 4, 4, edge=(point, g.n_a + block))
-    assert bb_check(out, 4, 4, 8).passed
+    assert expect_biregular(out, 4, 4, 8, out.n_vertices, "branch prune") is out
     assert out.n_vertices == 8 * 16
 
 
@@ -155,7 +155,7 @@ def test_free_edge_small_order_rejected():
 def test_slab_p5():
     g = affine_slab_graph(F5, 3, 4)
     assert (g.n_a, g.n_b) == (75, 100)
-    assert bb_check(g, 3, 4, 8).passed
+    assert expect_biregular(g, 3, 4, 8, g.n_vertices, "slab") is g
     assert girth(g) == 8
 
 
@@ -201,7 +201,7 @@ def test_slab_arc_supplied():
     space = projective_space(3, F5)
     oval = [space.id_of((0,) + p.coords) for p in conic_oval(F5)]
     g = affine_slab_graph(F5, 3, 4, arc=oval[1:5])
-    assert bb_check(g, 3, 4, 8).passed
+    assert expect_biregular(g, 3, 4, 8, g.n_vertices, "slab") is g
 
 
 # graph6 SHA-256 of slab graphs: the ideal line and the affine lines must
@@ -252,7 +252,7 @@ def test_slab_rejections():
 def test_affine_girth6_p5():
     g = affine_girth6_graph(F5, 3, 4)
     assert (g.n_a, g.n_b) == (15, 20)
-    assert bb_check(g, 3, 4, 6).passed
+    assert expect_biregular(g, 3, 4, 6, g.n_vertices, "affine girth-6 graph") is g
     assert brute_girth(g) == 6
 
 
@@ -278,7 +278,7 @@ def test_branch_prune_asymmetric_host():
     host = levi(gq_q5(F2))  # order (2, 4)
     out = induced_branch_graph(host, 2, 4)
     assert out.n_vertices == 6 * 8
-    assert bb_check(out, 2, 4, 8).passed
+    assert expect_biregular(out, 2, 4, 8, out.n_vertices, "branch prune") is out
     with pytest.raises(ValueError):
         induced_branch_graph(host, 2, 3)  # order 40 over the girth-10 bound 25
 
