@@ -23,7 +23,7 @@ _EXPORTS = {
         "moore_odd",
         "polygon_family_table",
     ),
-    "deletions": ("construct_named", "delete_blocks", "delete_points", "hyperplane_delete"),
+    "deletions": ("construct_named", "hyperplane_delete"),
     "designs": (
         "Design",
         "design_load",

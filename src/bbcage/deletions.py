@@ -1,52 +1,18 @@
-"""Substructure deletions from incidence structures: the point-set and
-block-set primitives, hyperplane sections, and the named families, each one
-hyperplane deletion with a closed-form contract.  Ovoids, subquadrangles and
-grids of the quadrics are all hyperplane sections, so each is deleted here."""
+"""Substructure deletions: a hyperplane section removed from a polygon's
+incidence graph, as the induced subgraph on the vertices outside it, and the
+named families, each one hyperplane deletion with a closed-form contract.
+Ovoids, subquadrangles and grids of the quadrics are all hyperplane sections,
+so each is deleted here."""
 
 from __future__ import annotations
 
 from math import gcd
 
 from .gf import Field, field_of_order
-from .graphs import BipartiteGraph, expect, expect_biregular, girth, levi
+from .graphs import BipartiteGraph, expect, expect_biregular, girth, induced_subgraph, levi
 from .incidence import IncidenceStructure
 from .polygons import gq_q4, gq_q5, ovoid_hyperplane, split_cayley_hexagon
 from .projective import Hyperplane, hyperplane_section
-
-
-def delete_points(structure: IncidenceStructure, point_ids) -> IncidenceStructure:
-    """Remove a point set; blocks shrink by their removed members.
-
-    Deletion must neither empty a block nor create duplicate blocks (it does
-    neither for the hyperplane sections of polygon inputs).
-    """
-    doomed = set(point_ids)
-    if any(not 0 <= x < structure.num_points for x in doomed):
-        raise ValueError("point set to delete is not a subset of the points")
-    remap = {}
-    new_points = []
-    for i, payload in enumerate(structure.points):
-        if i in doomed:
-            continue
-        remap[i] = len(new_points)
-        new_points.append(payload)
-    new_blocks = []
-    for blk in structure.blocks:
-        t = tuple(remap[x] for x in blk if x not in doomed)
-        if not t:
-            raise ValueError("deletion emptied a block")
-        new_blocks.append(t)
-    expect(len(set(new_blocks)) == len(new_blocks), "deletion created duplicate blocks")
-    return IncidenceStructure(new_points, new_blocks, tag=structure.tag)
-
-
-def delete_blocks(structure: IncidenceStructure, block_ids) -> IncidenceStructure:
-    """Remove a block set, points untouched."""
-    doomed = set(block_ids)
-    if any(not 0 <= x < structure.num_blocks for x in doomed):
-        raise ValueError("block set to delete is not a subset of the blocks")
-    new_blocks = [b for i, b in enumerate(structure.blocks) if i not in doomed]
-    return IncidenceStructure(structure.points, new_blocks, tag=structure.tag)
 
 
 def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> BipartiteGraph:
@@ -71,8 +37,9 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
     )
     m, n = order
     u = len(pts_in)
-    remaining = delete_points(delete_blocks(structure, blocks_inside), pts_in)
-    g = levi(remaining)
+    host = levi(structure)
+    doomed = {*pts_in, *(host.n_a + b for b in blocks_inside)}
+    g = induced_subgraph(host, (v for v in range(host.n_vertices) if v not in doomed))
     # the order (m+n+1) * ((m+1)((mn)^(r/2) - 1) / (m(mn-1)) - u/m), as an
     # exact fraction in lowest terms; one that is not an integer is no order
     num = (m + n + 1) * ((m + 1) * ((m * n) ** (r // 2) - 1) - u * (m * n - 1))

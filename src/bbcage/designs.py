@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bounds import girth6_bound
-from .graphs import BipartiteGraph, expect, expect_biregular, levi
+from .graphs import BipartiteGraph, expect, expect_biregular, induced_subgraph, levi
 from .incidence import IncidenceStructure
 
 
@@ -153,24 +153,18 @@ def truncation_degrees(v: int, k: int) -> tuple[int, int]:
 
 
 def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
-    """Delete one point and every block through it; the incidence graph of the
-    remainder is an (m, n; 6) biregular graph of order (n/m + 1)(n+1)(m-1)
-    where m is the block size and n = replication - 1 (truncation_degrees).
+    """Delete one point and every block through it: the induced subgraph of
+    the design's incidence graph on the other vertices is an (m, n; 6)
+    biregular graph of order (n/m + 1)(n+1)(m-1), where m is the block size
+    and n = replication - 1 (truncation_degrees).
     """
     if not 0 <= point < design.v:
         raise DesignError(f"point {point} out of range")
     m, n = truncation_degrees(design.v, design.k)
-    kept = []
-    for blk in design.blocks:
-        if point in blk:
-            continue
-        kept.append(tuple(x - (x > point) for x in blk))
-    structure = IncidenceStructure(
-        [None] * (design.v - 1),
-        kept,
-        tag={"family": "steiner-truncated", "m": m, "n": n},
-    )
-    return expect_biregular(levi(structure), m, n, 6, girth6_bound(m, n), "truncation")
+    host = levi(IncidenceStructure([None] * design.v, design.blocks))
+    doomed = {point, *(host.n_a + b for b in host.adj_a[point])}
+    g = induced_subgraph(host, (x for x in range(host.n_vertices) if x not in doomed))
+    return expect_biregular(g, m, n, 6, girth6_bound(m, n), "truncation")
 
 
 def design_save(design: Design) -> str:

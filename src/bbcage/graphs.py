@@ -273,17 +273,16 @@ def biregular_pair(g: BipartiteGraph) -> tuple[int, int]:
 
 def induced_subgraph(g: BipartiteGraph, keep) -> BipartiteGraph:
     """Induced subgraph on exactly the given global vertex ids, re-indexed
-    in increasing id order within each class."""
+    in increasing id order within each class.  Rows are read from adj_a, so
+    the host's global adjacency is not built."""
     keep = set(keep)
-    adj = g.adjacency()
-    a_ids = sorted(v for v in keep if v < g.n_a)
-    b_ids = sorted(v for v in keep if v >= g.n_a)
-    b_index = {v: i for i, v in enumerate(b_ids)}
-    new_adj = [
-        [b_index[w] for w in adj[v] if w in keep]
-        for v in a_ids
-    ]
-    return BipartiteGraph(len(a_ids), len(b_ids), new_adj)
+    if keep and not (0 <= min(keep) and max(keep) < g.n_vertices):
+        raise GraphError("vertex out of range")
+    n_a = g.n_a
+    a_ids = sorted(v for v in keep if v < n_a)
+    b_index = {v - n_a: i for i, v in enumerate(sorted(v for v in keep if v >= n_a))}
+    new_adj = [[b_index[b] for b in g.adj_a[v] if b in b_index] for v in a_ids]
+    return BipartiteGraph(len(a_ids), len(b_index), new_adj)
 
 
 # -- export / import ---------------------------------------------------------

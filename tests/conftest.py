@@ -66,6 +66,26 @@ def brute_girth(graph, cap: int = 24):
     return best if best <= cap else None
 
 
+def structure_delete(structure, point_ids, block_ids):
+    """Reference deletion at the structure level: drop the blocks, strip the
+    points from the rest, relabel the remaining points in order and build
+    the incidence graph of what is left afresh."""
+    from bbcage.graphs import levi
+    from bbcage.incidence import IncidenceStructure
+
+    points, blocks = set(point_ids), set(block_ids)
+    remap = {}
+    for x in range(structure.num_points):
+        if x not in points:
+            remap[x] = len(remap)
+    kept = [
+        tuple(remap[x] for x in blk if x not in points)
+        for bi, blk in enumerate(structure.blocks)
+        if bi not in blocks
+    ]
+    return levi(IncidenceStructure([None] * len(remap), kept))
+
+
 def _bfs(adj, src):
     dist = [-1] * len(adj)
     dist[src] = 0

@@ -1,64 +1,93 @@
 import pytest
 
-from conftest import brute_girth, edge_count_conserved
+from conftest import brute_girth, edge_count_conserved, structure_delete
 
 from bbcage.bounds import excess_of, moore_even
-from bbcage.deletions import construct_named, delete_blocks, delete_points, hyperplane_delete
+from bbcage.deletions import construct_named, hyperplane_delete
 from bbcage.gf import field_new, field_of_order
-from bbcage.graphs import ConstructionError, expect_biregular, girth, levi
+from bbcage.graphs import (
+    ConstructionError,
+    GraphError,
+    expect_biregular,
+    girth,
+    induced_subgraph,
+    levi,
+)
 from bbcage.incidence import IncidenceStructure
-from bbcage.polygons import gq_q4, gq_q5, ovoid_hyperplane
-from bbcage.projective import Hyperplane, hyperplane_section
+from bbcage.polygons import gq_q4, gq_q5, ovoid_hyperplane, split_cayley_hexagon
+from bbcage.projective import Hyperplane, hyperplane_section, projective_space
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
 
 
+def _without(g, doomed):
+    """The vertex ids of g outside doomed, ascending."""
+    doomed = set(doomed)
+    return [v for v in range(g.n_vertices) if v not in doomed]
+
+
 def test_delete_ovoid_q43():
     s = gq_q4(F3)
     ovoid, _, _ = hyperplane_section(s.points, s.blocks, Hyperplane(ovoid_hyperplane(F3)), F3)
-    out = delete_points(s, ovoid)
-    assert out.num_points == 30
-    assert out.num_blocks == 40
-    assert levi(out).degree_sets()[1] == {3}
-    g = levi(out)
+    host = levi(s)
+    g = induced_subgraph(host, _without(host, ovoid))
+    assert g.n_a == 30
+    assert g.n_b == 40
+    assert g.degree_sets()[1] == {3}
     assert g.n_vertices == 70
     assert expect_biregular(g, 3, 4, 8, g.n_vertices, "ovoid deletion") is g
 
 
 def test_delete_nothing_is_identity():
-    s = gq_q4(F2)
-    out = delete_points(s, [])
-    assert out.num_points == s.num_points
-    assert out.blocks == s.blocks
+    host = levi(gq_q4(F2))
+    g = induced_subgraph(host, _without(host, []))
+    assert (g.n_a, g.n_b) == (host.n_a, host.n_b)
+    assert g.adj_a == host.adj_a
 
 
 def test_delete_everything_then_levi_errors():
-    s = gq_q4(F2)
-    out = delete_points(delete_blocks(s, range(s.num_blocks)), range(s.num_points))
-    assert out.num_points == out.num_blocks == 0
+    # deleting every vertex leaves the empty graph, which no contract
+    # accepts, and an emptied structure has no incidence graph
+    host = levi(gq_q4(F2))
+    g = induced_subgraph(host, _without(host, range(host.n_vertices)))
+    assert g.n_a == g.n_b == 0
+    with pytest.raises(ConstructionError, match="order 0 != 15"):
+        expect_biregular(g, 2, 3, 8, 15, "empty")
     with pytest.raises(Exception):
-        levi(out)
+        levi(IncidenceStructure([], []))
 
 
-def test_delete_points_empty_block_guard():
-    s = IncidenceStructure([None] * 3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="deletion emptied a block"):
-        delete_points(s, [0, 1])
-    with pytest.raises(ValueError, match="deletion emptied a block"):
-        delete_points(gq_q4(F2), range(15))
+def test_emptied_block_fails_the_degree_clause():
+    # a block stripped of all its points is an isolated class-B vertex, so
+    # the {m} degree clause of the contract refuses the graph
+    host = levi(IncidenceStructure([None] * 3, [(0, 1), (1, 2)]))
+    g = induced_subgraph(host, _without(host, [0, 1]))
+    assert g.adj_a == ((1,),)
+    with pytest.raises(ConstructionError, match=r"degree sets \[1\]/\[0, 1\]"):
+        expect_biregular(g, 1, 1, 0, g.n_vertices, "emptied block")
+    host = levi(gq_q4(F2))
+    g = induced_subgraph(host, _without(host, range(15)))
+    assert g.degree_sets() == (frozenset(), frozenset({0}))
+    with pytest.raises(ConstructionError, match="degree sets"):
+        expect_biregular(g, 2, 3, 8, g.n_vertices, "emptied blocks")
 
 
-def test_delete_points_duplicate_blocks_caught():
-    s = IncidenceStructure([None] * 4, [(0, 1, 2), (0, 1, 3)])
-    with pytest.raises(ConstructionError):
-        delete_points(s, [2, 3])
+def test_duplicated_block_closes_a_4_cycle():
+    # two blocks that agree off the deleted points close a 4-cycle, below
+    # the girth floor 2r of every polygon deletion
+    host = levi(IncidenceStructure([None] * 4, [(0, 1, 2), (0, 1, 3)]))
+    g = induced_subgraph(host, _without(host, [2, 3]))
+    assert g.adj_a == ((0, 1), (0, 1))
+    assert girth(g) == 4
+    with pytest.raises(ConstructionError, match="girth 4 != expected 6"):
+        expect_biregular(g, 2, 2, 6, g.n_vertices, "duplicated block")
 
 
 def test_delete_one_line_drops_degrees():
-    s = gq_q4(F2)
-    out = delete_blocks(s, [0])
-    degs = [len(bs) for bs in out.point_blocks]
+    host = levi(gq_q4(F2))
+    g = induced_subgraph(host, _without(host, [host.n_a]))
+    degs = [len(bs) for bs in g.adj_a]
     assert degs.count(2) == 3  # the deleted line's three points
     assert degs.count(3) == 12
 
@@ -89,8 +118,8 @@ def test_spread_deletion():
     assert spread is not None and len(spread) == 5
     lines = [set(s.blocks[bi]) for bi in spread]
     assert all(a.isdisjoint(b) for i, a in enumerate(lines) for b in lines[i + 1 :])
-    out = delete_blocks(s, spread)
-    g = levi(out)
+    host = levi(s)
+    g = induced_subgraph(host, _without(host, (host.n_a + bi for bi in spread)))
     assert g.n_vertices == 25  # (st+1)(s+t+1)
     # the q = 2 quadrangle is self-dual, so spread deletion mirrors ovoid
     # deletion: what remains is the subdivided Petersen graph of girth 10
@@ -131,16 +160,33 @@ def test_hyperplane_delete_subquadrangle(section, q):
 
 
 def test_subquadrangle_rejects_ids_outside_the_structure():
-    # a true subquadrangle plus one id past the end: delete_blocks and
-    # delete_points refuse the set
+    # a true subquadrangle plus one id past the end, or one below 0:
+    # induced_subgraph refuses the set
     s = gq_q5(F2)
     pts_in, blocks_in, _ = hyperplane_section(
         s.points, s.blocks, Hyperplane((0, 0, 0, 0, 1, 0)), F2
     )
-    with pytest.raises(ValueError, match="point set to delete is not a subset"):
-        delete_points(delete_blocks(s, blocks_in), pts_in + [s.num_points])
-    with pytest.raises(ValueError, match="block set to delete is not a subset"):
-        delete_blocks(s, blocks_in + [s.num_blocks])
+    host = levi(s)
+    doomed = pts_in + [host.n_a + b for b in blocks_in]
+    for foreign in (host.n_vertices, -1):
+        with pytest.raises(GraphError, match="^vertex out of range$"):
+            induced_subgraph(host, _without(host, doomed) + [foreign])
+
+
+@pytest.mark.parametrize(
+    "host,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2)], ids=["Q(4,3)", "Q(5,2)", "H(2)"]
+)
+def test_every_hyperplane_deletion_matches_the_structure_oracle(host, q):
+    field = field_of_order(q)
+    s = host(field)
+    hyperplanes = projective_space(len(s.points[0]) - 1, field).hyperplanes()
+    assert len(hyperplanes) == (q ** len(s.points[0]) - 1) // (q - 1)
+    for h in hyperplanes:
+        pts_in, blocks_in, _ = hyperplane_section(s.points, s.blocks, h, field)
+        g = hyperplane_delete(s, h)
+        ref = structure_delete(s, pts_in, blocks_in)
+        assert g.adj_a == ref.adj_a
+        assert g.meta["girth"] == girth(ref)
 
 
 def test_hyperplane_delete_q43_is_certified_cage():

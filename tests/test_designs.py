@@ -3,6 +3,8 @@ import itertools
 
 import pytest
 
+from conftest import structure_delete
+
 from bbcage.designs import (
     Design,
     DesignError,
@@ -126,6 +128,15 @@ def test_truncate_any_point_same_parameters():
         g = steiner_truncate(d, x)
         assert g.n_vertices == 32
         assert girth(g) == 6
+
+
+@pytest.mark.parametrize("v", [13, 19])
+def test_truncation_matches_the_structure_oracle(v):
+    d = sts_generate(v)
+    s = IncidenceStructure([None] * v, d.blocks)
+    for x in range(v):
+        through = [bi for bi, blk in enumerate(d.blocks) if x in blk]
+        assert steiner_truncate(d, x).adj_a == structure_delete(s, [x], through).adj_a
 
 
 def test_file_roundtrip():

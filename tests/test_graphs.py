@@ -163,6 +163,17 @@ def test_induced_subgraph_keeps_what_it_is_given():
     assert sub.meta == {}  # a new graph records nothing of its host
 
 
+@pytest.mark.parametrize("keep", [[-1, 0, 15, 16], [0, 30, 99]])
+def test_induced_subgraph_refuses_ids_outside_the_graph(keep):
+    # a negative id would wrap to the last row, and an id >= n would be a
+    # phantom class-B vertex
+    g = levi(gq_q4(F2))
+    assert g.n_vertices == 30
+    with pytest.raises(GraphError, match="^vertex out of range$"):
+        induced_subgraph(g, keep)
+    assert induced_subgraph(g, [0, 15, 29]).n_vertices == 3
+
+
 def test_graph6_roundtrip_cycle():
     g = cycle_graph(4)
     n, edges = from_graph6(to_graph6(g))

@@ -6,7 +6,10 @@ The text "violated invariant" appears only in graphs.expect, the one place a
 construction contract fails, and ConstructionError is raised only there and
 by the four searches that can come up empty.  A BipartiteGraph is constructed
 only by the three builders in graphs: levi, induced_subgraph and
-graph_from_edges."""
+graph_from_edges.  An IncidenceStructure is constructed only by the four
+constructions that start from blocks (the quadric polygons, the Steiner
+truncation and the two affine prunes), so a deletion is always an induced
+subgraph of its host's incidence graph, never a rebuilt structure."""
 
 import ast
 from pathlib import Path
@@ -182,16 +185,15 @@ def test_module_names_are_read():
     assert unread_module_names(sources) == []
 
 
-def bipartite_graph_calls(sources: dict[str, str]) -> list[str]:
-    """'module:owner' for each call of BipartiteGraph (by name or as an
-    attribute), where owner is the enclosing top-level function or class, or
-    <module>."""
+def constructor_calls(cls: str, sources: dict[str, str]) -> list[str]:
+    """'module:owner' for each call of cls (by name or as an attribute),
+    where owner is the enclosing top-level function or class, or <module>."""
     found = []
     for module, source in sources.items():
         for top in ast.parse(source).body:
             owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "BipartiteGraph" in (
+                if isinstance(node, ast.Call) and cls in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None),
                 ):
@@ -208,14 +210,24 @@ def test_bipartite_graph_calls_detector():
         "EMPTY = BipartiteGraph(0, 0, [])\n"
         "def typed(g: BipartiteGraph) -> BipartiteGraph:\n    return g\n"
     )
-    found = bipartite_graph_calls({"graphs": a, "prune": b})
+    found = constructor_calls("BipartiteGraph", {"graphs": a, "prune": b})
     assert found == ["graphs:levi", "prune:affine", "prune:C", "prune:<module>"]
 
 
 def test_graphs_built_only_by_the_three_builders():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert sorted(bipartite_graph_calls(sources)) == [
+    assert sorted(constructor_calls("BipartiteGraph", sources)) == [
         "graphs:graph_from_edges",
         "graphs:induced_subgraph",
         "graphs:levi",
+    ]
+
+
+def test_incidence_structures_built_only_by_the_four_constructions():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(constructor_calls("IncidenceStructure", sources)) == [
+        "designs:steiner_truncate",
+        "polygons:quadric_structure",
+        "prune:affine_girth6_graph",
+        "prune:affine_slab_graph",
     ]
