@@ -60,7 +60,7 @@ def _build_family(args):
         _require(args.v is not None, "--v is required for steiner-cage")
         v = args.v
         if v >= 7 and v % 6 in (1, 3):  # else sts_generate names the bad v
-            _require_order(fam, girth6_bound(*truncation_degrees(v, 3)))
+            _require_order(args, girth6_bound(*truncation_degrees(v, 3)))
         return steiner_truncate(sts_generate(v))
     _require(args.q is not None, "--q is required")
     if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
@@ -72,7 +72,7 @@ def _build_family(args):
         field = field_of_order(args.q)
         p, m1, n1 = field.p, args.m1, args.n1
         if 2 <= m1 <= p and 2 <= n1 <= p:  # else affine_girth6_graph names the bad one
-            _require_order(fam, (m1 + n1) * p)
+            _require_order(args, (m1 + n1) * p)
         return affine_girth6_graph(field, m1, n1)
     if fam in HOSTS:
         return _host_graph(fam, args.q)
@@ -83,7 +83,7 @@ def _build_family(args):
         field = field_of_order(args.q)
         p, m1, n1 = field.p, args.m1, args.n1
         if field.k == 1 and 2 <= m1 <= p and 2 <= n1 <= p + 1:  # else the builder names it
-            _require_order(fam, (m1 + n1) * p * p)
+            _require_order(args, (m1 + n1) * p * p)
         return affine_slab_graph(field, m1, n1)
     if fam in ("branch-prune", "mixed-prune"):
         from .prune import find_free_edge, induced_branch_graph, mixed_degree_prune
@@ -106,13 +106,21 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _require_order(family: str, order: int):
+def _require_order(args, order: int):
     """Refuse, before anything is built, an output of a closed-form order that
-    verify would refuse, so construct never writes such a graph."""
+    verify would refuse, so construct never writes such a graph, and a graph6
+    output whose body would be over GRAPH6_MAX_BODY bytes."""
     _require(
         order <= VERIFY_MAX_ORDER,
-        f"{family} order {order} is over verify's cap of {VERIFY_MAX_ORDER}",
+        f"{args.family} order {order} is over verify's cap of {VERIFY_MAX_ORDER}",
     )
+    if args.out and args.format == "graph6":
+        body = -(-order * (order - 1) // 12)
+        _require(
+            body <= GRAPH6_MAX_BODY,
+            f"{args.family} order {order} needs a graph6 body of {body} bytes, over "
+            f"the cap of {GRAPH6_MAX_BODY} (--format dimacs has none)",
+        )
 
 
 def _graph_report(g, family: str, params: dict) -> dict:
@@ -180,6 +188,9 @@ def _cmd_construct(args) -> int:
 # of roots, so a graph of large diameter, such as a long cycle, costs about
 # n^3 (C_4000 2.5 s, C_8000 38 s; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
+# A graph6 file spends n(n-1)/12 bytes on the body of an n-vertex graph, and
+# to_graph6 holds three copies of it; 64 MiB of body is an order of 28,378.
+GRAPH6_MAX_BODY = 2 ** 26
 
 
 def _cmd_verify(args) -> int:

@@ -16,15 +16,18 @@ from collections import deque
 from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
-    BipartiteGraph, ConstructionError, GraphError, biregular_pair, diameter,
-    distance_sets, expect, expect_biregular, girth, induced_subgraph, levi,
+    BipartiteGraph, ConstructionError, GraphError, bfs_distances, biregular_pair,
+    diameter, distance_sets, expect, expect_biregular, girth, induced_subgraph, levi,
 )
 from .incidence import IncidenceStructure
 from .projective import conic_oval, projective_space
 
 
-def _anchor(g: BipartiteGraph, edge: tuple[int, int] | None) -> tuple[int, int, int]:
-    """Certify a prune host and pick its anchor edge; returns (r, u, v).
+def _anchor(
+    g: BipartiteGraph, edge: tuple[int, int] | None
+) -> tuple[int, int, int, list[list[int]]]:
+    """Certify a prune host and pick its anchor edge; returns (r, u, v, adj)
+    with adj the host's global adjacency, built once for the whole prune.
 
     The host must be connected and biregular with girth = 2 * diameter (the
     incidence graph of a generalized r-gon).  Without an edge the anchor is
@@ -43,7 +46,7 @@ def _anchor(g: BipartiteGraph, edge: tuple[int, int] | None) -> tuple[int, int, 
         raise ValueError(f"anchor ({u}, {v}) is not an edge")
     if edge is None and len(adj[u]) < len(adj[v]):
         u, v = v, u
-    return r, u, v
+    return r, u, v, adj
 
 
 def induced_branch_graph(
@@ -58,8 +61,7 @@ def induced_branch_graph(
     order must stay below the odd-case bound at girth 2(r+1), which forces the
     girth back down to 2r.
     """
-    r, u, v = _anchor(g, edge)
-    adj = g.adjacency()
+    r, u, v, adj = _anchor(g, edge)
     if not 2 <= m1 <= n1:
         raise ValueError(f"need 2 <= m1 <= n1, got ({m1}, {n1})")
     branches_v = [w for w in adj[v] if w != u]
@@ -89,7 +91,7 @@ def induced_branch_graph(
             f"bound {ceiling}"
         )
     keep = set()
-    rows = {}
+    rows = {x: bfs_distances(adj, x) for x in dict.fromkeys((v, *roots_v, u, *roots_u))}
     for anchor, roots in ((v, roots_v), (u, roots_u)):
         for root in roots:
             keep.update(distance_sets(g, anchor, root, r - 1, r - 2, rows))
@@ -107,15 +109,15 @@ def mixed_degree_prune(
     is verified by measurement and any failure aborts loudly.  Swapping the
     anchor orientation yields the (s+1, t; 2r) twin.
     """
-    r, u, v = _anchor(g, edge)
-    adj = g.adjacency()
+    r, u, v, adj = _anchor(g, edge)
     s = len(adj[v]) - 1
     t = len(adj[u]) - 1
+    roots = [w for w in adj[v] if w != u][1:]
     keep = set()
-    rows = {}
+    rows = {x: bfs_distances(adj, x) for x in (u, v, *roots)}
     for j in (1, 2, 3):
         keep.update(distance_sets(g, u, v, r - j, r + 1 - j, rows))
-    for root in [w for w in adj[v] if w != u][1:]:
+    for root in roots:
         keep.update(distance_sets(g, v, root, r - 1, r - 2, rows))
         keep.update(distance_sets(g, v, root, r - 2, r - 3, rows))
     order = (s * t) ** (r // 2 - 1) * (s + t + 1)

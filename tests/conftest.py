@@ -144,6 +144,17 @@ def edge_count_conserved(graph) -> bool:
     return graph.n_a * next(iter(da)) == graph.n_b * next(iter(db))
 
 
+def holds_adjacency(graph) -> bool:
+    """Whether a graph keeps anything besides adj_a and its measured
+    invariants: an attribute outside its slots, or a slot or meta value that
+    is a list or tuple of one row per vertex."""
+    values = [getattr(graph, name) for name in type(graph).__slots__]
+    values += graph.meta.values()
+    return hasattr(graph, "__dict__") or any(
+        isinstance(x, (list, tuple)) and len(x) == graph.n_vertices for x in values
+    )
+
+
 def tree_count_oracle(m: int, n: int, r: int) -> int:
     """Independent odd-case bound: explicit power-formula terms (the code path
     under test uses a level recurrence instead)."""

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from conftest import holds_adjacency
+
 from bbcage import cli, deletions, designs, polygons, prune
 from bbcage.cli import main
 from bbcage.graphs import from_dimacs, from_graph6
@@ -319,21 +321,22 @@ def test_construct_measures_degrees_once_per_graph(capsys, degree_measures, argv
 def test_each_graph_is_searched_once(capsys, monkeypatch, girth_searches, argv, searches):
     from bbcage.graphs import BipartiteGraph
 
-    adjacencies = []
-    adjacency = BipartiteGraph.adjacency
+    built = []
+    init = BipartiteGraph.__init__
 
-    def counting(g):
-        if g._adj is None:
-            adjacencies.append(g)
-        return adjacency(g)
+    def recording(g, *args):
+        built.append(g)
+        init(g, *args)
 
-    monkeypatch.setattr(BipartiteGraph, "adjacency", counting)
+    monkeypatch.setattr(BipartiteGraph, "__init__", recording)
     fresh_hosts()
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(girth_searches) == searches
     assert len(set(map(id, girth_searches))) == searches
-    assert adjacencies == girth_searches  # one adjacency per graph, too
+    # no graph the command built holds an adjacency afterwards
+    assert {id(g) for g in girth_searches} <= set(map(id, built))
+    assert [g for g in built if holds_adjacency(g)] == []
 
 
 def test_broken_hexagon_exit3(capsys, monkeypatch):
@@ -547,6 +550,38 @@ def test_construct_builds_orders_at_the_cap(capsys, monkeypatch, argv):
         monkeypatch.setattr(module, name, _never_built)
     with pytest.raises(_Built):
         main(["construct", *argv])
+
+
+@pytest.mark.parametrize(
+    "argv,order",
+    [
+        (["--family", "steiner-cage", "--v", "1249"], 260416),
+        (["--family", "ag2-girth6", "--q", "7103", "--m1", "2", "--n1", "2"], 28412),
+    ],
+)
+def test_construct_refuses_a_graph6_body_over_the_cap(tmp_path, capsys, monkeypatch, argv, order):
+    # n(n-1)/12 bytes of body: refused before generating; DIMACS is not capped
+    for module, name in _BUILDERS:
+        monkeypatch.setattr(module, name, _never_built)
+    out = tmp_path / "x.g6"
+    code, stdout, err = run(capsys, "construct", *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    body = -(-order * (order - 1) // 12)
+    assert err == (
+        f"bbcage: error: {argv[1]} order {order} needs a graph6 body of {body} bytes, "
+        f"over the cap of {cli.GRAPH6_MAX_BODY} (--format dimacs has none)\n"
+    )
+    assert not out.exists()
+    with pytest.raises(_Built):
+        main(["construct", *argv, "--out", str(out), "--format", "dimacs"])
+
+
+def test_construct_builds_a_graph6_body_at_the_cap(tmp_path, monkeypatch):
+    # order 28316, the largest ag2-girth6 graph6 output with m1 = n1 = 2
+    monkeypatch.setattr(prune, "affine_girth6_graph", _never_built)
+    argv = ["--family", "ag2-girth6", "--q", "7079", "--m1", "2", "--n1", "2"]
+    with pytest.raises(_Built):
+        main(["construct", *argv, "--out", str(tmp_path / "x.g6")])
 
 
 def test_construct_steiner_refuses_a_bad_truncation_before_generating(capsys, monkeypatch):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from conftest import bfs_diameter, bipartite_from_edges, brute_girth
+from conftest import bfs_diameter, bipartite_from_edges, brute_girth, holds_adjacency
+
+from bbcage.bounds import excess_of
 
 from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
@@ -81,6 +83,15 @@ def test_girth_and_diameter_measured_once(monkeypatch):
 
     monkeypatch.setattr(BipartiteGraph, "adjacency", no_adjacency)
     assert (girth(g), diameter(g)) == (8, 4)
+
+
+def test_measured_graph_holds_no_adjacency():
+    g = levi(gq_q5(F3))
+    assert excess_of(g).excess == 0  # reads girth and degree sets
+    assert (girth(g), diameter(g), g.degrees()) == (8, 4, (10, 4))
+    assert not holds_adjacency(g)
+    assert g.adjacency() is not g.adjacency()  # built fresh, never kept
+    assert not holds_adjacency(g)
 
 
 def test_girth_q43():

@@ -223,6 +223,16 @@ def test_graphs_built_only_by_the_three_builders():
     ]
 
 
+def test_global_adjacency_built_only_by_the_prunes():
+    # girth, diameter, degree_sets and distance_sets search adj_a; a prune
+    # builds the one global adjacency its anchored searches share
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(constructor_calls("adjacency", sources)) == [
+        "prune:_anchor",
+        "prune:find_free_edge",
+    ]
+
+
 def test_incidence_structures_built_only_by_the_four_constructions():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("IncidenceStructure", sources)) == [

@@ -10,7 +10,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -54,10 +54,31 @@ def bipartite_graphs(draw):
     return bipartite_from_edges(n_a, n_b, sorted(edges))
 
 
+# Isolated class-B vertices, also between joined ones, and an empty class:
+# the class-B transpose the kernels build must keep a row for each.
+EDGE_CASES = [
+    bipartite_from_edges(2, 3, [(0, 0), (1, 0)]),
+    bipartite_from_edges(2, 4, [(0, 1), (0, 3), (1, 1), (1, 3)]),
+    bipartite_from_edges(0, 3, []),
+    bipartite_from_edges(3, 0, []),
+    bipartite_from_edges(1, 0, []),
+]
+
+
+def with_edge_cases(test):
+    for g in EDGE_CASES:
+        test = example(g=g)(test)
+    return test
+
+
 @pytest.mark.parametrize("chunk", [graphs.ROOT_CHUNK, 3, 1])
 @settings(max_examples=300, deadline=None)
 @given(g=bipartite_graphs())
+@with_edge_cases
 def test_kernels_match_bfs_oracles(chunk, g):
+    # a fresh copy, so each chunk size searches anew: an explicit example is
+    # one graph object, which stores its girth and diameter on first use
+    g = induced_subgraph(g, range(g.n_vertices))
     with pytest.MonkeyPatch.context() as mp:
         # no bit budget: the chunk is ROOT_CHUNK roots, so 3 and 1 split roots
         mp.setattr(graphs, "ROOT_CHUNK", chunk)
@@ -69,6 +90,7 @@ def test_kernels_match_bfs_oracles(chunk, g):
 
 @settings(max_examples=300, deadline=None)
 @given(g=bipartite_graphs())
+@with_edge_cases
 def test_degrees_match_edge_recount(g):
     count = Counter(v for edge in g.edges() for v in edge)
     da = {count[v] for v in range(g.n_a)}

@@ -4,9 +4,9 @@ import pytest
 
 from conftest import brute_girth, edge_count_conserved
 
-from bbcage import graphs
+from bbcage import graphs, prune
 from bbcage.gf import field_new
-from bbcage.graphs import expect_biregular, girth, levi, to_graph6
+from bbcage.graphs import BipartiteGraph, expect_biregular, girth, levi, to_graph6
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.prune import (
     affine_girth6_graph,
@@ -54,8 +54,6 @@ def test_branch_prune_rejections():
 
 
 def test_branch_prune_needs_certified_host():
-    from bbcage.graphs import BipartiteGraph
-
     irregular = BipartiteGraph(2, 2, [[0, 1], [0]])
     with pytest.raises(ValueError):
         induced_branch_graph(irregular, 2, 2)
@@ -80,7 +78,8 @@ def test_mixed_prune_orders_and_parameters():
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """The source of every bfs_distances call, in call order."""
+    """The source of every bfs_distances call, in call order, whether from
+    graphs or from prune, which fills its distance rows itself."""
     sources = []
     bfs = graphs.bfs_distances
 
@@ -89,7 +88,32 @@ def bfs_sources(monkeypatch):
         return bfs(adj, src)
 
     monkeypatch.setattr(graphs, "bfs_distances", counting)
+    monkeypatch.setattr(prune, "bfs_distances", counting)
     return sources
+
+
+@pytest.fixture
+def adjacency_builds(monkeypatch):
+    """The graph of every BipartiteGraph.adjacency call, in call order."""
+    built = []
+    adjacency = BipartiteGraph.adjacency
+
+    def counting(g):
+        built.append(g)
+        return adjacency(g)
+
+    monkeypatch.setattr(BipartiteGraph, "adjacency", counting)
+    return built
+
+
+def test_each_prune_builds_one_adjacency(adjacency_builds):
+    host = levi(gq_q4(F4))
+    point, block = find_free_edge(host)
+    assert adjacency_builds == [host]
+    induced_branch_graph(host, 4, 4, edge=(point, host.n_a + block))
+    assert adjacency_builds == [host] * 2
+    mixed_degree_prune(host)
+    assert adjacency_builds == [host] * 3
 
 
 def test_prunes_search_each_anchor_once(bfs_sources):
@@ -287,7 +311,7 @@ def test_branch_prune_asymmetric_host():
 def test_prune_rejects_disconnected_host(prune):
     # two disjoint edges: biregular, and girth and 2 * diameter are both
     # infinite, so only the connectivity check stops this host
-    from bbcage.graphs import BipartiteGraph, GraphError
+    from bbcage.graphs import GraphError
 
     host = BipartiteGraph(2, 2, [[0], [1]])
     args = (host,) if prune is mixed_degree_prune else (host, 2, 2)
@@ -299,7 +323,7 @@ def test_prune_rejects_disconnected_host(prune):
 def test_prune_rejects_a_host_that_is_not_biregular(prune):
     # a path of three edges: degrees {1, 2} on both sides; the refusal is
     # graphs.biregular_pair's, a GraphError and so a ValueError (exit 2)
-    from bbcage.graphs import BipartiteGraph, GraphError
+    from bbcage.graphs import GraphError
 
     host = BipartiteGraph(2, 2, [[0, 1], [1]])
     args = (host,) if prune is mixed_degree_prune else (host, 2, 2)
@@ -320,8 +344,6 @@ def test_prune_anchor_must_be_an_edge():
 def test_default_anchor_puts_the_smaller_degree_at_v():
     # the dual of Q(5,2): vertex 0 is a line (degree 3), its first neighbour
     # a point (degree 5), so the default anchor is (that point, vertex 0)
-    from bbcage.graphs import BipartiteGraph
-
     s = gq_q5(F2)
     dual = BipartiteGraph(s.num_blocks, s.num_points, s.blocks)
     g = mixed_degree_prune(dual)
