@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, deque
-from itertools import chain
+from collections import deque
 
 from .incidence import IncidenceStructure
 
@@ -59,30 +58,28 @@ class BipartiteGraph:
             for b in nbrs:
                 yield u, self.n_a + b
 
-    def _transpose(self) -> list[list[int]]:
-        """adj_b[b] lists the class-A ids adjacent to b, ascending; an
-        isolated class-B vertex keeps its empty row.  Built fresh per call."""
-        adj_b = [[] for _ in range(self.n_b)]
-        for u, nbrs in enumerate(self.adj_a):
-            for b in nbrs:
-                adj_b[b].append(u)
-        return adj_b
-
     def adjacency(self) -> list[list[int]]:
         """Global adjacency lists, ascending, built fresh on every call and
-        not kept: a caller that reads them repeatedly keeps the result."""
-        return [[self.n_a + b for b in nbrs] for nbrs in self.adj_a] + self._transpose()
+        not kept: class-A rows are ascending already, and class-B rows are
+        filled in increasing u.  A caller that reads them repeatedly keeps
+        the result."""
+        adj = [[] for _ in range(self.n_vertices)]
+        for u, nbrs in enumerate(self.adj_a):
+            for b in nbrs:
+                adj[u].append(self.n_a + b)
+                adj[self.n_a + b].append(u)
+        return adj
 
     def degree_sets(self) -> tuple[frozenset[int], frozenset[int]]:
         """The degrees met in class A and in class B, measured on the first
         call and stored, like girth and diameter; 0 is a class-B degree when
         some class-B vertex is isolated."""
         if self._degree_sets is None:
-            count = Counter(chain.from_iterable(self.adj_a))
-            db = set(count.values())
-            if len(count) < self.n_b:
-                db.add(0)
-            self._degree_sets = (frozenset(map(len, self.adj_a)), frozenset(db))
+            adj = self.adjacency()
+            self._degree_sets = (
+                frozenset(map(len, adj[: self.n_a])),
+                frozenset(map(len, adj[self.n_a :])),
+            )
         return self._degree_sets
 
     def degrees(self) -> tuple[int, int] | None:
@@ -128,9 +125,9 @@ def girth(g: BipartiteGraph) -> int | float:
     math.inf for forests.
 
     Measured on the first call and stored on the graph; adj_a is a tuple, so
-    the graph cannot change under the stored value.  The search reads adj_a
-    and a class-B transpose that it builds and drops, so the graph keeps no
-    adjacency lists afterwards.
+    the graph cannot change under the stored value.  The search builds the
+    global adjacency and drops it on return, so the graph keeps no adjacency
+    lists afterwards.
     """
     if g._girth is None:
         g._girth = _girth_search(g)
@@ -154,27 +151,25 @@ def _girth_search(g: BipartiteGraph) -> int | float:
     level propagates the previous level's frontier bitsets; a vertex newly
     reached from one root through two neighbours closes a cycle of twice the
     level (Itai and Rodeh, 1978).  Later chunks stop at the best level."""
-    adj_a = g.adj_a
-    adj_b = g._transpose()
+    adj = g.adjacency()
+    n = len(adj)
     best = math.inf
     # A vertex of degree < 2 lies on no cycle, so it is no root.
-    roots = [u for u, nbrs in enumerate(adj_a) if len(nbrs) >= 2]
-    chunk = _root_chunk(g.n_vertices)
+    roots = [v for v in range(g.n_a) if len(adj[v]) >= 2]
+    chunk = _root_chunk(n)
     for start in range(0, len(roots), chunk):
-        seen_a, seen_b = [0] * g.n_a, [0] * g.n_b
+        seen = [0] * n
         for i, root in enumerate(roots[start : start + chunk]):
-            seen_a[root] = 1 << i
-        frontier = seen_a[:]
+            seen[root] = 1 << i
+        frontier = seen[:]
         level = 1
         while 2 * level < best:
-            # Levels alternate classes: odd levels reach B, even levels A,
-            # each from the other class's frontier.
-            rows, seen = (adj_b, seen_b) if level % 2 else (adj_a, seen_a)
-            nxt = [0] * len(rows)
+            nxt = [0] * n
             grown = False
-            for v, nbrs in enumerate(rows):
+            # Levels alternate classes: odd levels reach B, even levels A.
+            for v in range(g.n_a, n) if level % 2 else range(g.n_a):
                 once = twice = 0
-                for w in nbrs:
+                for w in adj[v]:
                     f = frontier[w]
                     if f:
                         twice |= once & f
@@ -194,26 +189,15 @@ def _girth_search(g: BipartiteGraph) -> int | float:
     return best
 
 
-def _grow(rows, reach, other) -> list[int]:
-    """One round of reach growth for a class: each row's bitset ORed with the
-    other class's bitsets at its neighbours."""
-    nxt = []
-    for nbrs, r in zip(rows, reach):
-        for w in nbrs:
-            r |= other[w]
-        nxt.append(r)
-    return nxt
-
-
 def diameter(g: BipartiteGraph) -> int | float:
     """Largest eccentricity, found by growing every root's reach bitset one
     step per round, a chunk of roots at a time; math.inf for a disconnected
     graph, so this one search also answers connectivity.  Measured on the
     first call and stored on the graph, like girth, and searched like it on
-    adj_a and a transpose dropped with the search."""
+    a global adjacency dropped on return."""
     if g._diameter is None:
-        n_a, n = g.n_a, g.n_vertices
-        adj_a, adj_b = g.adj_a, g._transpose()
+        adj = g.adjacency()
+        n = len(adj)
         diam = 0
         chunk = _root_chunk(n)
         for start in range(0, n, chunk):
@@ -222,15 +206,17 @@ def diameter(g: BipartiteGraph) -> int | float:
             reach = [0] * n
             for i in range(width):
                 reach[start + i] = 1 << i
-            reach_a, reach_b = reach[:n_a], reach[n_a:]
             rounds = 0
-            while reach_a.count(full) + reach_b.count(full) < n:
-                nxt_a = _grow(adj_a, reach_a, reach_b)
-                nxt_b = _grow(adj_b, reach_b, reach_a)
-                if nxt_a == reach_a and nxt_b == reach_b:
+            while reach.count(full) < n:
+                nxt = []
+                for nbrs, r in zip(adj, reach):
+                    for w in nbrs:
+                        r |= reach[w]
+                    nxt.append(r)
+                if nxt == reach:
                     g._diameter = math.inf
                     return g._diameter
-                reach_a, reach_b = nxt_a, nxt_b
+                reach = nxt
                 rounds += 1
             diam = max(diam, rounds)
         g._diameter = diam
@@ -243,10 +229,9 @@ def distance_sets(
     """Vertices at distance i from u and j from v (sorted global ids).
 
     Several calls on one graph may share a `rows` dict, which keeps each
-    anchor's BFS distances (as bfs_distances(g.adjacency(), s) gives them),
-    so each distinct anchor is searched once; a caller that fills `rows`
-    itself, as the prunes do from one adjacency, leaves nothing to search.
-    A missing anchor is searched on adj_a and one transpose per call.
+    anchor's bfs_distances row, so each distinct anchor is searched once; a
+    caller that fills `rows` itself, as the prunes do from one adjacency,
+    leaves nothing to search.  Missing anchors share one adjacency per call.
     """
     n = g.n_vertices
     if not (0 <= u < n and 0 <= v < n):
@@ -257,29 +242,11 @@ def distance_sets(
         rows = {}
     missing = [s for s in (u, v) if s not in rows]
     if missing:
-        adj_b = g._transpose()
+        adj = g.adjacency()
         for s in missing:
-            rows[s] = _class_distances(g, adj_b, s)
+            rows[s] = bfs_distances(adj, s)
     du, dv = rows[u], rows[v]
     return [w for w in range(n) if du[w] == i and dv[w] == j]
-
-
-def _class_distances(g: BipartiteGraph, adj_b, src: int) -> list[int]:
-    """bfs_distances(g.adjacency(), src), one class level at a time."""
-    n_a = g.n_a
-    dist = [-1] * g.n_vertices
-    dist[src] = 0
-    frontier, d = [src], 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in (n_a + b for b in g.adj_a[x]) if x < n_a else adj_b[x - n_a]:
-                if dist[y] < 0:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
 
 
 def expect(cond: bool, what: str):

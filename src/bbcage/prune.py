@@ -27,7 +27,8 @@ def _anchor(
     g: BipartiteGraph, edge: tuple[int, int] | None
 ) -> tuple[int, int, int, list[list[int]]]:
     """Certify a prune host and pick its anchor edge; returns (r, u, v, adj)
-    with adj the host's global adjacency, built once for the whole prune.
+    with adj the host's global adjacency, which the prune's own searches
+    share.
 
     The host must be connected and biregular with girth = 2 * diameter (the
     incidence graph of a generalized r-gon).  Without an edge the anchor is

@@ -144,14 +144,24 @@ def edge_count_conserved(graph) -> bool:
     return graph.n_a * next(iter(da)) == graph.n_b * next(iter(db))
 
 
-def holds_adjacency(graph) -> bool:
-    """Whether a graph keeps anything besides adj_a and its measured
-    invariants: an attribute outside its slots, or a slot or meta value that
-    is a list or tuple of one row per vertex."""
-    values = [getattr(graph, name) for name in type(graph).__slots__]
-    values += graph.meta.values()
-    return hasattr(graph, "__dict__") or any(
-        isinstance(x, (list, tuple)) and len(x) == graph.n_vertices for x in values
+def holds_only_adj_a_and_invariants(graph) -> bool:
+    """Whether a graph keeps just its class sizes, adj_a, its measured
+    invariants and scalar records in meta (hyperplane_delete records its
+    girth there): no adjacency lists, nor any other cache."""
+    degree_sets = graph._degree_sets
+    return (
+        not hasattr(graph, "__dict__")
+        and type(graph).__slots__
+        == ("n_a", "n_b", "adj_a", "meta", "_degree_sets", "_girth", "_diameter")
+        and type(graph.adj_a) is tuple
+        and all(type(row) is tuple for row in graph.adj_a)
+        and (degree_sets is None or list(map(type, degree_sets)) == [frozenset] * 2)
+        and all(
+            isinstance(x, (int, float, type(None)))
+            for x in (graph.n_a, graph.n_b, graph._girth, graph._diameter)
+        )
+        and type(graph.meta) is dict
+        and all(isinstance(x, (int, float, str)) for x in graph.meta.values())
     )
 
 

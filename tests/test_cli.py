@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import holds_adjacency
+from conftest import holds_only_adj_a_and_invariants
 
 from bbcage import cli, deletions, designs, polygons, prune
 from bbcage.cli import main
@@ -336,7 +336,7 @@ def test_each_graph_is_searched_once(capsys, monkeypatch, girth_searches, argv, 
     assert len(set(map(id, girth_searches))) == searches
     # no graph the command built holds an adjacency afterwards
     assert {id(g) for g in girth_searches} <= set(map(id, built))
-    assert [g for g in built if holds_adjacency(g)] == []
+    assert [g for g in built if not holds_only_adj_a_and_invariants(g)] == []
 
 
 def test_broken_hexagon_exit3(capsys, monkeypatch):

@@ -55,7 +55,7 @@ def bipartite_graphs(draw):
 
 
 # Isolated class-B vertices, also between joined ones, and an empty class:
-# the class-B transpose the kernels build must keep a row for each.
+# the adjacency the kernels build must keep a row for each.
 EDGE_CASES = [
     bipartite_from_edges(2, 3, [(0, 0), (1, 0)]),
     bipartite_from_edges(2, 4, [(0, 1), (0, 3), (1, 1), (1, 3)]),
