@@ -16,7 +16,7 @@ import sys
 # so a process compiles and loads no more of the package than its command
 # uses: verify loads graphs, incidence and bounds and nothing else.
 
-HOSTS = ("q4", "q5", "hexagon")
+HOSTS = ("q4", "q5", "hexagon")  # polygons.HOSTS, a literal for --help
 # the hosts, deletions.NAMED_FAMILIES sorted, then the prunes and designs;
 # a literal, so that --help imports no construction module
 FAMILIES = (
@@ -38,17 +38,12 @@ FAMILIES = (
 
 def _host_graph(host: str, q: int):
     """The Levi graph of a host polygon over GF(q), its builder looked up in
-    polygons when called."""
+    polygons.HOSTS when called."""
     from . import polygons
     from .gf import field_of_order
     from .graphs import levi
 
-    build = {
-        "q4": polygons.gq_q4,
-        "q5": polygons.gq_q5,
-        "hexagon": polygons.split_cayley_hexagon,
-    }[host]
-    return levi(build(field_of_order(q)))
+    return levi(getattr(polygons, polygons.HOSTS[host])(field_of_order(q)))
 
 
 def _build_family(args):

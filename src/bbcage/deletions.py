@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from math import gcd
 
+from . import polygons
 from .gf import Field, field_of_order
 from .graphs import BipartiteGraph, expect, expect_biregular, girth, induced_subgraph, levi
 from .incidence import IncidenceStructure
-from .polygons import gq_q4, gq_q5, ovoid_hyperplane, split_cayley_hexagon
 from .projective import Hyperplane, hyperplane_section
 
 
@@ -58,16 +58,18 @@ def hyperplane_delete(structure: IncidenceStructure, h: Hyperplane) -> Bipartite
 # The parabolic section of Q(5,q) is the subquadrangle Q(4,q), so the
 # parabolic prune and the subquadrangle deletion are one deletion.
 _Q5_PARABOLIC = (
-    gq_q5,
+    "q5",
     lambda field: (0, 0, 0, 0, 1, 0),
     lambda q: (q, q * q + 1, 8, (q * q + q + 1) * (q ** 3 - q)),
 )
 
-# family -> (host polygon, coefficients of the deleted hyperplane over the
-# host's field, closed-form contract (m, n, girth, order) in q)
+# family -> (host polygon as a key of polygons.HOSTS, coefficients of the
+# deleted hyperplane over the host's field, closed-form contract
+# (m, n, girth, order) in q).  The host builder and ovoid_hyperplane are
+# looked up in polygons when called, not held here.
 NAMED_FAMILIES = {
     "q4-hyperbolic-prune": (
-        gq_q4,
+        "q4",
         lambda field: (1, 0, 0, 0, 0),
         lambda q: (q, q + 1, 8, (2 * q + 1) * (q * q - 1)),
     ),
@@ -77,7 +79,7 @@ NAMED_FAMILIES = {
     # the result is the subdivided Coxeter graph of girth 14.  For q >= 3 the
     # girth stays exactly 12.
     "hexagon-hyperbolic-prune": (
-        split_cayley_hexagon,
+        "hexagon",
         lambda field: (1, 0, 0, 0, 0, 0, 0),
         lambda q: (q, q + 1, 14 if q == 2 else 12, (2 * q + 1) * (q ** 4 - q)),
     ),
@@ -85,8 +87,8 @@ NAMED_FAMILIES = {
     # is the subdivided Petersen graph of girth 10.  For q >= 3 some
     # quadrangle misses the ovoid and the girth stays exactly 8.
     "q4-ovoid-delete": (
-        gq_q4,
-        ovoid_hyperplane,
+        "q4",
+        lambda field: polygons.ovoid_hyperplane(field),
         lambda q: (q, q + 1, 10 if q == 2 else 8, (q * q + 1) * (2 * q + 1)),
     ),
     "q5-subgq-delete": _Q5_PARABOLIC,
@@ -101,6 +103,7 @@ def construct_named(family: str, q: int) -> BipartiteGraph:
         raise ValueError(f"unknown family {family!r}; known: {sorted(NAMED_FAMILIES)}")
     host, coeffs, contract = NAMED_FAMILIES[family]
     field = field_of_order(q)
-    g = hyperplane_delete(host(field), Hyperplane(coeffs(field)))
+    structure = getattr(polygons, polygons.HOSTS[host])(field)
+    g = hyperplane_delete(structure, Hyperplane(coeffs(field)))
     m, n, girth_expected, order = contract(q)
     return expect_biregular(g, m, n, girth_expected, order, family)

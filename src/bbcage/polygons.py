@@ -23,8 +23,10 @@ from .graphs import ConstructionError, diameter, expect, expect_biregular, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
-    form_by_tag,
+    QuadraticForm,
+    elliptic_form,
     hyperplane_section,
+    parabolic_form,
     perp_lines,
     perp_masks,
     polar_perps,
@@ -35,16 +37,21 @@ from .projective import (
 GQ_MAX_Q = 5
 HEXAGON_Q = (2, 3)
 
+# The host polygons by name, each mapped to the name of its builder in this
+# module.  Callers look the builder up by that name when they call it, so
+# the function bound to the name then is the one that runs.
+HOSTS = {"q4": "gq_q4", "q5": "gq_q5", "hexagon": "split_cayley_hexagon"}
 
-def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
-    """The generalized polygon on a named quadric, locally re-indexed: every
-    line of Q(4,q) or Q(5,q), or the split Cayley hexagon's lines on the
-    points of Q(6,q).  The lines are perp_lines of the point perps: the
-    polar perps on a quadrangle, the Zorn kernels (_zorn_rows) on the
-    hexagon, whose q+1 lines through a point fill the plane x.y = 0.  Any
-    further tag entries (a polygon's family, order and gonality) are set at
-    construction, since the tag is read-only."""
-    form = form_by_tag(tag, field)
+
+def quadric_structure(form: QuadraticForm, field: Field, **tags) -> IncidenceStructure:
+    """The generalized polygon on the quadric of form, locally re-indexed:
+    every line of Q(4,q) (parabolic_form(4, field)) or Q(5,q)
+    (elliptic_form(field)), or the split Cayley hexagon's lines on the points
+    of Q(6,q) (parabolic_form(6, field)).  The lines are perp_lines of the
+    point perps: the polar perps on a quadrangle, the Zorn kernels
+    (_zorn_rows) on the hexagon, whose q+1 lines through a point fill the
+    plane x.y = 0.  Any further tag entries (a polygon's family, order and
+    gonality) are set at construction, since the tag is read-only."""
     points = tuple(p.coords for p in quadric_points(form, field))
     if form.dim == 6:
         q = field.q
@@ -54,34 +61,43 @@ def quadric_structure(tag: str, field: Field, **tags) -> IncidenceStructure:
     return IncidenceStructure(
         points,
         perp_lines(perps),
-        tag={"family": f"quadric:{tag}", "q": field.q, "field": field, **tags},
+        tag={"family": f"quadric:{form.tag}", "q": field.q, "field": field, **tags},
     )
 
 
-def _quadrangle(field: Field, tag: str, family: str, e: int) -> IncidenceStructure:
-    """The classical generalized quadrangle of order (q, q^e) on a quadric:
-    (q+1)(q^(e+1)+1) points and (q^e+1)(q^(e+1)+1) lines."""
+def _quadrangle(
+    field: Field, form: QuadraticForm, family: str, e: int
+) -> IncidenceStructure:
+    """The classical generalized quadrangle of order (q, q^e) on the quadric
+    of form: (q+1)(q^(e+1)+1) points and (q^e+1)(q^(e+1)+1) lines."""
     q = field.q
-    if q > GQ_MAX_Q:
-        raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
-    s = quadric_structure(tag, field, family=family, order=(q, q ** e), gonality=4)
+    s = quadric_structure(form, field, family=family, order=(q, q ** e), gonality=4)
     expect(s.num_points == (q + 1) * (q ** (e + 1) + 1), f"{family} point count")
     expect(s.num_blocks == (q ** e + 1) * (q ** (e + 1) + 1), f"{family} line count")
     return s
+
+
+def _gq_field(field: Field) -> Field:
+    """field, once its order is within GQ_MAX_Q: checked before a
+    quadrangle's form is built, as elliptic_form searches GF(q) for it in
+    time growing as q^2."""
+    if field.q > GQ_MAX_Q:
+        raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
+    return field
 
 
 @lru_cache(maxsize=None)
 def gq_q4(field: Field) -> IncidenceStructure:
     """The classical generalized quadrangle of order (q, q) on the parabolic
     quadric of PG(4, q); (q+1)(q^2+1) points and as many lines."""
-    return _quadrangle(field, "parabolic-4", "Q(4,q)", 1)
+    return _quadrangle(field, parabolic_form(4, _gq_field(field)), "Q(4,q)", 1)
 
 
 @lru_cache(maxsize=None)
 def gq_q5(field: Field) -> IncidenceStructure:
     """The classical generalized quadrangle of order (q, q^2) on the elliptic
     quadric of PG(5, q)."""
-    return _quadrangle(field, "elliptic-5", "Q(5,q)", 2)
+    return _quadrangle(field, elliptic_form(_gq_field(field)), "Q(5,q)", 2)
 
 
 def _zorn_rows(x, field: Field) -> tuple[tuple[int, ...], ...]:
@@ -121,7 +137,8 @@ def split_cayley_hexagon(field: Field) -> IncidenceStructure:
     q = field.q
     if q not in HEXAGON_Q:
         raise GeometryError(f"hexagon construction is capped at q in {HEXAGON_Q}")
-    s = quadric_structure("parabolic-6", field, family="H(q)", order=(q, q), gonality=6)
+    form = parabolic_form(6, field)
+    s = quadric_structure(form, field, family="H(q)", order=(q, q), gonality=6)
     order = 2 * (q ** 6 - 1) // (q - 1)
     g = expect_biregular(levi(s), q + 1, q + 1, 12, order, "hexagon")
     expect(diameter(g) == 6, f"hexagon diameter {diameter(g)} != 6")

@@ -12,6 +12,12 @@ polygon off its perps, the masks of the points collinear with each point,
 with no walk: polar_perps gives it the perps of Q(4,q) and Q(5,q), and the
 split Cayley hexagon the kernels of its octonion product
 (polygons.quadric_structure).
+
+A hyperplane section scans the coordinate masks of the points and reads the
+blocks off the stars of the points on the hyperplane.  There is one section
+cache: the masks and stars of a structure's own tuples of tuples are built
+once and found by identity (_indexed), and any other input is indexed again
+on every call.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .gf import Field
+from .incidence import point_stars
 
 
 class GeometryError(ValueError):
@@ -200,16 +207,6 @@ def _smallest_anisotropic_pair(field: Field) -> tuple[int, int]:
     raise GeometryError(f"no irreducible binary quadratic over {field}")
 
 
-def form_by_tag(tag: str, field: Field) -> QuadraticForm:
-    if tag == "parabolic-4":
-        return parabolic_form(4, field)
-    if tag == "parabolic-6":
-        return parabolic_form(6, field)
-    if tag == "elliptic-5":
-        return elliptic_form(field)
-    raise GeometryError(f"unknown quadric tag {tag!r}")
-
-
 def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
     """All projective points with Q(x) = 0, keeping their PG(d, q) ids."""
     space = projective_space(form.dim, field)
@@ -289,25 +286,24 @@ def _coordinate_masks(point_coords, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, masks))
 
 
-@lru_cache(maxsize=8)
-def _mask_index(point_coords: tuple[tuple[int, ...], ...], field: Field):
+def _mask_index(point_coords, field: Field):
     """The coordinate masks of a point list, the mask of all its points and
-    their ids 0..n-1.  Cached per point-list value: a structure is usually
-    sectioned by many hyperplanes."""
+    their ids 0..n-1."""
     n = len(point_coords)
     return _coordinate_masks(point_coords, field.q), (1 << n) - 1, tuple(range(n))
 
 
-# Entries of _indexed for tuples of tuples, keyed by identity.  Each entry
-# holds its key object, so that object's id is not reused while it lives.
+# The one section cache: entries of _indexed for tuples of tuples, keyed by
+# identity.  Each entry holds its key object, so that object's id is not
+# reused while it lives.
 _BY_IDENTITY: dict = {}
 
 
 def _indexed(build, rows, arg):
-    """build(rows as a tuple of tuples, arg), whose lru_cache keys on the
-    value.  A tuple of tuples, which cannot change, is also keyed by
-    identity, so a structure's points and blocks are not re-hashed on every
-    section; any other rows are copied to a tuple of tuples first."""
+    """build(rows, arg), kept per rows object when rows is a tuple of tuples,
+    which cannot change: a structure's points and blocks are indexed once,
+    however many hyperplanes section them, and never re-hashed.  Any other
+    rows are indexed again on every call."""
     if type(rows) is tuple:
         key = build, id(rows), arg
         hit = _BY_IDENTITY.get(key)
@@ -319,7 +315,7 @@ def _indexed(build, rows, arg):
                 del _BY_IDENTITY[next(iter(_BY_IDENTITY))]
             _BY_IDENTITY[key] = rows, value
             return value
-    return build(tuple(map(tuple, rows)), arg)
+    return build(rows, arg)
 
 
 def _scan(masks, start: int, coeffs, field: Field) -> int:
@@ -355,10 +351,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=8)
-def _star_index(blocks: tuple[tuple[int, ...], ...], n: int):
-    """The blocks on n points as masks, cached per blocks value: a structure
-    is usually sectioned by many hyperplanes.
+def _star_index(blocks, n: int):
+    """The blocks on n points as masks, built once per structure (see
+    _indexed).
 
     Per point: its star, the mask of the blocks through it; the mask of the
     blocks naming it more than once, for the points that have one; and its
@@ -366,36 +361,31 @@ def _star_index(blocks: tuple[tuple[int, ...], ...], n: int):
     block: the ids 0..b-1, the masks of the empty blocks, of the one-point
     blocks and of all blocks, and one (size, mask) pair per block size.
 
-    One pass over the incidences checks the point ids and lists each
-    point's block bits; a point index outside 0..n-1 is a KeyError of the
-    id lookup, which names the first such block.
+    The stars are incidence.point_stars, whose refusal of a point index
+    outside 0..n-1, naming the first such block, is raised as GeometryError.
     """
-    bits = [[] for _ in range(n)]
-    append = dict(enumerate(row.append for row in bits))
-    bit = 1
-    for bi, blk in enumerate(blocks):
-        try:
-            for x in blk:
-                append[x](bit)
-        except KeyError:
-            raise GeometryError(f"block {bi} has out-of-range point index {x}") from None
-        bit <<= 1
+    try:
+        stars = point_stars(n, blocks)
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from None
     masks, repeats = [], {}
-    for x, row in enumerate(bits):
-        m = sum(row)
-        if m.bit_count() != len(row):  # a carry: some block names x twice
-            distinct = set(row)
-            m = sum(distinct)
-            repeats[x] = sum(bt for bt in distinct if row.count(bt) > 1)
+    for x, star in enumerate(stars):
+        m = sum(map((1).__lshift__, star))
+        if m.bit_count() != len(star):  # a carry: some block names x twice
+            distinct = set(star)
+            m = sum(map((1).__lshift__, distinct))
+            repeats[x] = sum(1 << bi for bi in distinct if star.count(bi) > 1)
         masks.append(m)
     b = len(blocks)
     every = (1 << b) - 1
     sizes = tuple(map(len, blocks))
-    by_size = {k: _mask_of(map(k.__eq__, sizes)) for k in set(sizes)}
+    by_size = {
+        k: sum(1 << bi for bi, size in enumerate(sizes) if size == k) for k in set(sizes)
+    }
     return (
         tuple(masks),
         repeats,
-        tuple(map(len, bits)),
+        tuple(map(len, stars)),
         tuple(range(b)),
         by_size.get(0, 0),
         by_size.get(1, 0),
@@ -405,9 +395,8 @@ def _star_index(blocks: tuple[tuple[int, ...], ...], n: int):
 
 
 # bin(mask)[:1:-1] lists the bits of mask from bit 0 up as the characters
-# 0 and 1; these tables turn them into the bytes 0 and 1 and back.
+# 0 and 1; this table turns them into the bytes 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _members(mask: int, ids: tuple[int, ...]) -> list[int]:
@@ -415,12 +404,6 @@ def _members(mask: int, ids: tuple[int, ...]) -> list[int]:
     and ids = (0, 1, ..., len(ids) - 1): one pass in C, where _bits takes
     one step per set bit."""
     return list(itertools.compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
-
-
-def _mask_of(flags) -> int:
-    """The mask with bit i set when flags[i] is true, for a non-empty
-    iterable of bools: the inverse of _members."""
-    return int(bytes(flags)[::-1].translate(_BIT_CHARS), 2)
 
 
 def hyperplane_section(
@@ -444,8 +427,9 @@ def hyperplane_section(
     least twice are two masks, accumulated as in graphs._girth_search.  So
     the work is q^2 mask operations per coordinate, a few mask operations
     per point on h and a few passes in C; only a violation is counted block
-    by block, to name it.  The masks and the stars are cached per
-    point-list and blocks value (see _indexed).
+    by block, to name it.  The masks and the stars of a structure's own
+    tuples of tuples are built once and found by identity (see _indexed);
+    other point lists and blocks are indexed on every call.
     """
     stars, repeats, star_sizes, block_ids, empty, single, every, by_size = _indexed(
         _star_index, blocks, len(point_coords)

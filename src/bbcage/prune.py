@@ -3,8 +3,9 @@ constructions.
 
 The prunes keep carefully chosen distance sets around an anchor edge of a
 certified polygon's incidence graph; the affine constructions build
-biregular graphs of girth at least 8 and at least 6 from a slab of planes in
-PG(3, p) and from horizontal lines of AG(2, p).
+biregular graphs of girth at least 8 and at least 6: from a slab of planes in
+PG(3, p) and the affine lines through the first points of a conic, and from
+horizontal lines of AG(2, p).
 """
 
 from __future__ import annotations
@@ -207,13 +208,11 @@ def _first_line_missing(plane, targets: set[int]) -> tuple[int, ...]:
     raise ConstructionError("no ideal line disjoint from the conic found")
 
 
-def affine_slab_graph(
-    field: Field, m1: int, n1: int, arc: list[int] | None = None
-) -> BipartiteGraph:
+def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     """Biregular graph of girth at least 8 from PG(3, p), p prime: V1 is the
     affine point set of m1 planes through a line of the ideal plane disjoint
-    from a conic, V2 the affine lines through n1 conic points (or a supplied
-    ideal arc); degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
+    from a conic, V2 the affine lines through the first n1 conic points of
+    conic_oval; degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
 
     Only the ideal plane X0 = 0, numbered as PG(2, p) and so as in PG(3, p),
     and the slab are built: the work grows with the output.
@@ -223,23 +222,11 @@ def affine_slab_graph(
     p = field.p
     if not 2 <= m1 <= p:
         raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
-    if arc is None and not 2 <= n1 <= p + 1:
+    if not 2 <= n1 <= p + 1:
         raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
     ideal = projective_space(2, field)
     oval = [pt.id for pt in conic_oval(field)]
-    if arc is None:
-        chosen = oval[:n1]
-    else:
-        chosen = list(arc)
-        if len(chosen) != n1 or len(set(chosen)) != n1 or n1 < 2:
-            raise ValueError("arc must list n1 distinct ideal point ids")
-        if any(x not in range(len(ideal.points)) for x in chosen):
-            raise ValueError("arc points must be ideal (first coordinate 0)")
-        for a, b in itertools.combinations(chosen, 2):
-            if len(set(chosen).intersection(ideal.line_through(a, b))) > 2:
-                raise ValueError("arc has three collinear points")
-    # first ideal line disjoint from the source oval (or the supplied arc)
-    ell = _first_line_missing(ideal, set(oval if arc is None else chosen))
+    ell = _first_line_missing(ideal, set(oval))
     # the planes through ell other than X0 = 0 are (c, u), u the coordinates
     # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
     # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
@@ -247,7 +234,7 @@ def affine_slab_graph(
         field.dot(h.coeffs, ideal.points[x].coords) == 0 for x in ell))
     planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
     lines = []
-    for point_id in chosen:
+    for point_id in oval[:n1]:
         d = ideal.points[point_id].coords
         lead = d.index(1)
         # r + lam * d meets (h0, w) at lam = -(h0 + w . r) / (w . d)

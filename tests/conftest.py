@@ -277,6 +277,16 @@ def zorn_is_zero(x) -> bool:
     return a == 0 and b == 0 and not any(v) and not any(w)
 
 
+def quadric_form(tag: str, field):
+    """The form tagged "parabolic-4", "elliptic-5" or "parabolic-6", for
+    tests parametrized by tag."""
+    from bbcage.projective import elliptic_form, parabolic_form
+
+    form = elliptic_form(field) if tag == "elliptic-5" else parabolic_form(int(tag[-1]), field)
+    assert form.tag == tag
+    return form
+
+
 def parabolic6_lines(field):
     """The points of Q(6,q) as coordinate tuples, and every line of PG(6, q)
     on it in local indices, from the generic ProjectiveSpace.lines_in walk."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -123,8 +124,46 @@ def test_other_runtime_errors_are_not_assertions(monkeypatch):
         main(["construct", "--family", "q4-ovoid-delete", "--q", "2"])
 
 
+def test_named_builders_are_looked_up_when_called(monkeypatch):
+    # rebind each builder wherever a bbcage module binds it by name, as a
+    # tracer wrapping the package from outside does: the named deletions and
+    # the CLI hosts must call what is bound now, not what was bound at import
+    called = []
+    for name in ("gq_q4", "gq_q5", "split_cayley_hexagon", "ovoid_hyperplane"):
+        real = getattr(polygons, name)
+
+        def rebound(field, real=real, name=name):
+            called.append(name)
+            return real(field)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "bbcage" or modname.startswith("bbcage."):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is real:
+                        monkeypatch.setattr(mod, attr, rebound)
+    want = {
+        "q4-hyperbolic-prune": ["gq_q4"],
+        "q5-parabolic-prune": ["gq_q5"],
+        "q5-subgq-delete": ["gq_q5"],
+        "hexagon-hyperbolic-prune": ["split_cayley_hexagon"],
+        # the host, then the ovoid search, which builds the host again
+        # unless its cache already holds the answer
+        "q4-ovoid-delete": ["gq_q4", "ovoid_hyperplane"],
+    }
+    assert sorted(want) == sorted(deletions.NAMED_FAMILIES)
+    for family, names in want.items():
+        called.clear()
+        deletions.construct_named(family, 2)
+        assert list(dict.fromkeys(called)) == names
+    for host in cli.HOSTS:
+        called.clear()
+        cli._host_graph(host, 2)
+        assert called == [polygons.HOSTS[host]]
+
+
 def test_families_literal_matches_the_builders():
     # FAMILIES is a literal so that --help imports no construction module
+    assert cli.HOSTS == tuple(polygons.HOSTS)
     assert cli.FAMILIES == (
         *cli.HOSTS,
         *sorted(deletions.NAMED_FAMILIES),

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from conftest import octonion_hexagon_lines, parabolic6_lines, zorn, zorn_is_zero, zorn_mul
+from conftest import (
+    octonion_hexagon_lines, parabolic6_lines, quadric_form, zorn, zorn_is_zero, zorn_mul,
+)
 
 from bbcage import polygons, projective
 from bbcage.deletions import construct_named
@@ -19,8 +21,9 @@ from bbcage.polygons import (
 from bbcage.projective import (
     GeometryError,
     Hyperplane,
-    form_by_tag,
+    elliptic_form,
     hyperplane_section,
+    parabolic_form,
     projective_space,
     quadric_points,
 )
@@ -52,6 +55,18 @@ def test_gq_caps():
         gq_q4(field_new(7, 1))
     with pytest.raises(GeometryError):
         split_cayley_hexagon(F4)
+
+
+@pytest.mark.parametrize("build,form", [(gq_q4, "parabolic_form"), (gq_q5, "elliptic_form")])
+def test_gq_cap_refused_before_the_form_is_built(monkeypatch, build, form):
+    # the elliptic form searches GF(q) for its pair, in time growing as q^2
+    # (16 s at q = 1024), so the cap comes first
+    def never_built(*args):
+        raise AssertionError(f"{form} built past the cap")
+
+    monkeypatch.setattr(polygons, form, never_built)
+    with pytest.raises(GeometryError, match=r"^generalized quadrangles are capped at q <= 5$"):
+        build(field_new(7, 1))
 
 
 def test_certify_q43():
@@ -133,7 +148,7 @@ def test_octonion_product_anticommutes_on_quadric_lines(field):
 @pytest.mark.parametrize("field", [F2, F3])
 def test_zorn_rows_match_octonion_product(field):
     # row k of the kernel matrix of x, dotted with y, is entry k of x.y
-    pts = [p.coords for p in quadric_points(form_by_tag("parabolic-6", field), field)]
+    pts = [p.coords for p in quadric_points(parabolic_form(6, field), field)]
     octonions = [zorn(c, field) for c in pts]
     for x, zx in zip(pts, octonions):
         rows = polygons._zorn_rows(x, field)
@@ -212,8 +227,9 @@ def test_certify_disconnected_structure():
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_quadric_structure_points_are_the_quadric_points(tag, field):
     # the points are read off the quadric lines: none is missed
-    expected = tuple(p.coords for p in quadric_points(form_by_tag(tag, field), field))
-    assert quadric_structure(tag, field).points == expected
+    form = quadric_form(tag, field)
+    expected = tuple(p.coords for p in quadric_points(form, field))
+    assert quadric_structure(form, field).points == expected
 
 
 def test_quadric_structure_evaluates_the_form_once(monkeypatch):
@@ -231,7 +247,7 @@ def test_quadric_structure_evaluates_the_form_once(monkeypatch):
     monkeypatch.setattr(Field, "dot", counted_dot)
     monkeypatch.setattr(projective, "quadric_points", counted_points)
     monkeypatch.setattr(polygons, "quadric_points", counted_points)
-    quadric_structure("elliptic-5", F4)
+    quadric_structure(elliptic_form(F4), F4)
     assert len(passes) == 1
     # 6 per point of Q(5, 4) for its polar hyperplane; the form itself is
     # summed over its nonzero terms with no dot product

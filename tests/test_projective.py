@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import scan_section
+from conftest import parabolic6_lines, quadric_form, scan_section
 
 from bbcage import projective
 from bbcage.deletions import hyperplane_delete
@@ -17,7 +17,6 @@ from bbcage.projective import (
     conic_oval,
     elliptic_form,
     evaluate_form,
-    form_by_tag,
     hyperplane_section,
     parabolic_form,
     pg_points,
@@ -101,18 +100,18 @@ def test_quadric_point_counts():
     assert len(quadric_points(elliptic_form(F3), F3)) == 112
 
 
-def _pg_lines(tag, field):
-    """The lines of quadric_structure(tag, field) in PG(d, q) point ids: its
+def _pg_lines(form, field):
+    """The lines of quadric_structure(form, field) in PG(d, q) point ids: its
     points are the quadric points, in order (see test_polygons)."""
-    ids = [p.id for p in quadric_points(form_by_tag(tag, field), field)]
-    return [tuple(map(ids.__getitem__, b)) for b in quadric_structure(tag, field).blocks]
+    ids = [p.id for p in quadric_points(form, field)]
+    return [tuple(map(ids.__getitem__, b)) for b in quadric_structure(form, field).blocks]
 
 
 def test_quadric_line_counts():
-    assert len(_pg_lines("parabolic-4", F2)) == 15
-    assert len(_pg_lines("parabolic-4", F3)) == 40
-    assert len(_pg_lines("elliptic-5", F2)) == 45
-    assert len(_pg_lines("elliptic-5", F3)) == 280
+    assert len(_pg_lines(parabolic_form(4, F2), F2)) == 15
+    assert len(_pg_lines(parabolic_form(4, F3), F3)) == 40
+    assert len(_pg_lines(elliptic_form(F2), F2)) == 45
+    assert len(_pg_lines(elliptic_form(F3), F3)) == 280
 
 
 def test_quadric_lines_exhaustive_crosscheck_q2():
@@ -126,7 +125,7 @@ def test_quadric_lines_exhaustive_crosscheck_q2():
         for line in {space.line_through(i, j) for i, j in pairs}
         if all(x in on for x in line)
     }
-    assert all_on == set(_pg_lines("parabolic-4", F2))
+    assert all_on == set(_pg_lines(form, F2))
 
 
 @pytest.mark.parametrize(
@@ -137,7 +136,7 @@ def test_quadric_lines_exhaustive_crosscheck_q2():
 def test_quadric_lines_match_generic_walk(tag, q):
     # the ANDs of polar perps give exactly the lines the generic walk finds
     field = field_of_order(q)
-    form = form_by_tag(tag, field)
+    form = quadric_form(tag, field)
     ids = [p.id for p in quadric_points(form, field)]
     walk = projective_space(form.dim, field).lines_in(ids)
     if form.dim == 6:
@@ -148,13 +147,13 @@ def test_quadric_lines_match_generic_walk(tag, q):
             polar_perps(form, coords, field)
         assert len(walk) == len(ids) * (q * q + 1)
     else:
-        assert _pg_lines(tag, field) == walk
+        assert _pg_lines(form, field) == walk
 
 
 def test_quadric_lines_lie_on_quadric():
     form = elliptic_form(F3)
     space = projective_space(5, F3)
-    for line in _pg_lines("elliptic-5", F3):
+    for line in _pg_lines(form, F3):
         for x in line:
             assert evaluate_form(form, space.points[x].coords, F3) == 0
 
@@ -171,28 +170,14 @@ def test_evaluate_form_matches_double_sum(q):
             assert evaluate_form(form, x, f) == acc
 
 
-def test_form_by_tag():
-    assert form_by_tag("parabolic-4", F3).dim == 4
-    assert form_by_tag("elliptic-5", F2).tag == "elliptic-5"
-    with pytest.raises(GeometryError):
-        form_by_tag("hyperbolic-3", F2)
-
-
-def _structure(tag, field):
-    """Every line of the quadric on its points, in local ids."""
-    form = form_by_tag(tag, field)
-    pts = quadric_points(form, field)
-    if form.dim == 6:  # Q(6,q) has more lines than the hexagon's
-        local = {p.id: i for i, p in enumerate(pts)}
-        lines = projective_space(6, field).lines_in(local)
-        blocks = [tuple(local[x] for x in l) for l in lines]
-    else:
-        blocks = list(quadric_structure(tag, field).blocks)
-    return [p.coords for p in pts], blocks
+def _structure(form, field):
+    """Every line of the quadrangle on the quadric of form, on its points."""
+    s = quadric_structure(form, field)
+    return list(s.points), list(s.blocks)
 
 
 def test_hyperplane_section_q43_hyperbolic():
-    pts, blocks = _structure("parabolic-4", F3)
+    pts, blocks = _structure(parabolic_form(4, F3), F3)
     inside, lines_in, tangent = hyperplane_section(
         pts, blocks, Hyperplane((1, 0, 0, 0, 0)), F3
     )
@@ -202,7 +187,7 @@ def test_hyperplane_section_q43_hyperbolic():
 
 
 def test_hyperplane_section_q62():
-    pts, blocks = _structure("parabolic-6", F2)
+    pts, blocks = parabolic6_lines(F2)  # Q(6,q) has more lines than the hexagon
     inside, lines_in, tangent = hyperplane_section(
         pts, blocks, Hyperplane((1, 0, 0, 0, 0, 0, 0)), F2
     )
@@ -214,7 +199,7 @@ def test_hyperplane_section_q62():
 
 
 def test_hyperplane_section_elliptic_on_q42():
-    pts, blocks = _structure("parabolic-4", F2)
+    pts, blocks = _structure(parabolic_form(4, F2), F2)
     space = projective_space(4, F2)
     found = None
     for h in space.hyperplanes():
@@ -283,6 +268,7 @@ def test_hyperplane_section_counts_repeated_points():
 
 
 def test_members_and_mask_of_invert_bits():
+    # the mask of a member list is the plain sum that _star_index takes
     rng = random.Random(20)
     ids = tuple(range(3000))
     masks = [0, 1, (1 << 3000) - 1]
@@ -292,8 +278,7 @@ def test_members_and_mask_of_invert_bits():
     for m in masks:
         got = projective._members(m, ids)
         assert got == projective._bits(m)
-        on = set(got)
-        assert projective._mask_of(map(on.__contains__, range(3000))) == m
+        assert sum(1 << i for i in got) == m
 
 
 def test_hyperplane_section_one_point_and_empty_blocks():
@@ -307,7 +292,7 @@ def test_hyperplane_section_one_point_and_empty_blocks():
 
 
 def test_hyperplane_section_takes_lists_of_lists():
-    pts, blocks = _structure("parabolic-4", F3)
+    pts, blocks = _structure(parabolic_form(4, F3), F3)
     for h in projective_space(4, F3).hyperplanes()[:40]:
         want = hyperplane_section(pts, blocks, h, F3)
         assert hyperplane_section(pts, [list(b) for b in blocks], h, F3) == want
@@ -349,7 +334,7 @@ def test_hyperplane_section_indexes_a_structure_once(monkeypatch):
             s.points, s.blocks, h, F3
         )
     assert calls == [1, 2]
-    # lists are looked up by value on every call
+    # lists are indexed again on every call
     for h in hyperplanes[:3]:
         hyperplane_section(list(s.points), list(s.blocks), h, F3)
     assert calls == [1, 2] * 4
@@ -377,7 +362,7 @@ def test_hyperplane_section_rejects_non_hyperplanes(coeffs, error):
 
 
 def test_hyperplane_section_returns_fresh_lists():
-    pts, blocks = _structure("parabolic-4", F3)
+    pts, blocks = _structure(parabolic_form(4, F3), F3)
     h = Hyperplane((1, 0, 0, 0, 0))
     first = hyperplane_section(pts, blocks, h, F3)
     want = tuple(list(x) for x in first)
@@ -386,39 +371,23 @@ def test_hyperplane_section_returns_fresh_lists():
     assert hyperplane_section(pts, blocks, h, F3) == want
 
 
-def test_star_index_built_once_per_blocks_value():
-    # each miss of the _star_index cache is one build of the index
-    def builds():
-        return projective._star_index.cache_info().misses
-
-    projective._star_index.cache_clear()
-    pts, blocks = _structure("parabolic-4", F3)
-    for h in projective_space(4, F3).hyperplanes()[:10]:
-        hyperplane_section(pts, blocks, h, F3)
-        hyperplane_section(pts, [list(b) for b in blocks], h, F3)
-    assert builds() == 1
-    hyperplane_section(pts, blocks[1:], h, F3)
-    assert builds() == 2
-
-
-def test_coordinate_masks_built_once_per_point_list_value(monkeypatch):
-    built = []
-    masks = projective._coordinate_masks
-
-    def counted(point_coords, q):
-        built.append(len(point_coords))
-        return masks(point_coords, q)
-
-    monkeypatch.setattr(projective, "_coordinate_masks", counted)
-    projective._mask_index.cache_clear()
-    # the polar perps scan the same point list, so its masks are reused below
-    pts, blocks = _structure("parabolic-4", F3)
-    for h in projective_space(4, F3).hyperplanes()[:10]:
-        hyperplane_section(pts, blocks, h, F3)
-        hyperplane_section([list(c) for c in pts], blocks, h, F3)
-    assert built == [len(pts)]
-    hyperplane_section(pts[1:], [], h, F3)
-    assert built == [len(pts), len(pts) - 1]
+@pytest.mark.parametrize("build,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2)])
+def test_list_inputs_are_indexed_on_every_call(monkeypatch, build, q):
+    # only a structure's own tuples of tuples are cached, by identity: equal
+    # lists of lists give the same sections, each from an index of its own
+    s = build(field_of_order(q))
+    field = s.tag["field"]
+    hyperplanes = [Hyperplane(p.coords) for p in pg_points(len(s.points[0]) - 1, field)]
+    want = [hyperplane_section(s.points, s.blocks, h, field) for h in hyperplanes]
+    calls = []
+    stars, masks = projective._star_index, projective._mask_index
+    monkeypatch.setattr(projective, "_star_index", lambda b, n: calls.append(1) or stars(b, n))
+    monkeypatch.setattr(projective, "_mask_index", lambda c, f: calls.append(2) or masks(c, f))
+    pts, blocks = [list(c) for c in s.points], [list(b) for b in s.blocks]
+    for h, sections in zip(hyperplanes, want):
+        assert hyperplane_section(pts, blocks, h, field) == sections
+        assert scan_section(pts, blocks, h, field) == sections
+    assert calls == [1, 2] * len(hyperplanes)
 
 
 def test_hyperplane_section_sees_points_mutated_between_calls():
