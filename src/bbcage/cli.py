@@ -184,7 +184,7 @@ def _cmd_construct(args) -> int:
 # n^3 (C_4000 2.5 s, C_8000 38 s; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
 # A graph6 file spends n(n-1)/12 bytes on the body of an n-vertex graph, and
-# to_graph6 holds three copies of it; 64 MiB of body is an order of 28,378.
+# to_graph6 holds two copies of it; 64 MiB of body is an order of 28,378.
 GRAPH6_MAX_BODY = 2 ** 26
 
 

@@ -34,21 +34,19 @@ def _is_prime(n: int) -> bool:
 
 # Polynomials over GF(p) are tuples of coefficients, constant term first.
 
-def _poly_mod(num: tuple, den: tuple, p: int) -> tuple:
-    """Remainder of num by den (den monic), trailing zeros stripped."""
+def _poly_mod(num, den: tuple, p: int) -> tuple:
+    """Remainder of num by den (den monic) over GF(p), trailing zeros
+    stripped; num's integer coefficients need not be reduced mod p."""
     rem = list(num)
     dd = len(den) - 1
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        coef = rem[-1]
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(den):
-            rem[shift + i] = (rem[shift + i] - coef * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
+    for shift in range(len(rem) - 1 - dd, -1, -1):
+        coef = rem[shift + dd] % p
+        if coef:
+            for i, c in enumerate(den, shift):
+                rem[i] -= coef * c
+    rem = [c % p for c in rem[:dd]]
+    while rem and rem[-1] == 0:
+        rem.pop()
     return tuple(rem)
 
 
@@ -91,11 +89,6 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = _smallest_irreducible(p, k)
-        # x^j mod modulus for j = k..2k-2 as k coefficients, used in reduction
-        self._xpow = []
-        for j in range(k, 2 * k - 1):
-            rem = _poly_mod((0,) * j + (1,), self.modulus, p)
-            self._xpow.append(rem + (0,) * (k - len(rem)))
         self._add_t = self._mul_t = self._inv_t = None
         if q <= _TABLE_LIMIT:
             self._build_tables()
@@ -144,14 +137,7 @@ class Field:
             if x:
                 for j, y in enumerate(cb):
                     conv[i + j] += x * y
-        out = [c % p for c in conv[:k]]
-        for j in range(k, 2 * k - 1):
-            c = conv[j] % p
-            if c:
-                xp = self._xpow[j - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * xp[i]) % p
-        return self._encode(out)
+        return self._encode(_poly_mod(conv, self.modulus, p))
 
     # -- arithmetic --------------------------------------------------------
 

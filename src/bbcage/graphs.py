@@ -323,17 +323,17 @@ def to_graph6(g: BipartiteGraph) -> bytes:
     if n == 0:
         raise GraphError("cannot export an empty graph")
     # Bit p = j(j-1)/2 + i of the upper triangle, column by column, is edge
-    # (i, j); six bits per byte, high bit first, each byte offset by 63.
-    body = bytearray(-(-n * (n - 1) // 12))
+    # (i, j); six bits per byte, high bit first, each byte offset by 63 ("?").
+    # Each edge is listed once, so adding its bit sets it.
+    body = bytearray(b"?") * -(-n * (n - 1) // 12)
     for a, b in g.edges():
         p = b * (b - 1) // 2 + a
-        body[p // 6] |= 32 >> p % 6
-    return _g6_size_bytes(n) + body.translate(_G6_CHARS) + b"\n"
+        body[p // 6] += 32 >> p % 6
+    return b"".join((_g6_size_bytes(n), body, b"\n"))
 
 
 # Translation tables between graph6 characters and their 6-bit values.
 _G6_VALID = bytes(range(63, 127))
-_G6_CHARS = _G6_VALID + bytes(192)
 _G6_VALUES = bytes(63) + bytes(range(64)) + bytes(129)
 # The offsets, high bit first, of the set bits of each 6-bit value.
 _G6_BITS = [[t for t in range(6) if v & 32 >> t] for v in range(64)]

@@ -79,8 +79,8 @@ def _quadrangle(
 
 def _gq_field(field: Field) -> Field:
     """field, once its order is within GQ_MAX_Q: checked before a
-    quadrangle's form is built, as elliptic_form searches GF(q) for it in
-    time growing as q^2."""
+    quadrangle's form is built, so an order over the cap is refused before
+    any geometry is made."""
     if field.q > GQ_MAX_Q:
         raise GeometryError(f"generalized quadrangles are capped at q <= {GQ_MAX_Q}")
     return field

@@ -11,7 +11,8 @@ PG(d, q) inside any point set.  perp_lines reads the lines of a generalized
 polygon off its perps, the masks of the points collinear with each point,
 with no walk: polar_perps gives it the perps of Q(4,q) and Q(5,q), and the
 split Cayley hexagon the kernels of its octonion product
-(polygons.quadric_structure).
+(polygons.quadric_structure).  ProjectiveSpace.join names a line of
+PG(2, q) by the cross product of two of its points.
 
 A hyperplane section scans the coordinate masks of the points and reads the
 blocks off the stars of the points on the hyperplane.  There is one section
@@ -133,6 +134,20 @@ class ProjectiveSpace:
                     rest &= ~mask
         return lines
 
+    def join(self, a_id: int, b_id: int) -> tuple[int, ...]:
+        """The line of PG(2, q) through two distinct points, as the normalized
+        cross product of their coordinates: the coefficients of the one
+        hyperplane through both."""
+        if self.d != 2:
+            raise GeometryError(f"join needs PG(2, q), not PG({self.d}, q)")
+        if a_id == b_id:
+            raise GeometryError("join needs two distinct points")
+        mul, sub = self.field.mul, self.field.sub
+        a, b = self.points[a_id].coords, self.points[b_id].coords
+        return self.normalize(
+            [sub(mul(a[i - 2], b[i - 1]), mul(a[i - 1], b[i - 2])) for i in range(3)]
+        )
+
     def hyperplanes(self) -> list[Hyperplane]:
         return [Hyperplane(p.coords) for p in self.points]
 
@@ -196,8 +211,9 @@ def elliptic_form(field: Field) -> QuadraticForm:
 
 def _smallest_anisotropic_pair(field: Field) -> tuple[int, int]:
     # first (b, c) with t^2 + b*t + c having no root, so x^2 + bxy + cy^2
-    # vanishes only at (0, 0)
-    for b in range(field.q):
+    # vanishes only at (0, 0); in characteristic 2 every t^2 + c is a square,
+    # (t + c^(q/2))^2, so the search starts at b = 1
+    for b in range(field.p == 2, field.q):
         for c in range(field.q):
             if all(
                 field.add(field.add(field.mul(t, t), field.mul(b, t)), c) != 0
@@ -476,19 +492,13 @@ def hyperplane_section(
 
 def conic_oval(field: Field) -> list[ProjectivePoint]:
     """The q+1 conic points {(1, t, t^2)} + {(0, 0, 1)} of PG(2, q); no three
-    are collinear (asserted: the lines joining two of them, as cross
-    products, are all distinct)."""
+    are collinear (asserted: the lines joining two of them, named by
+    ProjectiveSpace.join, are all distinct)."""
     space = projective_space(2, field)
     ids = [space.id_of((1, t, field.mul(t, t))) for t in range(field.q)]
     ids.append(space.id_of((0, 0, 1)))
     pts = [space.points[i] for i in sorted(ids)]
-    mul, sub = field.mul, field.sub
-    joins = {
-        space.normalize(
-            [sub(mul(a[i - 2], b[i - 1]), mul(a[i - 1], b[i - 2])) for i in range(3)]
-        )
-        for a, b in itertools.combinations([pt.coords for pt in pts], 2)
-    }
+    joins = {space.join(a.id, b.id) for a, b in itertools.combinations(pts, 2)}
     if len(joins) != len(pts) * (len(pts) - 1) // 2:
         raise GeometryError("conic produced three collinear points")
     return pts

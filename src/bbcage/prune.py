@@ -215,7 +215,8 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     conic_oval; degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
 
     Only the ideal plane X0 = 0, numbered as PG(2, p) and so as in PG(3, p),
-    and the slab are built: the work grows with the output.
+    and the slab are built: the work grows with the output.  The ideal
+    line's coordinates are the join (cross product) of its first two points.
     """
     if field.k != 1:
         raise ValueError("slab construction needs a prime field")
@@ -230,8 +231,7 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     # the planes through ell other than X0 = 0 are (c, u), u the coordinates
     # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
     # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
-    u = next(h.coeffs for h in ideal.hyperplanes() if all(
-        field.dot(h.coeffs, ideal.points[x].coords) == 0 for x in ell))
+    u = ideal.join(ell[0], ell[1])
     planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
     lines = []
     for point_id in oval[:n1]:

@@ -136,31 +136,49 @@ def test_pow_of_zero(p, k):
         f.pow(0, -1)
 
 
-def test_extension_tables_pinned():
-    # SHA-256 of the add, mul and inv tables of all 13 extension fields of
-    # order <= 128: element indexing and arithmetic are pinned
+def _tables_sha256(fields) -> str:
+    """SHA-256 of the add, mul and inv tables of GF(p^k) for each (p, k)."""
     import hashlib
 
     h = hashlib.sha256()
-    for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3),
-                 (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]:
+    for p, k in fields:
         f = Field(p, k)
         h.update(repr((f._add_t, f._mul_t, f._inv_t)).encode())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_extension_tables_pinned():
+    # all 13 extension fields of order <= 128: element indexing and
+    # arithmetic are pinned
+    assert _tables_sha256([(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2),
+                           (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]) == (
         "18fa2ac79f1d36f7840d55f942f4fe1e3abed863603b644e10818ab6da90eb75"
+    )
+
+
+def test_large_table_fields_pinned():
+    # GF(243), GF(256) and GF(343), the largest fields with tables in
+    # characteristics 3, 2 and 7
+    assert _tables_sha256([(3, 5), (2, 8), (7, 3)]) == (
+        "bf39c6b0a89254a6651bf7eeae8e2c5f1d5bc7a708f0e71edf5921784d22ca6b"
     )
 
 
 @pytest.mark.parametrize("p,k", [(2, 10), (3, 7), (5, 5)])
 def test_xpow_is_x_to_the_j_mod_modulus(p, k):
     # independent oracle: multiply by x one step at a time and reduce by
-    # subtracting the top coefficient times the monic modulus
+    # subtracting the top coefficient times the monic modulus; the slow
+    # multiply must give the same x^j for j = k..2k-2
     f = field_new(p, k)
+    assert f._mul_t is None
+    x = p  # the element x, coefficient 1 at degree 1
+    x_j = p ** (k - 1)
     cur = [0] * (k - 1) + [1]  # x^(k-1)
     for j in range(k, 2 * k - 1):
         top = cur[-1]
         cur = [(c - top * m) % p for c, m in zip([0] + cur[:-1], f.modulus)]
-        assert list(f._xpow[j - k]) == cur
+        x_j = f.mul(x_j, x)
+        assert x_j == sum(c * p ** i for i, c in enumerate(cur))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])

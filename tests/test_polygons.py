@@ -59,8 +59,7 @@ def test_gq_caps():
 
 @pytest.mark.parametrize("build,form", [(gq_q4, "parabolic_form"), (gq_q5, "elliptic_form")])
 def test_gq_cap_refused_before_the_form_is_built(monkeypatch, build, form):
-    # the elliptic form searches GF(q) for its pair, in time growing as q^2
-    # (16 s at q = 1024), so the cap comes first
+    # the cap comes first, so no form is built for an order over it
     def never_built(*args):
         raise AssertionError(f"{form} built past the cap")
 

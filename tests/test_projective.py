@@ -440,3 +440,43 @@ def test_conic_oval(field):
     space = projective_space(2, field)
     for a, b in itertools.combinations(sorted(ids), 2):
         assert len(ids.intersection(space.line_through(a, b))) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_join_is_the_hyperplane_through_both_points(q):
+    # oracle: scan every hyperplane of PG(2, q) for the one through a and b
+    field = field_of_order(q)
+    space = projective_space(2, field)
+    hyperplanes = space.hyperplanes()
+    for a, b in itertools.combinations(range(len(space.points)), 2):
+        (through,) = [
+            h.coeffs for h in hyperplanes
+            if field.dot(h.coeffs, space.points[a].coords) == 0
+            and field.dot(h.coeffs, space.points[b].coords) == 0
+        ]
+        assert space.join(a, b) == space.join(b, a) == through
+
+
+def test_join_rejections():
+    with pytest.raises(GeometryError, match="two distinct points"):
+        projective_space(2, F3).join(4, 4)
+    with pytest.raises(GeometryError, match="PG\\(2, q\\)"):
+        projective_space(3, F3).join(0, 1)
+
+
+def _anisotropic_pair_by_full_search(field):
+    for b in range(field.q):
+        for c in range(field.q):
+            if all(field.add(field.add(field.mul(t, t), field.mul(b, t)), c) != 0
+                   for t in range(field.q)):
+                return b, c
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_char2_anisotropic_pair_matches_full_search(k):
+    # the search starts at b = 1 in characteristic 2; the pair must be the
+    # one the search over every b finds
+    field = field_new(2, k)
+    pair = projective._smallest_anisotropic_pair(field)
+    assert pair == _anisotropic_pair_by_full_search(field)
+    assert pair[0] == 1

@@ -10,6 +10,7 @@ from bbcage.graphs import (
     BipartiteGraph, diameter, expect_biregular, girth, levi, to_graph6,
 )
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
+from bbcage.projective import conic_oval, projective_space
 from bbcage.prune import (
     affine_girth6_graph,
     affine_slab_graph,
@@ -242,6 +243,18 @@ _SLAB_DIGESTS = {
 def test_slab_bytes_pinned(p, m1, n1):
     g = affine_slab_graph(field_new(p, 1), m1, n1)
     assert hashlib.sha256(to_graph6(g)).hexdigest() == _SLAB_DIGESTS[p, m1, n1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_first_line_missing_is_first_walked_line(p):
+    # the docstring's claim: the first line of lines_in(all points) that
+    # misses the conic
+    field = field_new(p, 1)
+    plane = projective_space(2, field)
+    oval = {pt.id for pt in conic_oval(field)}
+    walked = plane.lines_in(range(len(plane.points)))
+    first = next(line for line in walked if oval.isdisjoint(line))
+    assert prune._first_line_missing(plane, oval) == first
 
 
 def test_slab_rejections():
