@@ -181,7 +181,7 @@ def _cmd_construct(args) -> int:
 # The cap bounds memory, not time: verify's girth and diameter searches take
 # one level per step of the longest distance, each level O(n) work per chunk
 # of roots, so a graph of large diameter, such as a long cycle, costs about
-# n^3 (C_4000 2.5 s, C_8000 38 s; ROADMAP item 8).
+# n^3 (C_4000 8.0 s, C_8000 38 s with CPython 3.11; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
 # A graph6 file spends n(n-1)/12 bytes on the body of an n-vertex graph, and
 # to_graph6 holds two copies of it; 64 MiB of body is an order of 28,378.

@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 
 MAX_ORDER = 1 << 16
-_TABLE_LIMIT = 512  # build full q x q tables below this order
+_TABLE_LIMIT = 512  # build full q x q tables up to this order
 
 
 class FieldError(ValueError):
@@ -109,17 +109,22 @@ class Field:
         return val
 
     def _build_tables(self):
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                s = self._add_slow(a, b)
-                add[a][b] = add[b][a] = s
-                m = self._mul_slow(a, b)
-                mul[a][b] = mul[b][a] = m
-        inv = [0] + [row.index(1) for row in mul[1:]]
-        self._add_t, self._mul_t, self._inv_t = add, mul, inv
+        """add digit by digit; mul and inv by the logarithms to the smallest
+        g with g^((q-1)/r) != 1 for each prime r | q - 1, a primitive element."""
+        p, q, n = self.p, self.q, self.q - 1
+        primes = [r for r in range(2, q) if n % r == 0 and _is_prime(r)]
+        g = next(g for g in range(1, q) if all(self.pow(g, n // r) != 1 for r in primes))
+        exp = list(itertools.accumulate([g] * (n - 1), self._mul_slow, initial=1)) * 2
+        logs = sorted(range(n), key=exp.__getitem__)  # the logs of 1..q-1
+        add, digits = [[0]], range(p)
+        for _ in range(self.k):
+            # a = x + p * a', b = y + p * b': a + b is (x + y) mod p plus p
+            # times a' + b', read off the table of one digit fewer
+            add = [[(x + y) % p + p * s for s in r for y in digits]
+                   for r in add for x in digits]
+        self._add_t = add
+        self._mul_t = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+        self._inv_t = [0] + [exp[n - i] for i in logs]
 
     def _add_slow(self, a: int, b: int) -> int:
         if self.k == 1:

@@ -14,11 +14,11 @@ split Cayley hexagon the kernels of its octonion product
 (polygons.quadric_structure).  ProjectiveSpace.join names a line of
 PG(2, q) by the cross product of two of its points.
 
-A hyperplane section scans the coordinate masks of the points and reads the
-blocks off the stars of the points on the hyperplane.  There is one section
-cache: the masks and stars of a structure's own tuples of tuples are built
-once and found by identity (_indexed), and any other input is indexed again
-on every call.
+Sections and perps find a hyperplane's points by meet in the middle over
+memoized half dot products (_scan), and a section counts its blocks by
+summing the packed stars of those points.  There is one section cache: the
+index and stars of a structure's own tuples of tuples are built once and
+found by identity (_indexed); other inputs are indexed on every call.
 """
 
 from __future__ import annotations
@@ -253,17 +253,17 @@ def perp_masks(point_coords, field: Field, rows_of, size: int = 0) -> list[int]:
     """For each point x of point_coords, the mask of the points y with
     R . y = 0 for every row R of rows_of(x).
 
-    Each row is one mask scan, started from the points the previous rows
-    left.  The rows of x stop at the first mask of size points: the caller
-    passes a size only when the solutions are known to number that many,
-    and the mask always holds them all.
+    Each row is one scan of the point list's hyperplane index (_scan), kept
+    to the points the previous rows left.  The rows of x stop at the first
+    mask of size points: the caller passes a size only when the solutions
+    are known to number that many, and the mask always holds them all.
     """
-    masks, full, _ = _indexed(_mask_index, point_coords, field)
+    index = _indexed(_mask_index, point_coords, field)
     out = []
     for x in point_coords:
-        found = full
+        found = index[1]
         for row in rows_of(x):
-            found = _scan(masks, found, row, field)
+            found = _scan(index, found, row)
             if found.bit_count() == size:
                 break
         out.append(found)
@@ -292,21 +292,19 @@ def perp_lines(perps) -> list[tuple[int, ...]]:
     return lines
 
 
-def _coordinate_masks(point_coords, q: int) -> tuple[tuple[int, ...], ...]:
-    """Bit j of masks[i][v] is set when point j has coordinate i equal to v."""
-    masks = [[0] * q for _ in range(len(point_coords[0]) if point_coords else 0)]
+def _mask_index(point_coords, field: Field):
+    """The hyperplane index of a point list: its coordinate masks (bit j of
+    masks[i][v] set when point j has coordinate i equal to v), the mask of
+    all its points, their ids, the split c = (d+1)//2, a memo per half
+    (see _scan) and the field."""
+    n = len(point_coords)
+    masks = [[0] * field.q for _ in range(len(point_coords[0]) if n else 0)]
     for j, coords in enumerate(point_coords):
         bit = 1 << j
         for row, v in zip(masks, coords):
             row[v] |= bit
-    return tuple(map(tuple, masks))
-
-
-def _mask_index(point_coords, field: Field):
-    """The coordinate masks of a point list, the mask of all its points and
-    their ids 0..n-1."""
-    n = len(point_coords)
-    return _coordinate_masks(point_coords, field.q), (1 << n) - 1, tuple(range(n))
+    masks = tuple(map(tuple, masks))
+    return masks, (1 << n) - 1, tuple(range(n)), len(masks) // 2, {}, {}, field
 
 
 # The one section cache: entries of _indexed for tuples of tuples, keyed by
@@ -334,16 +332,32 @@ def _indexed(build, rows, arg):
     return build(rows, arg)
 
 
-def _scan(masks, start: int, coeffs, field: Field) -> int:
-    """The mask of the points of start whose dot product with coeffs
-    vanishes.
+def _scan(index, start: int, coeffs) -> int:
+    """The points of start whose dot product with coeffs vanishes, by meet
+    in the middle over a point list's _mask_index: the product is 0 where
+    its low half (the first c coordinates) is t and its high half is -t.
+    Each half's q residue masks are memoized by its coefficients when first
+    needed, the high half negated; so a scan of known halves is q mask ANDs
+    (the low masks are disjoint: their sum is their union)."""
+    masks, full, _, c, lows, highs, field = index
+    key = tuple(coeffs[:c])
+    low = lows.get(key)
+    if low is None:
+        low = lows[key] = _residues(masks[:c], key, field, full)
+    key = tuple(coeffs[c:])
+    high = highs.get(key)
+    if high is None:
+        neg = tuple(map(field.neg, key))
+        high = highs[key] = _residues(masks[c:], neg, field, full)
+    return sum(map(int.__and__, low, high)) & start
 
-    Residue masks of the partial dot product are carried through the
-    coordinates, res'[t + h_i * v] |= res[t] & masks[i][v]; at the end
-    res[0] holds the points on the hyperplane."""
+
+def _residues(rows, coeffs, field: Field, full: int) -> list[int]:
+    """res[t] = the points of full whose coordinates in rows dot coeffs to t,
+    carried from res[0] = full by res'[t + h_i * v] |= res[t] & rows[i][v]."""
     add, mul = field.add, field.mul
-    res = [start] + [0] * (field.q - 1)
-    for h, row in zip(coeffs, masks):
+    res = [full] + [0] * (field.q - 1)
+    for h, row in zip(coeffs, rows):
         if h == 0:
             continue
         nxt = [0] * field.q
@@ -354,7 +368,7 @@ def _scan(masks, start: int, coeffs, field: Field) -> int:
                     if rt:
                         nxt[add(t, hv)] |= rt & at_v
         res = nxt
-    return res[0]
+    return res
 
 
 def _bits(mask: int) -> list[int]:
@@ -368,14 +382,14 @@ def _bits(mask: int) -> list[int]:
 
 
 def _star_index(blocks, n: int):
-    """The blocks on n points as masks, built once per structure (see
-    _indexed).
+    """The blocks on n points as packed counts, built once per structure
+    (see _indexed).
 
-    Per point: its star, the mask of the blocks through it; the mask of the
-    blocks naming it more than once, for the points that have one; and its
-    star size, counting each block as often as it names the point.  Per
-    block: the ids 0..b-1, the masks of the empty blocks, of the one-point
-    blocks and of all blocks, and one (size, mask) pair per block size.
+    Block b owns the w bits from bit w*b, w the bit length of the largest
+    block size (at least 1).  A point's packed star holds one unit in the
+    field of each block through it, as often as the block names the point,
+    so a sum of packed stars counts each block's points among them.  Also
+    returned: w, the packed sizes, a unit per field and the ids 0..b-1.
 
     The stars are incidence.point_stars, whose refusal of a point index
     outside 0..n-1, naming the first such block, is raised as GeometryError.
@@ -384,42 +398,36 @@ def _star_index(blocks, n: int):
         stars = point_stars(n, blocks)
     except ValueError as exc:
         raise GeometryError(str(exc)) from None
-    masks, repeats = [], {}
-    for x, star in enumerate(stars):
-        m = sum(map((1).__lshift__, star))
-        if m.bit_count() != len(star):  # a carry: some block names x twice
-            distinct = set(star)
-            m = sum(map((1).__lshift__, distinct))
-            repeats[x] = sum(1 << bi for bi in distinct if star.count(bi) > 1)
-        masks.append(m)
-    b = len(blocks)
-    every = (1 << b) - 1
     sizes = tuple(map(len, blocks))
-    by_size = {
-        k: sum(1 << bi for bi, size in enumerate(sizes) if size == k) for k in set(sizes)
-    }
-    return (
-        tuple(masks),
-        repeats,
-        tuple(map(len, stars)),
-        tuple(range(b)),
-        by_size.get(0, 0),
-        by_size.get(1, 0),
-        every,
-        tuple(by_size.items()),
-    )
+    w, b = max(sizes, default=0).bit_length() or 1, len(sizes)
+    units = ((1 << w * b) - 1) // ((1 << w) - 1)
+    packed = sum(map(int.__lshift__, sizes, range(0, w * b, w)))
+    return _PackedStars(stars, w), w, packed, units, tuple(range(b))
 
 
-# bin(mask)[:1:-1] lists the bits of mask from bit 0 up as the characters
-# 0 and 1; this table turns them into the bytes 0 and 1.
+class _PackedStars(dict):
+    """Point -> its packed star (see _star_index), packed when first asked
+    for: a one-off section packs only the points on its hyperplane."""
+
+    def __init__(self, stars, w: int):
+        self.stars, self.w = stars, w
+
+    def __missing__(self, x: int) -> int:
+        self[x] = packed = sum(map((1).__lshift__, map(self.w.__mul__, self.stars[x])))
+        return packed
+
+
+# bin(mask)[-1:1:-w] lists bits 0, w, 2w, ... of mask as the characters 0
+# and 1; these tables turn them into the bytes 0 and 1, or 1 and 0.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_CLEAR_BYTES = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def _members(mask: int, ids: tuple[int, ...]) -> list[int]:
     """The set bits of mask, ascending, for a mask of at most len(ids) bits
     and ids = (0, 1, ..., len(ids) - 1): one pass in C, where _bits takes
     one step per set bit."""
-    return list(itertools.compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+    return list(itertools.compress(ids, bin(mask)[-1:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def hyperplane_section(
@@ -438,19 +446,15 @@ def hyperplane_section(
     are no hyperplane of the points' space: a count other than the points'
     coordinate count, a coefficient outside 0..q-1, or all coefficients 0.
 
-    The points on h come from one coordinate-mask scan, and the blocks from
-    the stars of those points: the blocks met once and the blocks met at
-    least twice are two masks, accumulated as in graphs._girth_search.  So
-    the work is q^2 mask operations per coordinate, a few mask operations
-    per point on h and a few passes in C; only a violation is counted block
-    by block, to name it.  The masks and the stars of a structure's own
-    tuples of tuples are built once and found by identity (see _indexed);
-    other point lists and blocks are indexed on every call.
+    The points on h are one scan of the hyperplane index (_scan); the sum of
+    their packed stars (_star_index) is each block's count of them, which
+    must be the block's size (inside h) or 1.  Only a violation is counted
+    block by block, to name it.  A structure's own tuples of tuples are
+    indexed once (see _indexed); other inputs are indexed on every call.
     """
-    stars, repeats, star_sizes, block_ids, empty, single, every, by_size = _indexed(
-        _star_index, blocks, len(point_coords)
-    )
-    masks, full, point_ids = _indexed(_mask_index, point_coords, field)
+    stars, w, sizes, units, block_ids = _indexed(_star_index, blocks, len(point_coords))
+    index = _indexed(_mask_index, point_coords, field)
+    masks, full, point_ids = index[:3]
     coeffs = h.coeffs
     if masks and len(coeffs) != len(masks):
         raise GeometryError(
@@ -461,33 +465,24 @@ def hyperplane_section(
         raise GeometryError(f"hyperplane coefficient {bad} is outside 0..{field.q - 1}")
     if not any(coeffs):
         raise GeometryError("hyperplane coefficients are all 0")
-    on = _scan(masks, full, coeffs, field)
+    on = _scan(index, full, coeffs)
     inside_pts = _members(on, point_ids)
-    once = twice = 0
-    for m in map(stars.__getitem__, inside_pts):
-        twice |= once & m
-        once |= m
-    for x, m in repeats.items():
-        if on >> x & 1:
-            twice |= m
-    one = once & ~twice
-    # No block meets h in more points than its size, so the blocks met twice
-    # all lie inside h exactly when their counts, the incidences on h less
-    # those of the blocks met once, add up to their sizes.
-    twice_counts = sum(map(star_sizes.__getitem__, inside_pts)) - one.bit_count()
-    twice_sizes = sum(k * (twice & m).bit_count() for k, m in by_size)
-    if twice_counts != twice_sizes or every & ~(once | empty):
+    counts = sum(map(stars.__getitem__, inside_pts))
+    # One unit per block whose count is not its size: field x of the XOR is
+    # nonzero iff x or (x | top bit) - 1 has the top bit; the - 1 never borrows.
+    diff, top = counts ^ sizes, units << w - 1
+    met = (((diff | top) - units | diff) & top) >> w - 1
+    if counts & (met << w) - met != met:
         for bi, blk in enumerate(blocks):
             k = sum(on >> x & 1 for x in blk)
             if k != len(blk) and k != 1:
                 raise GeometryError(
                     f"block {bi} meets the hyperplane in {k} of {len(blk)} points"
                 )
-    return (
-        inside_pts,
-        _members(twice | empty | (one & single), block_ids),
-        _members(one & ~single, block_ids),
-    )
+    # each block is inside h or met once: one selector names both lists
+    sel = bin(units ^ met | 1 << w * len(block_ids))[-1:1:-w].encode()
+    inside = list(itertools.compress(block_ids, sel.translate(_BIT_BYTES)))
+    return inside_pts, inside, list(itertools.compress(block_ids, sel.translate(_CLEAR_BYTES)))
 
 
 def conic_oval(field: Field) -> list[ProjectivePoint]:

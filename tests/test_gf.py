@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -162,6 +163,25 @@ def test_large_table_fields_pinned():
     assert _tables_sha256([(3, 5), (2, 8), (7, 3)]) == (
         "bf39c6b0a89254a6651bf7eeae8e2c5f1d5bc7a708f0e71edf5921784d22ca6b"
     )
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (2, 5), (7, 2), (2, 9), (509, 1)])
+def test_tables_match_slow_arithmetic(p, k):
+    # the tables come from logarithms and digit sums; the slow path from
+    # polynomial products reduced by the modulus.  Every pair is compared
+    # in the small fields, 4000 random pairs in GF(512) and GF(509), the
+    # largest fields with tables, whose tables no digest pins.
+    f = field_new(p, k)
+    q = f.q
+    if q <= 64:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(4000)]
+    for a, b in pairs:
+        assert f._add_t[a][b] == f._add_slow(a, b)
+        assert f._mul_t[a][b] == f._mul_slow(a, b)
+    assert all(f._mul_slow(a, f._inv_t[a]) == 1 for a in range(1, q))
 
 
 @pytest.mark.parametrize("p,k", [(2, 10), (3, 7), (5, 5)])

@@ -281,6 +281,43 @@ def test_members_and_mask_of_invert_bits():
         assert sum(1 << i for i in got) == m
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+def test_block_lists_read_every_wth_bit(w):
+    # the block lists are read off bits 0, w, 2w, ... of one packed mask:
+    # 200 blocks of sizes up to 2^w - 1, so w is the field width, each drawn
+    # inside X0 = 0 or meeting it once, in both orders and with the last
+    # block of each kind
+    rng = random.Random(w)
+    for last in (0, 1):
+        kinds = [rng.randrange(2) for _ in range(199)] + [last]
+        blocks = []
+        for inside, k in zip(kinds, [2**w - 1] + [rng.randrange(1, 2**w) for _ in kinds[1:]]):
+            blk = [rng.choice((1, 2)) for _ in range(k)]
+            blocks.append(tuple(blk) if inside else (blk[0],) + (0,) * (k - 1))
+        assert projective._star_index(tuple(blocks), 3)[1] == w
+        kinds = [k or len(b) == 1 for k, b in zip(kinds, blocks)]  # one point: inside
+        want = ([1, 2], [i for i, k in enumerate(kinds) if k], [i for i, k in enumerate(kinds) if not k])
+        assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == want
+        assert scan_section(_TRIANGLE, blocks, _X0, F2) == want
+
+
+# Five-bit counts: a block of 17 points, with repeats, makes each block's
+# field w = (17).bit_length() = 5 bits wide, and counts of 16 (0b10000) and
+# 15 (0b01111) sit beside full fields.
+_WIDE = [(1,) * 9 + (2,) * 8, (1,) + (0,) * 16, (2, 2) * 8, (0,) * 15 + (2,), ()]
+
+
+def test_hyperplane_section_counts_in_five_bit_fields():
+    assert projective._star_index(tuple(_WIDE), 3)[1] == 5
+    want = ([1, 2], [0, 2, 4], [1, 3])
+    for blocks in (_WIDE, tuple(_WIDE)):
+        assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == want
+        assert scan_section(_TRIANGLE, blocks, _X0, F2) == want
+    for bad, k in (((1, 1) + (0,) * 15, 2), ((2,) * 16 + (0,), 16), ((1,) * 15 + (0, 0), 15)):
+        with pytest.raises(GeometryError, match=rf"^block 2 meets the hyperplane in {k} of 17"):
+            hyperplane_section(_TRIANGLE, _WIDE[:2] + [bad], _X0, F2)
+
+
 def test_hyperplane_section_one_point_and_empty_blocks():
     blocks = [(), (1,), (2,), (0, 1), ()]
     # a one-point block on h is inside it, never tangent
@@ -388,6 +425,52 @@ def test_list_inputs_are_indexed_on_every_call(monkeypatch, build, q):
         assert hyperplane_section(pts, blocks, h, field) == sections
         assert scan_section(pts, blocks, h, field) == sections
     assert calls == [1, 2] * len(hyperplanes)
+
+
+@pytest.mark.parametrize(
+    "build,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2), (gq_q4, 5)]
+)
+def test_scan_is_the_dot_product_oracle(build, q):
+    # the meet-in-the-middle index over a structure's points, against one
+    # field.dot per point, for every hyperplane of its PG(d, q); the memos,
+    # which building the polygon's perps filled first, stay within one
+    # entry per possible half
+    s = build(field_of_order(q))
+    field = s.tag["field"]
+    index = projective._indexed(projective._mask_index, s.points, field)
+    full, rng = (1 << len(s.points)) - 1, random.Random(q)
+    for p in pg_points(len(s.points[0]) - 1, field):
+        want = sum(1 << i for i, x in enumerate(s.points) if field.dot(p.coords, x) == 0)
+        assert projective._scan(index, full, p.coords) == want
+        start = rng.getrandbits(len(s.points))
+        assert projective._scan(index, start, p.coords) == want & start
+    d1, c, lows, highs = len(s.points[0]), index[3], index[4], index[5]
+    assert c == d1 // 2
+    assert len(lows) <= q ** c and len(highs) <= q ** (d1 - c)
+
+
+@pytest.mark.parametrize("build,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2)])
+def test_one_section_of_lists_computes_two_halves(monkeypatch, build, q):
+    # a fresh index computes only the two halves its hyperplane asks for;
+    # a structure's cached index computes each half once
+    s = build(field_of_order(q))
+    field = s.tag["field"]
+    pts, blocks = [list(c) for c in s.points], [list(b) for b in s.blocks]
+    h = Hyperplane((0,) * (len(pts[0]) - 2) + (1, 1))
+    want = scan_section(pts, blocks, h, field)
+    calls = []
+    residues = projective._residues
+    monkeypatch.setattr(
+        projective, "_residues", lambda *a: calls.append(a[1]) or residues(*a)
+    )
+    assert hyperplane_section(pts, blocks, h, field) == want
+    assert len(calls) == 2
+    assert hyperplane_section(pts, blocks, h, field) == want
+    assert len(calls) == 4
+    calls.clear()
+    for _ in range(3):
+        assert hyperplane_section(s.points, s.blocks, h, field) == want
+    assert len(calls) <= 2
 
 
 def test_hyperplane_section_sees_points_mutated_between_calls():

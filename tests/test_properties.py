@@ -332,7 +332,8 @@ def sectioned_structures(draw):
     tangent to it, except at most two drawn at random (so often violating)
     or naming a point outside the structure; so one bad block hides among
     many good ones.  Blocks may repeat a point and may have one point or
-    none.  The blocks come as a tuple of tuples or as a list of lists."""
+    none, and reach 17 points, so a packed count can take 5 bits.  The
+    blocks come as a tuple of tuples or as a list of lists."""
     d, q = draw(st.sampled_from(_SECTION_SPACES))
     field = field_of_order(q)
     coords = [p.coords for p in projective_space(d, field).points]
@@ -347,14 +348,14 @@ def sectioned_structures(draw):
     blocks = []
     for kind in kinds:
         if kind == "inside" and on:
-            blk = draw(st.lists(st.sampled_from(on), max_size=4))
+            blk = draw(st.lists(st.sampled_from(on), max_size=17))
         elif kind == "tangent" and on and off:
-            blk = [draw(st.sampled_from(on))] + draw(st.lists(st.sampled_from(off), max_size=3))
+            blk = [draw(st.sampled_from(on))] + draw(st.lists(st.sampled_from(off), max_size=16))
         elif kind == "bad id":
             bad = draw(st.sampled_from([-1, len(pts)]))
-            blk = draw(st.lists(any_id, max_size=3)) + [bad]
+            blk = draw(st.lists(any_id, max_size=16)) + [bad]
         else:
-            blk = draw(st.lists(any_id, max_size=4))
+            blk = draw(st.lists(any_id, max_size=17))
         blocks.append(draw(st.permutations(blk)))
     if draw(st.booleans()):
         blocks = tuple(map(tuple, blocks))
