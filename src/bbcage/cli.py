@@ -123,8 +123,8 @@ def _graph_report(g, family: str, params: dict) -> dict:
     from .graphs import diameter, girth
 
     da, db = g.degree_sets()
+    diam = diameter(g)  # first: its search also stores the girth
     gi = girth(g)
-    diam = diameter(g)
     connected = diam != math.inf
     report = {
         "schema": 1,
@@ -178,10 +178,11 @@ def _cmd_construct(args) -> int:
 
 
 # A declared order past this cap is refused before anything is allocated.
-# The cap bounds memory, not time: verify's girth and diameter searches take
-# one level per step of the longest distance, each level O(n) work per chunk
-# of roots, so a graph of large diameter, such as a long cycle, costs about
-# n^3 (C_4000 8.0 s, C_8000 38 s with CPython 3.11; ROADMAP item 8).
+# The cap bounds memory, not time: verify's one level search (two when the
+# diameter is odd) takes one level per step of the longest distance, each
+# level O(n) work per chunk of roots, so a graph of large diameter, such as a
+# long cycle, costs about n^3 (verify on C_2000 0.8 s, C_4000 2.7 s, with
+# CPython 3.11 on a shared 2-CPU Xeon; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
 # A graph6 file spends n(n-1)/12 bytes on the body of an n-vertex graph, and
 # to_graph6 holds two copies of it; 64 MiB of body is an order of 28,378.

@@ -10,7 +10,8 @@ separators) makes the file malformed.  Lines of spaces only are skipped.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import chain, combinations
 
 from .bounds import girth6_bound
 from .graphs import BipartiteGraph, expect, expect_biregular, induced_subgraph, levi
@@ -96,18 +97,21 @@ def sts_generate(v: int) -> Design:
 
 def design_validate(design: Design) -> DesignReport:
     """Check uniform block size, every point pair covered exactly once, and
-    uniform replication; violations are reported, not raised."""
+    uniform replication; violations are reported, not raised.  A pair counts
+    whatever the order of its block, and a point outside 0..v-1 is a problem
+    of its own, left out of the pair and replication counts."""
     problems = []
     sizes = {len(b) for b in design.blocks}
     uniform = len(sizes) == 1
     if not uniform:
         problems.append(f"block sizes {sorted(sizes)} are not uniform")
-    pair_count = {}
-    for blk in design.blocks:
-        for a_i in range(len(blk)):
-            for b_i in range(a_i + 1, len(blk)):
-                key = (blk[a_i], blk[b_i])
-                pair_count[key] = pair_count.get(key, 0) + 1
+    points = range(design.v)
+    outside = sorted(set().union(*design.blocks).difference(points))
+    if outside:
+        problems.append(f"points outside 0..{design.v - 1}: {outside[:10]}")
+    blocks = [sorted(x for x in blk if x in points) if outside else sorted(blk)
+              for blk in design.blocks]
+    pair_count = Counter(chain.from_iterable(combinations(blk, 2) for blk in blocks))
     multi = sorted(k for k, c in pair_count.items() if c > 1)
     uncovered = []
     for a in range(design.v):
@@ -119,15 +123,13 @@ def design_validate(design: Design) -> DesignReport:
         problems.append(f"pairs covered more than once: {multi[:10]}")
     if uncovered:
         problems.append(f"uncovered pairs: {uncovered[:10]}")
-    reps = [0] * design.v
-    for blk in design.blocks:
-        for x in blk:
-            reps[x] += 1
+    count = Counter(chain.from_iterable(blocks))
+    reps = [count[x] for x in points]
     rep_ok = len(set(reps)) == 1
     if not rep_ok:
         problems.append(f"replication numbers {sorted(set(reps))} are not uniform")
     return DesignReport(
-        valid=uniform and pair_ok and rep_ok,
+        valid=uniform and pair_ok and rep_ok and not outside,
         uniform_block_size=uniform,
         pair_coverage=pair_ok,
         uniform_replication=rep_ok,

@@ -5,6 +5,13 @@ a construction's order, degrees and girth.
 
 Vertex ids are global and deterministic: class A occupies 0..n_a-1 (points,
 in construction order), class B occupies n_a..n_a+n_b-1 (blocks).
+
+Girth and diameter share one level engine, _levels: roots in one class grow
+a Python-int bitset per vertex, one class per level, each vertex ORing its
+neighbours' frontiers.  Until a vertex meets one root through two neighbours,
+the bits sent at level L, deg(w) per frontier bit of w less one returning bit
+when L >= 2, equal the new (root, vertex) pairs, so the first level with a
+surplus gives girth 2L (Itai and Rodeh, 1978, counting for the collision test).
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
+from itertools import islice
+from operator import mul
 
 from .incidence import IncidenceStructure
 
@@ -121,106 +130,93 @@ def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
 
 
 def girth(g: BipartiteGraph) -> int | float:
-    """Exact girth by bit-parallel search from every class-A root at once;
-    math.inf for forests.
-
-    Measured on the first call and stored on the graph; adj_a is a tuple, so
-    the graph cannot change under the stored value.  The search builds the
-    global adjacency and drops it on return, so the graph keeps no adjacency
-    lists afterwards.
-    """
+    """Exact girth, math.inf for forests: the level engine from the smaller
+    class stops at its first surplus.  Stored on the graph by the first search
+    (girth's or diameter's); adj_a is a tuple, so the graph cannot change."""
     if g._girth is None:
-        g._girth = _girth_search(g)
+        _levels(g, _classes(g)[0], full=False)
     return g._girth
 
 
-# Roots share one Python-int bitset per vertex, a chunk of roots at a time:
-# as many roots as fit ROOT_BITS bits over the n bitsets of one list, but
-# never fewer than ROOT_CHUNK.  So a graph of up to 23,170 vertices is one
-# chunk, and a list holds at most max(ROOT_BITS, n * ROOT_CHUNK) bits.
+def diameter(g: BipartiteGraph) -> int | float:
+    """Largest eccentricity, math.inf for a disconnected graph, so this one
+    search also answers connectivity.  The engine runs from every vertex of
+    the smaller class S, storing the girth too, and from the other class only
+    if the largest eccentricity D_S over S is odd: two vertices there are an
+    even distance apart, at most D_S + 1.  Stored on the graph like girth."""
+    if g._diameter is None:
+        small, large = _classes(g)
+        diam = _levels(g, small, full=True)
+        if diam % 2 == 1:  # math.inf % 2 is nan
+            diam = max(diam, _levels(g, large, full=True))
+        g._diameter = diam
+    return g._diameter
+
+
+def _classes(g: BipartiteGraph) -> tuple[range, range]:
+    """The two classes' global ids, the smaller nonempty one first."""
+    a, b = range(g.n_a), range(g.n_a, g.n_vertices)
+    return (a, b) if g.n_b == 0 or 0 < g.n_a <= g.n_b else (b, a)
+
+
+# The engine searches a chunk of roots at a time: as many as fit ROOT_BITS
+# bits over the n bitsets of one list, but never fewer than ROOT_CHUNK.  So a
+# graph of up to 23,170 vertices is one chunk, and a list holds at most
+# max(ROOT_BITS, n * ROOT_CHUNK) bits.
 ROOT_CHUNK = 1024
 ROOT_BITS = 2**29
 
 
-def _root_chunk(n: int) -> int:
-    return max(ROOT_CHUNK, min(n, ROOT_BITS // max(n, 1)))
-
-
-def _girth_search(g: BipartiteGraph) -> int | float:
-    """Every cycle alternates classes, so roots in class A suffice.  Each
-    level propagates the previous level's frontier bitsets; a vertex newly
-    reached from one root through two neighbours closes a cycle of twice the
-    level (Itai and Rodeh, 1978).  Later chunks stop at the best level."""
+def _levels(g: BipartiteGraph, roots, full: bool) -> int | float:
+    """The level engine from roots in one class, on a global adjacency built
+    here and dropped on return; it looks for cycles only if g stores no girth.
+    A full pass runs every chunk to exhaustion and returns the largest
+    eccentricity of its roots, math.inf if one misses a vertex; otherwise
+    roots of degree < 2 are dropped, and a chunk stops at the best level."""
     adj = g.adjacency()
     n = len(adj)
-    best = math.inf
-    # A vertex of degree < 2 lies on no cycle, so it is no root.
-    roots = [v for v in range(g.n_a) if len(adj[v]) >= 2]
-    chunk = _root_chunk(n)
-    for start in range(0, len(roots), chunk):
-        seen = [0] * n
-        for i, root in enumerate(roots[start : start + chunk]):
-            seen[root] = 1 << i
-        frontier = seen[:]
+    a, b = range(g.n_a), range(g.n_a, n)
+    own, other = (a, b) if roots and roots[0] < g.n_a else (b, a)
+    todo = iter(roots) if full else (v for v in roots if len(adj[v]) >= 2)
+    back = [len(nbrs) - 1 for nbrs in adj]  # bits sent on, less the return
+    best = math.inf if g._girth is None else 0  # shortest cycle so far
+    ecc = 0
+    chunk = max(ROOT_CHUNK, min(n, ROOT_BITS // max(n, 1)))
+    while part := list(islice(todo, chunk)):
+        unseen = [(1 << len(part)) - 1] * n
+        frontier = [0] * n
+        for i, root in enumerate(part):
+            frontier[root] = 1 << i
+            unseen[root] ^= 1 << i
+        sent = sum(len(adj[root]) for root in part)
         level = 1
-        while 2 * level < best:
+        while full or 2 * level < best:
             nxt = [0] * n
-            grown = False
-            # Levels alternate classes: odd levels reach B, even levels A.
-            for v in range(g.n_a, n) if level % 2 else range(g.n_a):
-                once = twice = 0
+            for v in other if level % 2 else own:  # odd levels: the other class
+                once = 0
                 for w in adj[v]:
-                    f = frontier[w]
-                    if f:
-                        twice |= once & f
-                        once |= f
-                new = once & ~seen[v]
+                    once |= frontier[w]
+                new = once & unseen[v]
                 if new:
-                    if twice & new:
-                        best = 2 * level
-                        break
                     nxt[v] = new
-                    seen[v] |= new
-                    grown = True
-            if not grown:
+                    unseen[v] ^= new
+            if not any(nxt):
                 break
+            if 2 * level < best:
+                counts = list(map(int.bit_count, nxt))
+                if sum(counts) < sent:
+                    best = 2 * level
+                sent = sum(map(mul, back, counts))
             frontier = nxt
             level += 1
-    return best
-
-
-def diameter(g: BipartiteGraph) -> int | float:
-    """Largest eccentricity, found by growing every root's reach bitset one
-    step per round, a chunk of roots at a time; math.inf for a disconnected
-    graph, so this one search also answers connectivity.  Measured on the
-    first call and stored on the graph, like girth, and searched like it on
-    a global adjacency dropped on return."""
-    if g._diameter is None:
-        adj = g.adjacency()
-        n = len(adj)
-        diam = 0
-        chunk = _root_chunk(n)
-        for start in range(0, n, chunk):
-            width = min(chunk, n - start)
-            full = (1 << width) - 1
-            reach = [0] * n
-            for i in range(width):
-                reach[start + i] = 1 << i
-            rounds = 0
-            while reach.count(full) < n:
-                nxt = []
-                for nbrs, r in zip(adj, reach):
-                    for w in nbrs:
-                        r |= reach[w]
-                    nxt.append(r)
-                if nxt == reach:
-                    g._diameter = math.inf
-                    return g._diameter
-                reach = nxt
-                rounds += 1
-            diam = max(diam, rounds)
-        g._diameter = diam
-    return g._diameter
+        if full and any(unseen):  # later chunks only look for cycles
+            ecc, full = math.inf, False
+            todo = (v for v in todo if len(adj[v]) >= 2)
+        elif full:
+            ecc = max(ecc, level - 1)
+    if g._girth is None:
+        g._girth = best
+    return ecc
 
 
 def distance_sets(
@@ -395,9 +391,12 @@ def to_dimacs(g: BipartiteGraph) -> bytes:
     """DIMACS edge format, 1-based vertex ids, A then B."""
     if g.n_vertices == 0:
         raise GraphError("cannot export an empty graph")
+    ids = list(map(str, range(1, g.n_vertices + 1)))  # each formatted once
+    b_ids = ids[g.n_a :]
     lines = [f"p edge {g.n_vertices} {g.num_edges}"]
-    for a, b in g.edges():
-        lines.append(f"e {a + 1} {b + 1}")
+    for u, nbrs in enumerate(g.adj_a):
+        head = "e " + ids[u] + " "
+        lines.extend([head + b_ids[b] for b in nbrs])
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

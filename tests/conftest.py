@@ -205,18 +205,20 @@ def scan_section(point_coords, blocks, h, field):
 
 @pytest.fixture
 def girth_searches(monkeypatch):
-    """Every graph the girth search runs on, in call order.  The list keeps
+    """Every graph whose girth a level search looks for, in call order: the
+    engine searches for cycles while the girth is not stored.  The list keeps
     the graphs alive, so a repeated id means one graph searched twice."""
     from bbcage import graphs
 
     searched = []
-    search = graphs._girth_search
+    search = graphs._levels
 
-    def counting(g):
-        searched.append(g)
-        return search(g)
+    def counting(g, roots, full):
+        if g._girth is None:
+            searched.append(g)
+        return search(g, roots, full)
 
-    monkeypatch.setattr(graphs, "_girth_search", counting)
+    monkeypatch.setattr(graphs, "_levels", counting)
     return searched
 
 

@@ -73,6 +73,27 @@ def test_validate_reports_duplicate_block():
     assert not report.valid
 
 
+def test_validate_counts_pairs_in_any_block_order():
+    d = sts_generate(7)
+    report = design_validate(Design(7, tuple(blk[::-1] for blk in d.blocks)))
+    assert report.valid
+    assert report.problems == []
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_validate_reports_point_out_of_range(bad):
+    # the last Fano block (2, 4, 6) names a point outside 0..6 instead of 6;
+    # -1 must not be counted as point 6, and 9 must not raise
+    d = sts_generate(7)
+    assert d.blocks[-1] == (2, 4, 6)
+    report = design_validate(Design(7, d.blocks[:-1] + ((2, 4, bad),)))
+    assert not report.valid
+    assert report.problems[0] == f"points outside 0..6: [{bad}]"
+    assert "uncovered pairs: [(2, 6), (4, 6)]" in report.problems
+    assert not report.pair_coverage
+    assert not report.uniform_replication
+
+
 def test_truncate_sts13():
     g = steiner_truncate(sts_generate(13))
     assert g.n_vertices == 32

@@ -86,6 +86,39 @@ def test_girth_and_diameter_measured_once(monkeypatch):
     assert (girth(g), diameter(g)) == (8, 4)
 
 
+@pytest.mark.parametrize(
+    "make,diam,roots",
+    [
+        # a projective plane has diameter 3: odd, so both classes are roots
+        (lambda: levi(IncidenceStructure(range(7), sts_generate(7).blocks)), 3, [0, 7]),
+        # a quadrangle has diameter 4: the smaller class alone decides
+        (lambda: levi(gq_q5(F2)), 4, [0]),
+        # the star b0 a0 b1: the class of a0 has eccentricity 1, odd
+        (lambda: BipartiteGraph(1, 2, [[0, 1]]), 2, [0, 1]),
+        # class A is empty, so the roots are class B's one vertex
+        (lambda: BipartiteGraph(0, 1, []), 0, [0]),
+    ],
+)
+def test_diameter_searches_the_other_class_only_when_odd(monkeypatch, make, diam, roots):
+    from bbcage import graphs
+
+    firsts = []
+    levels = graphs._levels
+
+    def recording(g, class_roots, full):
+        assert full
+        firsts.append(class_roots[0])
+        return levels(g, class_roots, full)
+
+    monkeypatch.setattr(graphs, "_levels", recording)
+    g = make()
+    g = induced_subgraph(g, range(g.n_vertices))  # unmeasured, if make's is stored
+    assert diameter(g) == diam
+    assert firsts == roots
+    girth(g)  # stored by the diameter search
+    assert len(firsts) == len(roots)
+
+
 def test_measured_graph_holds_no_adjacency():
     g = levi(gq_q5(F3))
     assert excess_of(g).excess == 0  # reads girth and degree sets

@@ -224,13 +224,12 @@ def test_graphs_built_only_by_the_three_builders():
 
 
 def test_global_adjacency_built_only_by_the_searches():
-    # each search builds the global adjacency it reads and drops it on
+    # each level search builds the global adjacency it reads and drops it on
     # return; a prune builds one for all its anchored searches to share
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("adjacency", sources)) == [
         "graphs:BipartiteGraph",
-        "graphs:_girth_search",
-        "graphs:diameter",
+        "graphs:_levels",
         "graphs:distance_sets",
         "prune:_anchor",
         "prune:find_free_edge",

@@ -62,6 +62,18 @@ EDGE_CASES = [
     bipartite_from_edges(0, 3, []),
     bipartite_from_edges(3, 0, []),
     bipartite_from_edges(1, 0, []),
+    bipartite_from_edges(0, 1, []),
+    # the path b0 a0 b1 a1 b2: the smaller class's eccentricities are all 3,
+    # odd, and only the search from class B finds the diameter 4
+    bipartite_from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]),
+    # a 4-cycle and an isolated vertex of the larger class
+    bipartite_from_edges(2, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    # a path a0..a2 and a 4-cycle through a3 and a4: the first chunk of roots
+    # shows the graph disconnected, and the cycle is in the last chunk at
+    # ROOT_CHUNK 3 and 1
+    bipartite_from_edges(
+        5, 6, [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2), (4, 3)]
+    ),
 ]
 
 
@@ -71,21 +83,32 @@ def with_edge_cases(test):
     return test
 
 
-@pytest.mark.parametrize("chunk", [graphs.ROOT_CHUNK, 3, 1])
+@pytest.mark.parametrize(
+    "chunk,girth_first",
+    [
+        # girth first keeps the bare chunk size as its id
+        pytest.param(chunk, first, id=str(chunk) if first else f"{chunk}-diameter-first")
+        for chunk in (graphs.ROOT_CHUNK, 3, 1)
+        for first in (True, False)
+    ],
+)
 @settings(max_examples=300, deadline=None)
 @given(g=bipartite_graphs())
 @with_edge_cases
-def test_kernels_match_bfs_oracles(chunk, g):
+def test_kernels_match_bfs_oracles(chunk, girth_first, g):
     # a fresh copy, so each chunk size searches anew: an explicit example is
     # one graph object, which stores its girth and diameter on first use
     g = induced_subgraph(g, range(g.n_vertices))
+    want = bfs_diameter(g)
     with pytest.MonkeyPatch.context() as mp:
         # no bit budget: the chunk is ROOT_CHUNK roots, so 3 and 1 split roots
         mp.setattr(graphs, "ROOT_CHUNK", chunk)
         mp.setattr(graphs, "ROOT_BITS", 0)
-        assert girth(g) == bfs_girth(g)
-        want = bfs_diameter(g)
+        # diameter first reads the girth its full pass stored
+        if girth_first:
+            assert girth(g) == bfs_girth(g)
         assert diameter(g) == (math.inf if want is None else want)
+        assert girth(g) == bfs_girth(g)
 
 
 @settings(max_examples=300, deadline=None)
