@@ -113,11 +113,7 @@ def design_validate(design: Design) -> DesignReport:
               for blk in design.blocks]
     pair_count = Counter(chain.from_iterable(combinations(blk, 2) for blk in blocks))
     multi = sorted(k for k, c in pair_count.items() if c > 1)
-    uncovered = []
-    for a in range(design.v):
-        for b in range(a + 1, design.v):
-            if (a, b) not in pair_count:
-                uncovered.append((a, b))
+    uncovered = [pair for pair in combinations(points, 2) if pair not in pair_count]
     pair_ok = not multi and not uncovered
     if multi:
         problems.append(f"pairs covered more than once: {multi[:10]}")

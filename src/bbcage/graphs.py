@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
-from itertools import islice
+from collections import Counter, deque
+from itertools import chain, islice
 from operator import mul
 
 from .incidence import IncidenceStructure
@@ -81,14 +81,15 @@ class BipartiteGraph:
 
     def degree_sets(self) -> tuple[frozenset[int], frozenset[int]]:
         """The degrees met in class A and in class B, measured on the first
-        call and stored, like girth and diameter; 0 is a class-B degree when
-        some class-B vertex is isolated."""
+        call and stored, like girth and diameter.  Both are read off adj_a:
+        class-A degrees are row lengths, class-B degrees are counts of ids
+        over the rows, and 0 is one when fewer than n_b ids occur."""
         if self._degree_sets is None:
-            adj = self.adjacency()
-            self._degree_sets = (
-                frozenset(map(len, adj[: self.n_a])),
-                frozenset(map(len, adj[self.n_a :])),
-            )
+            count = Counter(chain.from_iterable(self.adj_a))
+            db = set(count.values())
+            if len(count) < self.n_b:
+                db.add(0)
+            self._degree_sets = frozenset(map(len, self.adj_a)), frozenset(db)
         return self._degree_sets
 
     def degrees(self) -> tuple[int, int] | None:
@@ -160,10 +161,8 @@ def _classes(g: BipartiteGraph) -> tuple[range, range]:
 
 
 # The engine searches a chunk of roots at a time: as many as fit ROOT_BITS
-# bits over the n bitsets of one list, but never fewer than ROOT_CHUNK.  So a
-# graph of up to 23,170 vertices is one chunk, and a list holds at most
-# max(ROOT_BITS, n * ROOT_CHUNK) bits.
-ROOT_CHUNK = 1024
+# bits over the n bitsets of one list, and at least one.  So a graph of up to
+# 23,170 vertices is one chunk, and a list never holds more than ROOT_BITS bits.
 ROOT_BITS = 2**29
 
 
@@ -181,7 +180,7 @@ def _levels(g: BipartiteGraph, roots, full: bool) -> int | float:
     back = [len(nbrs) - 1 for nbrs in adj]  # bits sent on, less the return
     best = math.inf if g._girth is None else 0  # shortest cycle so far
     ecc = 0
-    chunk = max(ROOT_CHUNK, min(n, ROOT_BITS // max(n, 1)))
+    chunk = max(1, ROOT_BITS // max(n, 1))
     while part := list(islice(todo, chunk)):
         unseen = [(1 << len(part)) - 1] * n
         frontier = [0] * n
@@ -296,20 +295,12 @@ def induced_subgraph(g: BipartiteGraph, keep) -> BipartiteGraph:
 _G6_MAX = 68719476735
 
 
-def _g6_int_bytes(value: int, nbits: int) -> bytes:
-    groups = []
-    for shift in range(nbits - 6, -1, -6):
-        groups.append(((value >> shift) & 0x3F) + 63)
-    return bytes(groups)
-
-
 def _g6_size_bytes(n: int) -> bytes:
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126]) + _g6_int_bytes(n, 18)
-    if n <= _G6_MAX:
-        return bytes([126, 126]) + _g6_int_bytes(n, 36)
+    """N(n): one byte n + 63 up to 62, else "~" and 18 bits or "~~" and 36
+    bits, six bits per byte, high bits first, each byte offset by 63."""
+    for head, nbits, top in ((b"", 6, 62), (b"~", 18, 258047), (b"~~", 36, _G6_MAX)):
+        if n <= top:
+            return head + bytes((n >> s & 63) + 63 for s in range(nbits - 6, -1, -6))
     raise GraphError(f"graph6 cannot encode {n} vertices")
 
 

@@ -388,8 +388,9 @@ def _star_index(blocks, n: int):
     Block b owns the w bits from bit w*b, w the bit length of the largest
     block size (at least 1).  A point's packed star holds one unit in the
     field of each block through it, as often as the block names the point,
-    so a sum of packed stars counts each block's points among them.  Also
-    returned: w, the packed sizes, a unit per field and the ids 0..b-1.
+    so a sum of packed stars counts each block's points among them.  Returns
+    the packed stars by point, w, the packed sizes, a unit per field and the
+    ids 0..b-1.
 
     The stars are incidence.point_stars, whose refusal of a point index
     outside 0..n-1, naming the first such block, is raised as GeometryError.
@@ -402,19 +403,9 @@ def _star_index(blocks, n: int):
     w, b = max(sizes, default=0).bit_length() or 1, len(sizes)
     units = ((1 << w * b) - 1) // ((1 << w) - 1)
     packed = sum(map(int.__lshift__, sizes, range(0, w * b, w)))
-    return _PackedStars(stars, w), w, packed, units, tuple(range(b))
-
-
-class _PackedStars(dict):
-    """Point -> its packed star (see _star_index), packed when first asked
-    for: a one-off section packs only the points on its hyperplane."""
-
-    def __init__(self, stars, w: int):
-        self.stars, self.w = stars, w
-
-    def __missing__(self, x: int) -> int:
-        self[x] = packed = sum(map((1).__lshift__, map(self.w.__mul__, self.stars[x])))
-        return packed
+    unit = [1 << shift for shift in range(0, w * b, w)]
+    stars = tuple(sum(map(unit.__getitem__, star)) for star in stars)
+    return stars, w, packed, units, tuple(range(b))
 
 
 # bin(mask)[-1:1:-w] lists bits 0, w, 2w, ... of mask as the characters 0

@@ -7,6 +7,7 @@ from conftest import (
     bfs_diameter, bipartite_from_edges, brute_girth, holds_only_adj_a_and_invariants,
 )
 
+from bbcage import graphs
 from bbcage.bounds import excess_of
 from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
@@ -246,6 +247,35 @@ def test_graph6_large_n_prefix():
     n, edges = from_graph6(to_graph6(g))
     assert n == 70
     assert len(edges) == 35
+
+
+@pytest.mark.parametrize(
+    "n,prefix",
+    [
+        # N(n) of McKay's formats.txt: n + 63 for n <= 62, else 126 and n in
+        # 18 bits, or 126 126 and n in 36 bits, six bits per byte plus 63;
+        # 30, 12345 and 460175067 are its own examples
+        (1, b"@"),
+        (30, b"]"),
+        (62, b"}"),
+        (63, b"~??~"),
+        (64, b"~?@?"),
+        (1000, b"~?Ng"),
+        (12345, b"~B?x"),
+        (258047, b"~}~~"),
+        (258048, b"~~???~??"),
+        (460175067, b"~~?ZZZZZ"),
+        (10**9, b"~~?zekg?"),
+        (graphs._G6_MAX, b"~~~~~~~~"),
+    ],
+)
+def test_graph6_size_prefix_bytes(n, prefix):
+    assert graphs._g6_size_bytes(n) == prefix
+
+
+def test_graph6_size_prefix_refused_above_max():
+    with pytest.raises(GraphError, match="cannot encode 68719476736 vertices"):
+        graphs._g6_size_bytes(graphs._G6_MAX + 1)
 
 
 def test_graph6_empty_rejected():

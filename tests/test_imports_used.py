@@ -225,10 +225,10 @@ def test_graphs_built_only_by_the_three_builders():
 
 def test_global_adjacency_built_only_by_the_searches():
     # each level search builds the global adjacency it reads and drops it on
-    # return; a prune builds one for all its anchored searches to share
+    # return; a prune builds one for all its anchored searches to share; the
+    # degree sets are counted off adj_a
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("adjacency", sources)) == [
-        "graphs:BipartiteGraph",
         "graphs:_levels",
         "graphs:distance_sets",
         "prune:_anchor",

@@ -1,9 +1,9 @@
 """Hypothesis properties: the bit-parallel girth and diameter kernels against
-the per-root BFS oracles, the stored degree sets against an edge recount,
-graph_from_edges against a union-find 2-colouring, the rows every graph
-builder makes, the file readers against hostile input, ProjectiveSpace.lines_in
-against a scan of every point pair, and hyperplane_section against the
-per-block scan."""
+the per-root BFS oracles, the stored degree sets against an edge recount and
+the global adjacency, graph_from_edges against a union-find 2-colouring, the
+rows every graph builder makes, the file readers against hostile input,
+ProjectiveSpace.lines_in against a scan of every point pair, and
+hyperplane_section against the per-block scan."""
 
 import math
 from collections import Counter
@@ -54,8 +54,9 @@ def bipartite_graphs(draw):
     return bipartite_from_edges(n_a, n_b, sorted(edges))
 
 
-# Isolated class-B vertices, also between joined ones, and an empty class:
-# the adjacency the kernels build must keep a row for each.
+# Isolated vertices, also between joined ones, and an empty class: the
+# adjacency the kernels build must keep a row for each, and the degree sets
+# must hold 0 for each class with an isolated vertex.
 EDGE_CASES = [
     bipartite_from_edges(2, 3, [(0, 0), (1, 0)]),
     bipartite_from_edges(2, 4, [(0, 1), (0, 3), (1, 1), (1, 3)]),
@@ -68,9 +69,11 @@ EDGE_CASES = [
     bipartite_from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]),
     # a 4-cycle and an isolated vertex of the larger class
     bipartite_from_edges(2, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    # a 4-cycle and an isolated vertex in each class
+    bipartite_from_edges(3, 3, [(0, 0), (0, 1), (2, 0), (2, 1)]),
     # a path a0..a2 and a 4-cycle through a3 and a4: the first chunk of roots
     # shows the graph disconnected, and the cycle is in the last chunk at
-    # ROOT_CHUNK 3 and 1
+    # chunks of 3 and 1 roots
     bipartite_from_edges(
         5, 6, [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2), (4, 3)]
     ),
@@ -88,7 +91,7 @@ def with_edge_cases(test):
     [
         # girth first keeps the bare chunk size as its id
         pytest.param(chunk, first, id=str(chunk) if first else f"{chunk}-diameter-first")
-        for chunk in (graphs.ROOT_CHUNK, 3, 1)
+        for chunk in (1024, 3, 1)
         for first in (True, False)
     ],
 )
@@ -101,9 +104,8 @@ def test_kernels_match_bfs_oracles(chunk, girth_first, g):
     g = induced_subgraph(g, range(g.n_vertices))
     want = bfs_diameter(g)
     with pytest.MonkeyPatch.context() as mp:
-        # no bit budget: the chunk is ROOT_CHUNK roots, so 3 and 1 split roots
-        mp.setattr(graphs, "ROOT_CHUNK", chunk)
-        mp.setattr(graphs, "ROOT_BITS", 0)
+        # a bit budget of chunk bitsets of n bits each: 3 and 1 split roots
+        mp.setattr(graphs, "ROOT_BITS", chunk * g.n_vertices)
         # diameter first reads the girth its full pass stored
         if girth_first:
             assert girth(g) == bfs_girth(g)
@@ -121,6 +123,16 @@ def test_degrees_match_edge_recount(g):
     assert g.degree_sets() == (da, db)
     assert g.degree_sets() is g.degree_sets()
     assert g.degrees() == ((min(da), min(db)) if len(da) == len(db) == 1 else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=bipartite_graphs())
+@with_edge_cases
+def test_degree_sets_match_adjacency(g):
+    # counted off adj_a, the degree sets are the row lengths of adjacency()
+    adj = g.adjacency()
+    want = {len(row) for row in adj[: g.n_a]}, {len(row) for row in adj[g.n_a :]}
+    assert g.degree_sets() == want
 
 
 @st.composite
