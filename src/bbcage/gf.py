@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import isqrt
 
 MAX_ORDER = 1 << 16
 _TABLE_LIMIT = 512  # build full q x q tables up to this order
@@ -21,15 +22,13 @@ class FieldError(ValueError):
     """Domain violation in field construction or arithmetic."""
 
 
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2: the package's one trial division."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _smallest_factor(n) == n
 
 
 # Polynomials over GF(p) are tuples of coefficients, constant term first.
@@ -229,14 +228,9 @@ def prime_power(q: int) -> tuple[int, int]:
         raise FieldError(f"{q} is not a prime power")
     if q > MAX_ORDER:  # before factoring: trial division of a huge q never ends
         raise FieldError(f"field order {q} exceeds cap {MAX_ORDER}")
-    p = q
-    for d in range(2, int(q ** 0.5) + 1):
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    r = q
-    while r % p == 0 and r > 1:
+    p = _smallest_factor(q)
+    k, r = 0, q
+    while r % p == 0:
         r //= p
         k += 1
     if r != 1:

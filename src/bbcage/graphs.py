@@ -12,14 +12,16 @@ neighbours' frontiers.  Until a vertex meets one root through two neighbours,
 the bits sent at level L, deg(w) per frontier bit of w less one returning bit
 when L >= 2, equal the new (root, vertex) pairs, so the first level with a
 surplus gives girth 2L (Itai and Rodeh, 1978, counting for the collision test).
+Every other search, here and in prune, walks the one breadth-first search,
+bfs_order.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter, deque
-from itertools import chain, islice
+from collections import Counter
+from itertools import accumulate, chain, islice
 from operator import mul
 
 from .incidence import IncidenceStructure
@@ -116,17 +118,23 @@ def levi(structure: IncidenceStructure) -> BipartiteGraph:
     return structure._levi
 
 
-def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
-    dist = [-1] * len(adj)
+def bfs_order(adj: list[list[int]], dist: list[int], src: int) -> list[int]:
+    """Breadth-first search from src through the vertices whose dist is still
+    negative: fills in their distances from src and returns them in visit order."""
     dist[src] = 0
-    q = deque([src])
-    while q:
-        x = q.popleft()
-        dx = dist[x]
+    order = [src]
+    for x in order:  # the list is the queue: it grows while it is read
+        dx = dist[x] + 1
         for y in adj[x]:
             if dist[y] < 0:
-                dist[y] = dx + 1
-                q.append(y)
+                dist[y] = dx
+                order.append(y)
+    return order
+
+
+def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
+    dist = [-1] * len(adj)
+    bfs_order(adj, dist, src)
     return dist
 
 
@@ -218,29 +226,15 @@ def _levels(g: BipartiteGraph, roots, full: bool) -> int | float:
     return ecc
 
 
-def distance_sets(
-    g: BipartiteGraph, u: int, v: int, i: int, j: int, rows: dict | None = None
-) -> list[int]:
-    """Vertices at distance i from u and j from v (sorted global ids).
-
-    Several calls on one graph may share a `rows` dict, which keeps each
-    anchor's bfs_distances row, so each distinct anchor is searched once; a
-    caller that fills `rows` itself, as the prunes do from one adjacency,
-    leaves nothing to search.  Missing anchors share one adjacency per call.
-    """
+def distance_sets(g: BipartiteGraph, u: int, v: int, i: int, j: int) -> list[int]:
+    """Vertices at distance i from u and j from v (sorted global ids)."""
     n = g.n_vertices
     if not (0 <= u < n and 0 <= v < n):
         raise GraphError("vertex out of range")
     if u == v:
         raise GraphError("distance sets need two distinct anchor vertices")
-    if rows is None:
-        rows = {}
-    missing = [s for s in (u, v) if s not in rows]
-    if missing:
-        adj = g.adjacency()
-        for s in missing:
-            rows[s] = bfs_distances(adj, s)
-    du, dv = rows[u], rows[v]
+    adj = g.adjacency()
+    du, dv = bfs_distances(adj, u), bfs_distances(adj, v)
     return [w for w in range(n) if du[w] == i and dv[w] == j]
 
 
@@ -433,34 +427,26 @@ def from_dimacs(data) -> tuple[int, list[tuple[int, int]]]:
 
 
 def graph_from_edges(n: int, edges) -> BipartiteGraph:
-    """Wrap a raw bipartite edge list as a BipartiteGraph by one BFS
-    2-colouring: each component's smallest vertex goes to class A, and each
-    class keeps increasing vertex order.  An odd cycle, a self-loop or a
-    repeated edge raises GraphError."""
+    """Wrap a raw bipartite edge list as a BipartiteGraph by a 2-colouring, the
+    parity of distance from each component's smallest vertex (class A) on one
+    shared dist; each class keeps increasing vertex order.  An odd cycle, a
+    self-loop or a repeated edge raises GraphError."""
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    color = [-1] * n
+    dist = [-1] * n
     for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for y in adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    q.append(y)
-                elif color[y] == color[x]:
-                    raise GraphError("input graph is not bipartite")
-    index, sizes = [], [0, 0]
-    for c in color:
-        index.append(sizes[c])
-        sizes[c] += 1
-    adj_a = [sorted(index[w] for w in adj[v]) for v in range(n) if color[v] == 0]
-    for u, row in enumerate(adj_a):
-        if len(set(row)) != len(row):
-            raise GraphError(f"vertex {u} has a repeated edge")
-    return BipartiteGraph(sizes[0], sizes[1], adj_a)
+        if dist[s] < 0:
+            bfs_order(adj, dist, s)
+    colour = [d & 1 for d in dist]
+    rows = [nbrs for nbrs, c in zip(adj, colour) if not c]
+    m = sum(map(len, adj)) // 2  # bipartite iff class A's rows reach B m times
+    if sum(map(colour.__getitem__, chain.from_iterable(rows))) != m:
+        raise GraphError("input graph is not bipartite")
+    b_index = list(accumulate(colour, initial=0))  # class B ids before each vertex
+    adj_a = [sorted(map(b_index.__getitem__, nbrs)) for nbrs in rows]
+    if sum(map(len, map(set, adj_a))) != m:
+        u = next(u for u, row in enumerate(adj_a) if len(set(row)) < len(row))
+        raise GraphError(f"vertex {u} has a repeated edge")
+    return BipartiteGraph(len(rows), n - len(rows), adj_a)

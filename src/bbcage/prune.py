@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 
 from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
-    BipartiteGraph, ConstructionError, GraphError, bfs_distances, biregular_pair,
-    diameter, distance_sets, expect, expect_biregular, girth, induced_subgraph, levi,
+    BipartiteGraph, ConstructionError, GraphError, bfs_distances, bfs_order,
+    biregular_pair, diameter, expect, expect_biregular, girth, induced_subgraph, levi,
 )
 from .incidence import IncidenceStructure
 from .projective import conic_oval, projective_space
@@ -49,6 +48,24 @@ def _anchor(
     if edge is None and len(adj[u]) < len(adj[v]):
         u, v = v, u
     return r, u, v, adj
+
+
+def _branches(adj, anchor: int, depth: int) -> tuple[list[int], list[int]]:
+    """Distances from anchor and, up to depth < r, the branch of each vertex:
+    the anchor's neighbour that its one shortest path leaves by (girth 2r),
+    so d(root, w) = d(anchor, w) - 1 exactly when branch[w] is root."""
+    dist = [-1] * len(adj)
+    order = bfs_order(adj, dist, anchor)
+    branch = [-1] * len(adj)
+    for w in adj[anchor]:
+        branch[w] = w
+    for x in order[1:]:
+        if dist[x] >= depth:
+            break
+        for y in adj[x]:
+            if dist[y] > dist[x]:
+                branch[y] = branch[x]
+    return dist, branch
 
 
 def induced_branch_graph(
@@ -93,10 +110,10 @@ def induced_branch_graph(
             f"bound {ceiling}"
         )
     keep = set()
-    rows = {x: bfs_distances(adj, x) for x in dict.fromkeys((v, *roots_v, u, *roots_u))}
     for anchor, roots in ((v, roots_v), (u, roots_u)):
-        for root in roots:
-            keep.update(distance_sets(g, anchor, root, r - 1, r - 2, rows))
+        dist, branch = _branches(adj, anchor, r - 1)
+        roots = set(roots)
+        keep.update(w for w, d in enumerate(dist) if d == r - 1 and branch[w] in roots)
     return expect_biregular(induced_subgraph(g, keep), m1, n1, 2 * r, order, "branch prune")
 
 
@@ -114,14 +131,11 @@ def mixed_degree_prune(
     r, u, v, adj = _anchor(g, edge)
     s = len(adj[v]) - 1
     t = len(adj[u]) - 1
-    roots = [w for w in adj[v] if w != u][1:]
-    keep = set()
-    rows = {x: bfs_distances(adj, x) for x in (u, v, *roots)}
-    for j in (1, 2, 3):
-        keep.update(distance_sets(g, u, v, r - j, r + 1 - j, rows))
-    for root in roots:
-        keep.update(distance_sets(g, v, root, r - 1, r - 2, rows))
-        keep.update(distance_sets(g, v, root, r - 2, r - 3, rows))
+    roots = set([w for w in adj[v] if w != u][1:])
+    du = bfs_distances(adj, u)
+    dv, branch = _branches(adj, v, r - 1)
+    # three shells along the anchor, d(v, w) = d(u, w) + 1, and two per root
+    keep = [w for w, d in enumerate(dv) if d >= r - 2 and (d == du[w] + 1 or branch[w] in roots)]
     order = (s * t) ** (r // 2 - 1) * (s + t + 1)
     return expect_biregular(induced_subgraph(g, keep), s, t + 1, 2 * r, order, "mixed prune")
 
@@ -163,11 +177,10 @@ def find_free_edge(g: BipartiteGraph) -> tuple[int, int]:
 
 
 def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
-    """Vertices of a cycle of the given length through root, via BFS parents."""
-    n = len(adj)
-    dist = [-1] * n
-    parent = [-1] * n
-    dist[root] = 0
+    """Vertices of a cycle of the given length through root, via BFS parents:
+    a vertex's parent is its first neighbour one level up in visit order."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
 
     def chain(w: int) -> list[int]:  # w and its BFS ancestors, up to root
         path = []
@@ -176,14 +189,10 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
             w = parent[w]
         return path
 
-    q = deque([root])
-    while q:
-        x = q.popleft()
+    for x in bfs_order(adj, dist, root):
         for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
+            if parent[y] < 0 and dist[y] == dist[x] + 1:
                 parent[y] = x
-                q.append(y)
             elif y != parent[x] and dist[x] + dist[y] + 1 == length:
                 path_x, path_y = chain(x), chain(y)
                 if set(path_x).intersection(path_y) != {root}:

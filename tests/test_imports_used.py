@@ -9,7 +9,8 @@ only by the three builders in graphs: levi, induced_subgraph and
 graph_from_edges.  An IncidenceStructure is constructed only by the four
 constructions that start from blocks (the quadric polygons, the Steiner
 truncation and the two affine prunes), so a deletion is always an induced
-subgraph of its host's incidence graph, never a rebuilt structure."""
+subgraph of its host's incidence graph, never a rebuilt structure.  No
+module imports deque: graphs.bfs_order is the one breadth-first search."""
 
 import ast
 from pathlib import Path
@@ -243,4 +244,34 @@ def test_incidence_structures_built_only_by_the_four_constructions():
         "polygons:quadric_structure",
         "prune:affine_girth6_graph",
         "prune:affine_slab_graph",
+    ]
+
+
+def deque_imports(sources: dict[str, str]) -> list[str]:
+    """'module' for each import of deque, from collections or as an attribute."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "deque" in names or getattr(node, "attr", None) == "deque":
+                found.append(module)
+    return found
+
+
+def test_deque_imports_detector():
+    a = "from collections import Counter, deque\n"
+    b = "import collections\nq = collections.deque()\n"
+    c = "from collections import Counter\ndequeue = 1\n"
+    assert deque_imports({"a": a, "b": b, "c": c}) == ["a", "b"]
+
+
+def test_one_breadth_first_search():
+    # every search that needs distances or a visit order walks bfs_order
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert deque_imports(sources) == []
+    assert sorted(constructor_calls("bfs_order", sources)) == [
+        "graphs:bfs_distances",
+        "graphs:graph_from_edges",
+        "prune:_branches",
+        "prune:_girth_cycle_through",
     ]

@@ -5,9 +5,9 @@ import pytest
 from conftest import brute_girth, edge_count_conserved
 
 from bbcage import graphs, prune
-from bbcage.gf import field_new
+from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import (
-    BipartiteGraph, diameter, expect_biregular, girth, levi, to_graph6,
+    BipartiteGraph, diameter, distance_sets, expect_biregular, girth, levi, to_graph6,
 )
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import conic_oval, projective_space
@@ -81,17 +81,17 @@ def test_mixed_prune_orders_and_parameters():
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """The source of every bfs_distances call, in call order, whether from
-    graphs or from prune, which fills its distance rows itself."""
+    """The source of every bfs_order call, in call order, whether from graphs
+    (bfs_distances, distance_sets) or from prune."""
     sources = []
-    bfs = graphs.bfs_distances
+    bfs = graphs.bfs_order
 
-    def counting(adj, src):
+    def counting(adj, dist, src):
         sources.append(src)
-        return bfs(adj, src)
+        return bfs(adj, dist, src)
 
-    monkeypatch.setattr(graphs, "bfs_distances", counting)
-    monkeypatch.setattr(prune, "bfs_distances", counting)
+    monkeypatch.setattr(graphs, "bfs_order", counting)
+    monkeypatch.setattr(prune, "bfs_order", counting)
     return sources
 
 
@@ -128,18 +128,75 @@ def test_each_prune_builds_one_adjacency(adjacency_builds):
 
 
 def test_prunes_search_each_anchor_once(bfs_sources):
-    # u, v and the three branch roots at v; one BFS each.  The digests pin
-    # the graph6 bytes the prunes wrote when every shell ran its own BFS.
+    # One BFS from each end of the anchor edge: every branch shell is read off
+    # the anchor's BFS tree.  The digests pin the graph6 bytes the prunes
+    # wrote when every shell ran its own BFS.
     g = mixed_degree_prune(levi(gq_q5(F4)))
-    assert len(bfs_sources) == len(set(bfs_sources)) == 5
+    assert len(bfs_sources) == len(set(bfs_sources)) == 2
     digest = hashlib.sha256(to_graph6(g)).hexdigest()
     assert digest == "fb3ae77aff5e56c37cfaeb71d890def2a87e3e2db4d1cf48975d26aa28f9da9d"
     bfs_sources.clear()
-    # Both anchors, three roots at v, and three at u besides v itself.
     g = induced_branch_graph(levi(gq_q4(F3)), 3, 4)
-    assert len(bfs_sources) == len(set(bfs_sources)) == 2 + 3 + 3
+    assert len(bfs_sources) == len(set(bfs_sources)) == 2
     digest = hashlib.sha256(to_graph6(g)).hexdigest()
     assert digest == "da510f3f3319d34884adb7c0017518d3005048029815a3e121d8f5d7068cea45"
+
+
+@pytest.mark.parametrize(
+    "host,q,accepted",
+    [
+        (gq_q4, 2, 2), (gq_q4, 3, 4), (gq_q4, 4, 6), (gq_q4, 5, 10),
+        (gq_q5, 2, 3), (gq_q5, 3, 9), (gq_q5, 4, 27), (gq_q5, 5, 65),
+        (split_cayley_hexagon, 2, 0), (split_cayley_hexagon, 3, 2),
+    ],
+)
+def test_prunes_keep_the_per_root_shells(monkeypatch, host, q, accepted):
+    # Oracle: the vertex sets the prunes keep off one BFS tree per anchor are
+    # the shells that distance_sets finds from each branch root on its own,
+    # for both orientations of the anchor edge and every (m1, n1) the branch
+    # prune accepts (`accepted` of them over both orientations; the order
+    # bound refuses all at H(2)).  The contract check is skipped: only the
+    # sets are compared.
+    kept = []
+    monkeypatch.setattr(prune, "induced_subgraph", lambda g, keep: kept.append(set(keep)) or g)
+    monkeypatch.setattr(prune, "expect_biregular", lambda g, *args: g)
+    g = levi(host(field_of_order(q)))
+    r = diameter(g)
+    adj = g.adjacency()
+    shells = {}
+
+    def shell(a, b, i, j):
+        if (a, b, i, j) not in shells:
+            shells[a, b, i, j] = set(distance_sets(g, a, b, i, j))
+        return shells[a, b, i, j]
+
+    _, u0, v0, _ = prune._anchor(g, None)
+    count = 0
+    for u, v in ((u0, v0), (v0, u0)):
+        mixed_degree_prune(g, edge=(u, v))
+        roots = [w for w in adj[v] if w != u][1:]
+        want = set().union(
+            *(shell(u, v, r - j, r + 1 - j) for j in (1, 2, 3)),
+            *(shell(v, x, r - 1, r - 2) | shell(v, x, r - 2, r - 3) for x in roots),
+        )
+        assert kept.pop() == want and not kept
+        # a side's roots are its branches, then the anchor partner
+        roots_v = [w for w in adj[v] if w != u] + [u]
+        roots_u = [w for w in adj[u] if w != v] + [v]
+        for m1 in range(2, len(roots_v) + 1):
+            for n1 in range(m1, len(roots_u) + 1):
+                try:
+                    induced_branch_graph(g, m1, n1, edge=(u, v))
+                except ValueError:
+                    assert not kept
+                    continue
+                want = set().union(
+                    *(shell(v, x, r - 1, r - 2) for x in roots_v[:m1]),
+                    *(shell(u, x, r - 1, r - 2) for x in roots_u[:n1]),
+                )
+                assert kept.pop() == want and not kept
+                count += 1
+    assert count == accepted
 
 
 def test_mixed_prune_girth_never_decreases():
