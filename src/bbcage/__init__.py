@@ -37,7 +37,6 @@ _EXPORTS = {
         "BipartiteGraph",
         "ConstructionError",
         "diameter",
-        "distance_sets",
         "from_dimacs",
         "from_graph6",
         "girth",

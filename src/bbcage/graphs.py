@@ -1,7 +1,7 @@
-"""Bipartite graphs with exact girth/diameter machinery, distance-set
-extraction, graph6/DIMACS export, and the construction contract: expect
-aborts a construction with ConstructionError, and expect_biregular checks
-a construction's order, degrees and girth.
+"""Bipartite graphs with exact girth/diameter machinery, graph6/DIMACS
+export, and the construction contract: expect aborts a construction with
+ConstructionError, and expect_biregular checks a construction's order,
+degrees and girth.
 
 Vertex ids are global and deterministic: class A occupies 0..n_a-1 (points,
 in construction order), class B occupies n_a..n_a+n_b-1 (blocks).
@@ -224,18 +224,6 @@ def _levels(g: BipartiteGraph, roots, full: bool) -> int | float:
     if g._girth is None:
         g._girth = best
     return ecc
-
-
-def distance_sets(g: BipartiteGraph, u: int, v: int, i: int, j: int) -> list[int]:
-    """Vertices at distance i from u and j from v (sorted global ids)."""
-    n = g.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphError("vertex out of range")
-    if u == v:
-        raise GraphError("distance sets need two distinct anchor vertices")
-    adj = g.adjacency()
-    du, dv = bfs_distances(adj, u), bfs_distances(adj, v)
-    return [w for w in range(n) if du[w] == i and dv[w] == j]
 
 
 def expect(cond: bool, what: str):

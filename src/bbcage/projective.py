@@ -6,13 +6,13 @@ Point representatives are normalized (first nonzero coordinate = 1) and listed
 in lexicographic coordinate order; a point's id is its position in that list,
 so every downstream structure is bit-reproducible.
 
-Lines are listed in two ways.  ProjectiveSpace.lines_in walks the lines of
-PG(d, q) inside any point set.  perp_lines reads the lines of a generalized
-polygon off its perps, the masks of the points collinear with each point,
-with no walk: polar_perps gives it the perps of Q(4,q) and Q(5,q), and the
-split Cayley hexagon the kernels of its octonion product
-(polygons.quadric_structure).  ProjectiveSpace.join names a line of
-PG(2, q) by the cross product of two of its points.
+perp_lines reads the lines of a generalized polygon off its perps, the
+masks of the points collinear with each point, with no walk: polar_perps
+gives it the perps of Q(4,q) and Q(5,q), and the split Cayley hexagon the
+kernels of its octonion product (polygons.quadric_structure).
+ProjectiveSpace.line_through lists the points of the line through two
+points, and ProjectiveSpace.join names a line of PG(2, q) by the cross
+product of two of its points.
 
 Sections and perps find a hyperplane's points by meet in the middle over
 memoized half dot products (_scan), and a section counts its blocks by
@@ -98,42 +98,6 @@ class ProjectiveSpace:
             raise GeometryError("line_through needs two distinct points")
         return tuple(sorted((a_id, b_id, *self._rest_of_line(a_id, b_id))))
 
-    def lines_in(self, ids) -> list[tuple[int, ...]]:
-        """Every line whose q+1 points all lie in ids, as sorted id tuples in
-        sorted order.
-
-        Pairs are taken in sorted order, and the line of each pair not yet
-        on a found line is walked point by point and dropped at the first
-        point outside ids; so a line is found at its two smallest ids and
-        the lines come out sorted.  Coverage is one bitmask per point over
-        the positions of sorted(set(ids)).
-        """
-        members = sorted(set(ids))
-        inside = set(members)
-        pos = {a: i for i, a in enumerate(members)}
-        covered = [0] * len(members)
-        full = (1 << len(members)) - 1
-        lines = []
-        for i, a in enumerate(members):
-            rest = full >> (i + 1) << (i + 1) & ~covered[i]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                b = members[low.bit_length() - 1]
-                line = [a, b]
-                for c in self._rest_of_line(a, b):
-                    if c not in inside:
-                        break
-                    line.append(c)
-                else:
-                    line.sort()
-                    lines.append(tuple(line))
-                    mask = sum(1 << pos[x] for x in line)
-                    for x in line:
-                        covered[pos[x]] |= mask
-                    rest &= ~mask
-        return lines
-
     def join(self, a_id: int, b_id: int) -> tuple[int, ...]:
         """The line of PG(2, q) through two distinct points, as the normalized
         cross product of their coordinates: the coefficients of the one
@@ -162,24 +126,6 @@ def pg_points(d: int, field: Field) -> list[ProjectivePoint]:
     if not 2 <= d <= 6:
         raise GeometryError(f"supported dimensions are 2..6, got {d}")
     return projective_space(d, field).points
-
-
-def evaluate_form(form: QuadraticForm, coords, field: Field) -> int:
-    """Q(x) = sum over i <= j of m_ij x_i x_j for the upper-triangular M,
-    summed over the nonzero m_ij only (at most 5 in each form here)."""
-    add, mul = field.add, field.mul
-    acc = 0
-    for i, j, m in _form_terms(form):
-        acc = add(acc, mul(m, mul(coords[i], coords[j])))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _form_terms(form: QuadraticForm) -> tuple[tuple[int, int, int], ...]:
-    """The (i, j, m_ij) of the nonzero entries of the form's matrix."""
-    return tuple(
-        (i, j, m) for i, row in enumerate(form.matrix) for j, m in enumerate(row) if m
-    )
 
 
 def _blank(d: int) -> list[list[int]]:
@@ -224,9 +170,21 @@ def _smallest_anisotropic_pair(field: Field) -> tuple[int, int]:
 
 
 def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
-    """All projective points with Q(x) = 0, keeping their PG(d, q) ids."""
-    space = projective_space(form.dim, field)
-    return [p for p in space.points if evaluate_form(form, p.coords, field) == 0]
+    """All projective points with Q(x) = 0, keeping their PG(d, q) ids.
+
+    Q(x) = sum over i <= j of m_ij x_i x_j for the upper-triangular M,
+    summed over the nonzero m_ij only (at most 5 in each form here), which
+    are read off the matrix once per call."""
+    add, mul = field.add, field.mul
+    terms = [(i, j, m) for i, row in enumerate(form.matrix) for j, m in enumerate(row) if m]
+    out = []
+    for p in projective_space(form.dim, field).points:
+        x, acc = p.coords, 0
+        for i, j, m in terms:
+            acc = add(acc, mul(m, mul(x[i], x[j])))
+        if acc == 0:
+            out.append(p)
+    return out
 
 
 def polar_perps(form: QuadraticForm, point_coords, field: Field) -> list[int]:

@@ -202,9 +202,9 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
 
 
 def _first_line_missing(plane, targets: set[int]) -> tuple[int, ...]:
-    """The first line of plane.lines_in(all points) with no point in targets.
-    Sorted lines differ in their two smallest ids, so it is the line of the
-    first pair a < b whose line misses targets."""
+    """The first line of PG(2, p), in sorted point-tuple order, that misses
+    targets.  Sorted lines differ in their two smallest ids, so it is the
+    line of the first pair a < b whose line misses targets."""
     n = len(plane.points)
     for a in sorted(set(range(n)) - targets):
         seen = set(targets)  # and every point on a line already walked from a

@@ -289,14 +289,51 @@ def quadric_form(tag: str, field):
     return form
 
 
+def lines_in(space, ids) -> list[tuple[int, ...]]:
+    """Every line of the ProjectiveSpace space whose q+1 points all lie in
+    ids, as sorted id tuples in sorted order: the generic line walker.
+
+    Pairs are taken in sorted order, and the line of each pair not yet
+    on a found line is walked point by point and dropped at the first
+    point outside ids; so a line is found at its two smallest ids and
+    the lines come out sorted.  Coverage is one bitmask per point over
+    the positions of sorted(set(ids)).
+    """
+    members = sorted(set(ids))
+    inside = set(members)
+    pos = {a: i for i, a in enumerate(members)}
+    covered = [0] * len(members)
+    full = (1 << len(members)) - 1
+    lines = []
+    for i, a in enumerate(members):
+        rest = full >> (i + 1) << (i + 1) & ~covered[i]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = members[low.bit_length() - 1]
+            line = [a, b]
+            for c in space._rest_of_line(a, b):
+                if c not in inside:
+                    break
+                line.append(c)
+            else:
+                line.sort()
+                lines.append(tuple(line))
+                mask = sum(1 << pos[x] for x in line)
+                for x in line:
+                    covered[pos[x]] |= mask
+                rest &= ~mask
+    return lines
+
+
 def parabolic6_lines(field):
     """The points of Q(6,q) as coordinate tuples, and every line of PG(6, q)
-    on it in local indices, from the generic ProjectiveSpace.lines_in walk."""
+    on it in local indices, from the generic line walker lines_in."""
     from bbcage.projective import parabolic_form, projective_space, quadric_points
 
     pts = quadric_points(parabolic_form(6, field), field)
     local = {p.id: i for i, p in enumerate(pts)}
-    walk = projective_space(6, field).lines_in(local)
+    walk = lines_in(projective_space(6, field), local)
     return [p.coords for p in pts], [tuple(map(local.__getitem__, line)) for line in walk]
 
 

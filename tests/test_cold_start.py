@@ -126,7 +126,7 @@ def test_no_command_loads_dataclasses_fractions_or_inspect(tmp_path, argv):
 
 
 def test_exports_resolve_to_their_defining_modules():
-    assert len(bbcage.__all__) == len(set(bbcage.__all__)) == 49
+    assert len(bbcage.__all__) == len(set(bbcage.__all__)) == 48
     assert set(bbcage.__all__) <= set(dir(bbcage))
     for name in bbcage.__all__:
         value = getattr(bbcage, name)

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import structure_delete
+from conftest import lines_in, structure_delete
 
 from bbcage.designs import (
     Design,
@@ -207,7 +207,7 @@ def test_file_separators_are_lf_and_ascii_space_only():
 def test_pg23_as_design():
     # the 13 lines of PG(2, 3) form an S(2, 4, 13)
     space = projective_space(2, field_new(3, 1))
-    lines = space.lines_in(range(len(space.points)))
+    lines = lines_in(space, range(len(space.points)))
     d = Design(13, tuple(lines))
     assert design_validate(d).valid
     text = design_save(d)

@@ -17,7 +17,6 @@ from bbcage.graphs import (
     ConstructionError,
     GraphError,
     diameter,
-    distance_sets,
     expect_biregular,
     from_dimacs,
     from_graph6,
@@ -161,30 +160,6 @@ def test_kernels_match_networkx_on_named_families():
         ref = nx.Graph(g.edges())
         ref.add_nodes_from(range(g.n_vertices))
         assert (girth(g), diameter(g)) == (nx.girth(ref), nx.diameter(ref))
-
-
-def test_distance_sets_basic():
-    g = levi(gq_q4(F2))
-    u, v = 0, g.adjacency()[0][0]
-    assert distance_sets(g, u, v, 1, 1) == []  # girth 8 forbids joint neighbors
-    with pytest.raises(GraphError):
-        distance_sets(g, u, u, 0, 2)
-    # branch leaf sets: each branch of v carries s*t = 4 deep-level vertices
-    adj = g.adjacency()
-    for root in adj[v]:
-        if root == u:
-            continue
-        assert len(distance_sets(g, v, root, 3, 2)) == 4
-
-
-def test_distance_sets_subset_property():
-    g = levi(gq_q4(F2))
-    u, v = 0, g.adjacency()[0][0]
-    for i, j in [(2, 1), (2, 3), (3, 2), (4, 3)]:
-        ds = distance_sets(g, u, v, i, j)
-        assert ds == sorted(ds)
-        for w in ds:
-            assert abs(i - j) == 1  # bipartite parity across the edge uv
 
 
 def test_expect_biregular_on_k33():

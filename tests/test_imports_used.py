@@ -2,6 +2,9 @@
 __init__ (whose imports are re-exports) and __future__ imports are exempt.
 Every module-level private function is referenced somewhere in the package,
 and every module-level name bound by assignment is read somewhere in it.
+Every public module-level function and method is named in the package or in
+cagebench, other than at its own def and in the __init__ export table; only
+design_load and design_save, kept for a --design FILE option, are exempt.
 The text "violated invariant" appears only in graphs.expect, the one place a
 construction contract fails, and ConstructionError is raised only there and
 by the four searches that can come up empty.  A BipartiteGraph is constructed
@@ -15,7 +18,8 @@ module imports deque: graphs.bfs_order is the one breadth-first search."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bbcage"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bbcage"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -76,6 +80,60 @@ def test_unreferenced_private_functions_detector():
 def test_private_functions_are_referenced():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def unreferenced_public_functions(sources: dict[str, str], users: list[str]) -> list[str]:
+    """'module:name', or 'module:Class.name' for a method, for each public
+    (no leading underscore) module-level function and class method of
+    sources that no source in sources or users names, as a bare name, an
+    attribute or an import.  A def names nothing, and neither does a string:
+    a docstring mention or an export table entry is no reference."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            members = [(node, "")]
+            if isinstance(node, ast.ClassDef):
+                members = [(m, f"{node.name}.") for m in node.body]
+            defined += [
+                (f"{module}:{owner}{m.name}", m.name)
+                for m, owner in members
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not m.name.startswith("_")
+            ]
+    for source in [*sources.values(), *users]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [label for label, name in defined if name not in referenced]
+
+
+def test_unreferenced_public_functions_detector():
+    a = (
+        'def used():\n    pass\ndef dead():\n    """Not used(), see dead."""\n'
+        "def _private():\n    pass\nclass C:\n    def walk(self):\n        pass\n"
+        "    def run(self):\n        pass\n    def __len__(self):\n        return 0\n"
+        "used()\n"
+    )
+    b = "from .a import C\nC().run()\nEXPORTS = ('dead', 'walk')\n"
+    c = "import bbcage as bb\nbb.imported()\n"
+    d = "def imported():\n    pass\n"
+    found = unreferenced_public_functions({"a": a, "b": b, "d": d}, [c])
+    assert found == ["a:dead", "a:C.walk"]
+
+
+def test_public_functions_are_named_where_they_run():
+    # design_load and design_save wait for a --design FILE option
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    users = [p.read_text() for p in sorted((ROOT / "cagebench").glob("*.py"))]
+    assert sources and users
+    assert sorted(unreferenced_public_functions(sources, users)) == [
+        "designs:design_load",
+        "designs:design_save",
+    ]
 
 
 def invariant_texts(sources: dict[str, str]) -> list[str]:
@@ -231,7 +289,6 @@ def test_global_adjacency_built_only_by_the_searches():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("adjacency", sources)) == [
         "graphs:_levels",
-        "graphs:distance_sets",
         "prune:_anchor",
         "prune:find_free_edge",
     ]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import parabolic6_lines, quadric_form, scan_section
+from conftest import lines_in, parabolic6_lines, quadric_form, scan_section
 
 from bbcage import projective
 from bbcage.deletions import hyperplane_delete
@@ -16,7 +16,6 @@ from bbcage.projective import (
     Hyperplane,
     conic_oval,
     elliptic_form,
-    evaluate_form,
     hyperplane_section,
     parabolic_form,
     pg_points,
@@ -138,7 +137,7 @@ def test_quadric_lines_match_generic_walk(tag, q):
     field = field_of_order(q)
     form = quadric_form(tag, field)
     ids = [p.id for p in quadric_points(form, field)]
-    walk = projective_space(form.dim, field).lines_in(ids)
+    walk = lines_in(projective_space(form.dim, field), ids)
     if form.dim == 6:
         # Q(6,q) contains planes, so polar perps do not give its lines; each
         # of its points lies on (q+1)(q^2+1) lines, the points of Q(4,q)
@@ -150,24 +149,38 @@ def test_quadric_lines_match_generic_walk(tag, q):
         assert _pg_lines(form, field) == walk
 
 
+def _double_sum(form, x, f):
+    """Q(x) = the sum over i <= j of m_ij x_i x_j, zero terms included."""
+    acc = 0
+    for i, j in itertools.combinations_with_replacement(range(form.dim + 1), 2):
+        acc = f.add(acc, f.mul(form.matrix[i][j], f.mul(x[i], x[j])))
+    return acc
+
+
 def test_quadric_lines_lie_on_quadric():
     form = elliptic_form(F3)
     space = projective_space(5, F3)
     for line in _pg_lines(form, F3):
         for x in line:
-            assert evaluate_form(form, space.points[x].coords, F3) == 0
+            assert _double_sum(form, space.points[x].coords, F3) == 0
 
 
-@pytest.mark.parametrize("q", [2, 4, 5])
-def test_evaluate_form_matches_double_sum(q):
-    f = field_of_order(q)
-    for form in (parabolic_form(4, f), parabolic_form(6, f), elliptic_form(f)):
-        for pt in projective_space(form.dim, f).points[::7]:
-            x = pt.coords
-            acc = 0
-            for i, j in itertools.combinations_with_replacement(range(form.dim + 1), 2):
-                acc = f.add(acc, f.mul(form.matrix[i][j], f.mul(x[i], x[j])))
-            assert evaluate_form(form, x, f) == acc
+@pytest.mark.parametrize(
+    "tag,q",
+    [(t, q) for t in ("parabolic-4", "elliptic-5", "parabolic-6") for q in (2, 3, 4, 5)]
+    + [(t, q) for t in ("parabolic-4", "elliptic-5") for q in (8, 9)],
+)
+def test_quadric_points_match_double_sum(tag, q):
+    # the quadric is every point of PG(d, q) where the full double sum
+    # vanishes: (q^4 - 1)/(q - 1) points on Q(4,q), (q + 1)(q^3 + 1) on
+    # Q(5,q) and (q^6 - 1)/(q - 1) on Q(6,q)
+    field = field_of_order(q)
+    form = quadric_form(tag, field)
+    points = projective_space(form.dim, field).points
+    on = [p for p in points if _double_sum(form, p.coords, field) == 0]
+    size = {4: (q**4 - 1) // (q - 1), 5: (q + 1) * (q**3 + 1), 6: (q**6 - 1) // (q - 1)}
+    assert quadric_points(form, field) == on
+    assert len(on) == size[form.dim]
 
 
 def _structure(form, field):

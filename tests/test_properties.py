@@ -2,7 +2,8 @@
 the per-root BFS oracles, the stored degree sets against an edge recount and
 the global adjacency, graph_from_edges against a union-find 2-colouring, the
 rows every graph builder makes, the file readers against hostile input,
-ProjectiveSpace.lines_in against a scan of every point pair, and
+the generic line walker conftest.lines_in against a scan of every point
+pair, and
 hyperplane_section against the per-block scan."""
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    bfs_diameter, bfs_girth, bipartite_from_edges, scan_section, two_colouring
+    bfs_diameter, bfs_girth, bipartite_from_edges, lines_in, scan_section, two_colouring
 )
 
 from bbcage import graphs
@@ -323,7 +324,7 @@ def space_and_point_list(draw):
 def test_lines_in_matches_pair_scan(case):
     d, q, ids = case
     space = projective_space(d, field_of_order(q))
-    assert space.lines_in(ids) == _expected_lines_in(d, q, ids)
+    assert lines_in(space, ids) == _expected_lines_in(d, q, ids)
 
 
 @pytest.mark.parametrize("d,q", _SPACES)
@@ -331,11 +332,11 @@ def test_lines_in_boundary_sets(d, q):
     space = projective_space(d, field_of_order(q))
     everything = range(len(space.points))
     line = space.line_through(0, len(space.points) - 1)
-    assert space.lines_in([]) == []
-    assert space.lines_in([5]) == []
-    assert space.lines_in(line) == [line]
-    assert space.lines_in(line[:-1]) == []
-    assert space.lines_in(everything) == _pair_scan_lines(d, q)
+    assert lines_in(space, []) == []
+    assert lines_in(space, [5]) == []
+    assert lines_in(space, line) == [line]
+    assert lines_in(space, line[:-1]) == []
+    assert lines_in(space, everything) == _pair_scan_lines(d, q)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -350,7 +351,7 @@ def test_lines_in_hyperbolic_quadric(q):
         if add(mul(p.coords[0], p.coords[1]), mul(p.coords[2], p.coords[3])) == 0
     ]
     assert len(on) == (q + 1) ** 2
-    lines = space.lines_in(on)
+    lines = lines_in(space, on)
     assert len(lines) == 2 * (q + 1)
     assert lines == _expected_lines_in(3, q, on)
 

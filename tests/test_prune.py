@@ -2,12 +2,12 @@ import hashlib
 
 import pytest
 
-from conftest import brute_girth, edge_count_conserved
+from conftest import brute_girth, edge_count_conserved, lines_in
 
 from bbcage import graphs, prune
 from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import (
-    BipartiteGraph, diameter, distance_sets, expect_biregular, girth, levi, to_graph6,
+    BipartiteGraph, bfs_distances, diameter, expect_biregular, girth, levi, to_graph6,
 )
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import conic_oval, projective_space
@@ -82,7 +82,7 @@ def test_mixed_prune_orders_and_parameters():
 @pytest.fixture
 def bfs_sources(monkeypatch):
     """The source of every bfs_order call, in call order, whether from graphs
-    (bfs_distances, distance_sets) or from prune."""
+    (bfs_distances) or from prune."""
     sources = []
     bfs = graphs.bfs_order
 
@@ -152,7 +152,8 @@ def test_prunes_search_each_anchor_once(bfs_sources):
 )
 def test_prunes_keep_the_per_root_shells(monkeypatch, host, q, accepted):
     # Oracle: the vertex sets the prunes keep off one BFS tree per anchor are
-    # the shells that distance_sets finds from each branch root on its own,
+    # the shells found from each branch root on its own, a shell being the
+    # vertices at distance i from a and j from b by one BFS from each,
     # for both orientations of the anchor edge and every (m1, n1) the branch
     # prune accepts (`accepted` of them over both orientations; the order
     # bound refuses all at H(2)).  The contract check is skipped: only the
@@ -163,11 +164,15 @@ def test_prunes_keep_the_per_root_shells(monkeypatch, host, q, accepted):
     g = levi(host(field_of_order(q)))
     r = diameter(g)
     adj = g.adjacency()
-    shells = {}
+    dist, shells = {}, {}
 
     def shell(a, b, i, j):
         if (a, b, i, j) not in shells:
-            shells[a, b, i, j] = set(distance_sets(g, a, b, i, j))
+            for x in (a, b):
+                if x not in dist:
+                    dist[x] = bfs_distances(adj, x)
+            da, db = dist[a], dist[b]
+            shells[a, b, i, j] = {w for w in range(len(adj)) if da[w] == i and db[w] == j}
         return shells[a, b, i, j]
 
     _, u0, v0, _ = prune._anchor(g, None)
@@ -304,12 +309,12 @@ def test_slab_bytes_pinned(p, m1, n1):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_first_line_missing_is_first_walked_line(p):
-    # the docstring's claim: the first line of lines_in(all points) that
-    # misses the conic
+    # the docstring's claim: the first line of PG(2, p) in sorted order, as
+    # the generic walker lists all of them, that misses the conic
     field = field_new(p, 1)
     plane = projective_space(2, field)
     oval = {pt.id for pt in conic_oval(field)}
-    walked = plane.lines_in(range(len(plane.points)))
+    walked = lines_in(plane, range(len(plane.points)))
     first = next(line for line in walked if oval.isdisjoint(line))
     assert prune._first_line_missing(plane, oval) == first
 
