@@ -60,26 +60,18 @@ def _build_family(args):
     _require(args.q is not None, "--q is required")
     if fam in ("branch-prune", "t2-slab", "ag2-girth6"):
         _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
-    if fam == "ag2-girth6":
+    if fam in ("ag2-girth6", "t2-slab"):
+        from . import prune
         from .gf import field_of_order
-        from .prune import affine_girth6_graph
 
-        field = field_of_order(args.q)
-        p, m1, n1 = field.p, args.m1, args.n1
-        if 2 <= m1 <= p and 2 <= n1 <= p:  # else affine_girth6_graph names the bad one
-            _require_order(args, (m1 + n1) * p)
-        return affine_girth6_graph(field, m1, n1)
+        field, m1, n1 = field_of_order(args.q), args.m1, args.n1
+        if fam == "ag2-girth6":
+            _require_order(args, prune.affine_girth6_order(field, m1, n1))
+            return prune.affine_girth6_graph(field, m1, n1)
+        _require_order(args, prune.affine_slab_order(field, m1, n1))
+        return prune.affine_slab_graph(field, m1, n1)
     if fam in HOSTS:
         return _host_graph(fam, args.q)
-    if fam == "t2-slab":
-        from .gf import field_of_order
-        from .prune import affine_slab_graph
-
-        field = field_of_order(args.q)
-        p, m1, n1 = field.p, args.m1, args.n1
-        if field.k == 1 and 2 <= m1 <= p and 2 <= n1 <= p + 1:  # else the builder names it
-            _require_order(args, (m1 + n1) * p * p)
-        return affine_slab_graph(field, m1, n1)
     if fam in ("branch-prune", "mixed-prune"):
         from .prune import find_free_edge, induced_branch_graph, mixed_degree_prune
 
@@ -181,8 +173,8 @@ def _cmd_construct(args) -> int:
 # The cap bounds memory, not time: verify's one level search (two when the
 # diameter is odd) takes one level per step of the longest distance, each
 # level O(n) work per chunk of roots, so a graph of large diameter, such as a
-# long cycle, costs about n^3 (verify on C_2000 0.8 s, C_4000 2.7 s, with
-# CPython 3.11 on a shared 2-CPU Xeon; ROADMAP item 8).
+# long cycle, costs about n^3 (verify on C_2000 0.9 s, C_4000 3.9 s, medians of
+# 5 runs at commit ac44e11, CPython 3.11.7 on a shared 2-CPU Xeon; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
 # A graph6 file spends n(n-1)/12 bytes on the body of an n-vertex graph, and
 # to_graph6 holds two copies of it; 64 MiB of body is an order of 28,378.

@@ -42,7 +42,7 @@ class BipartiteGraph:
     def __init__(self, n_a: int, n_b: int, adj_a):
         """adj_a[u] lists the B-side indices (0-based within B) adjacent to u,
         ascending, in range and without repeats; rows are stored as given.
-        levi, induced_subgraph and graph_from_edges make their rows so."""
+        Every builder of a graph makes its rows so."""
         if n_a < 0 or n_b < 0:
             raise GraphError("negative class size")
         self.n_a = n_a

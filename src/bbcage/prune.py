@@ -5,7 +5,9 @@ The prunes keep carefully chosen distance sets around an anchor edge of a
 certified polygon's incidence graph; the affine constructions build
 biregular graphs of girth at least 8 and at least 6: from a slab of planes in
 PG(3, p) and the affine lines through the first points of a conic, and from
-horizontal lines of AG(2, p).
+horizontal lines of AG(2, p).  Their rows are written in closed form mod p,
+after the checks and order of affine_slab_order or affine_girth6_order,
+which construct calls before it builds anything.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from .bounds import moore_odd
 from .gf import Field
 from .graphs import (
     BipartiteGraph, ConstructionError, GraphError, bfs_distances, bfs_order,
-    biregular_pair, diameter, expect, expect_biregular, girth, induced_subgraph, levi,
+    biregular_pair, diameter, expect, expect_biregular, girth, induced_subgraph,
 )
-from .incidence import IncidenceStructure
 from .projective import conic_oval, projective_space
 
 
@@ -217,6 +218,19 @@ def _first_line_missing(plane, targets: set[int]) -> tuple[int, ...]:
     raise ConstructionError("no ideal line disjoint from the conic found")
 
 
+def affine_slab_order(field: Field, m1: int, n1: int) -> int:
+    """The order of affine_slab_graph(field, m1, n1), once its parameters
+    pass the checks that the builder and construct share."""
+    if field.k != 1:
+        raise ValueError("slab construction needs a prime field")
+    p = field.p
+    if not 2 <= m1 <= p:
+        raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
+    if not 2 <= n1 <= p + 1:
+        raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
+    return (m1 + n1) * p * p
+
+
 def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     """Biregular graph of girth at least 8 from PG(3, p), p prime: V1 is the
     affine point set of m1 planes through a line of the ideal plane disjoint
@@ -227,13 +241,8 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     and the slab are built: the work grows with the output.  The ideal
     line's coordinates are the join (cross product) of its first two points.
     """
-    if field.k != 1:
-        raise ValueError("slab construction needs a prime field")
+    order = affine_slab_order(field, m1, n1)
     p = field.p
-    if not 2 <= m1 <= p:
-        raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
-    if not 2 <= n1 <= p + 1:
-        raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
     ideal = projective_space(2, field)
     oval = [pt.id for pt in conic_oval(field)]
     ell = _first_line_missing(ideal, set(oval))
@@ -242,36 +251,36 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
     u = ideal.join(ell[0], ell[1])
     planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
-    lines = []
-    for point_id in oval[:n1]:
-        d = ideal.points[point_id].coords
-        lead = d.index(1)
-        # r + lam * d meets (h0, w) at lam = -(h0 + w . r) / (w . d)
-        steps = [field.neg(field.inv(field.dot(w, d))) for _, *w in planes]
-        # the affine lines in direction d, each from its smallest point, the
-        # one whose coordinate lead is 0, in PG(3, p) id order
+    # w = w[lead] * u: a plane's p^2 points solve u . x = -h0 / w[lead]
+    lead = u.index(1)
+    slab = []
+    for h0, *w in planes:
+        c = -h0 * pow(w[lead], -1, p)
         for rest in itertools.product(range(p), repeat=2):
-            r = [*rest[:lead], 0, *rest[lead:]]
-            meets = []
-            for (h0, *w), s in zip(planes, steps):
-                lam = field.mul(s, field.add(h0, field.dot(w, r)))
-                meets.append(tuple(field.add(a, field.mul(lam, b)) for a, b in zip(r, d)))
-            lines.append(sorted(meets))
-    # every slab point lies on one line of each direction
-    slab = sorted(set(itertools.chain.from_iterable(lines)))
-    slab_index = {x: i for i, x in enumerate(slab)}
-    blocks = [[slab_index[x] for x in line] for line in lines]
-    g = levi(IncidenceStructure([None] * len(slab), blocks))
+            x = [*rest[:lead], 0, *rest[lead:]]
+            x[lead] = (c - sum(a * b for a, b in zip(u, x))) % p
+            slab.append(tuple(x))
+    slab.sort()  # numbered in coordinate order
+    # x lies on the line k p^2 + r[i1] p + r[i2] of the k-th direction d,
+    # r = x - x[j] d with r[j] = 0 (j the lead of d, i1 < i2 the others)
+    directions = []
+    for k, point_id in enumerate(oval[:n1]):
+        d = ideal.points[point_id].coords
+        j = d.index(1)
+        i1, i2 = (i for i in range(3) if i != j)
+        directions.append((k * p * p, j, i1, d[i1], i2, d[i2]))
+    rows = [[base + (x[i1] - x[j] * d1) % p * p + (x[i2] - x[j] * d2) % p
+             for base, j, i1, d1, i2, d2 in directions] for x in slab]
+    g = BipartiteGraph(len(slab), n1 * p * p, rows)
+    expect(g.n_vertices == order, f"slab order {g.n_vertices} != {order}")
     da, db = g.degree_sets()
     expect(g.degrees() == (n1, m1), f"slab degrees {sorted(da)}/{sorted(db)}")
     return g
 
 
-def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
-    """Bipartite graph from AG(2, p), p prime: V1 the points of m1 horizontal
-    lines, V2 the affine lines through n1 non-horizontal directions; degrees
-    (n1, m1), no 4-cycles.  The girth is not measured here: it is at least 6,
-    and exactly 6 once triangles fit (m1, n1 >= 3)."""
+def affine_girth6_order(field: Field, m1: int, n1: int) -> int:
+    """The order of affine_girth6_graph(field, m1, n1), once its parameters
+    pass the checks that the builder and construct share."""
     if field.k != 1:
         raise ValueError("affine construction needs a prime field")
     p = field.p
@@ -279,26 +288,24 @@ def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
         raise ValueError(f"only {p} horizontal lines are affine, got m1={m1}")
     if not 2 <= n1 <= p:
         raise ValueError(f"only {p} non-horizontal directions exist, got n1={n1}")
-    slopes: list[int | None] = list(range(1, p)) + [None]  # None is vertical
-    chosen = slopes[:n1]
+    return (m1 + n1) * p
 
-    def pid(x: int, y: int) -> int:
-        return y * p + x
 
-    blocks = []
-    for s in chosen:
-        if s is None:
-            for c in range(p):
-                blocks.append(tuple(pid(c, y) for y in range(m1)))
-        else:
-            for b in range(p):
-                members = []
-                for y in range(m1):
-                    # x with s*x + b = y
-                    x = field.mul(field.inv(s), field.sub(y, b))
-                    members.append(pid(x, y))
-                blocks.append(members)
-    g = levi(IncidenceStructure([None] * m1 * p, blocks))
+def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
+    """Bipartite graph from AG(2, p), p prime: V1 the points of m1 horizontal
+    lines, V2 the affine lines through n1 non-horizontal directions; degrees
+    (n1, m1), no 4-cycles.  The girth is not measured here: it is at least 6,
+    and exactly 6 once triangles fit (m1, n1 >= 3)."""
+    order = affine_girth6_order(field, m1, n1)
+    p = field.p
+    # point (x, y) is y p + x; line k p + c of the k-th direction, slopes
+    # 1..p-1 and then the vertical, is a y + b x = c: y - s x = c, or x = c
+    directions = [(1, -s) for s in range(1, p)] + [(0, 1)]
+    chosen = [(k * p, a, b) for k, (a, b) in enumerate(directions[:n1])]
+    rows = [[base + (a * y + b * x) % p for base, a, b in chosen]
+            for y in range(m1) for x in range(p)]
+    g = BipartiteGraph(m1 * p, n1 * p, rows)
+    expect(g.n_vertices == order, f"affine order {g.n_vertices} != {order}")
     da, db = g.degree_sets()
     expect(g.degrees() == (n1, m1), f"affine degrees {sorted(da)}/{sorted(db)}")
     return g

@@ -349,3 +349,93 @@ def octonion_hexagon_lines(field):
         for line in lines
         if zorn_is_zero(zorn_mul(octonions[line[0]], octonions[line[1]], field))
     ]
+
+
+def reference_affine_slab_graph(field, m1: int, n1: int):
+    """The slab graph built through Field methods, one call per incidence,
+    and the incidence graph of its lines: the reference for
+    prune.affine_slab_graph's closed-form rows."""
+    import itertools
+
+    from bbcage.graphs import expect, levi
+    from bbcage.incidence import IncidenceStructure
+    from bbcage.projective import conic_oval, projective_space
+    from bbcage.prune import _first_line_missing
+
+    if field.k != 1:
+        raise ValueError("slab construction needs a prime field")
+    p = field.p
+    if not 2 <= m1 <= p:
+        raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
+    if not 2 <= n1 <= p + 1:
+        raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
+    ideal = projective_space(2, field)
+    oval = [pt.id for pt in conic_oval(field)]
+    ell = _first_line_missing(ideal, set(oval))
+    # the planes through ell other than X0 = 0 are (c, u), u the coordinates
+    # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
+    # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
+    u = ideal.join(ell[0], ell[1])
+    planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
+    lines = []
+    for point_id in oval[:n1]:
+        d = ideal.points[point_id].coords
+        lead = d.index(1)
+        # r + lam * d meets (h0, w) at lam = -(h0 + w . r) / (w . d)
+        steps = [field.neg(field.inv(field.dot(w, d))) for _, *w in planes]
+        # the affine lines in direction d, each from its smallest point, the
+        # one whose coordinate lead is 0, in PG(3, p) id order
+        for rest in itertools.product(range(p), repeat=2):
+            r = [*rest[:lead], 0, *rest[lead:]]
+            meets = []
+            for (h0, *w), s in zip(planes, steps):
+                lam = field.mul(s, field.add(h0, field.dot(w, r)))
+                meets.append(tuple(field.add(a, field.mul(lam, b)) for a, b in zip(r, d)))
+            lines.append(sorted(meets))
+    # every slab point lies on one line of each direction
+    slab = sorted(set(itertools.chain.from_iterable(lines)))
+    slab_index = {x: i for i, x in enumerate(slab)}
+    blocks = [[slab_index[x] for x in line] for line in lines]
+    g = levi(IncidenceStructure([None] * len(slab), blocks))
+    da, db = g.degree_sets()
+    expect(g.degrees() == (n1, m1), f"slab degrees {sorted(da)}/{sorted(db)}")
+    return g
+
+
+def reference_affine_girth6_graph(field, m1: int, n1: int):
+    """The AG(2, p) graph built through Field methods, one inverse per
+    incidence, and the incidence graph of its lines: the reference for
+    prune.affine_girth6_graph's closed-form rows."""
+    from bbcage.graphs import expect, levi
+    from bbcage.incidence import IncidenceStructure
+
+    if field.k != 1:
+        raise ValueError("affine construction needs a prime field")
+    p = field.p
+    if not 2 <= m1 <= p:
+        raise ValueError(f"only {p} horizontal lines are affine, got m1={m1}")
+    if not 2 <= n1 <= p:
+        raise ValueError(f"only {p} non-horizontal directions exist, got n1={n1}")
+    slopes: list[int | None] = list(range(1, p)) + [None]  # None is vertical
+    chosen = slopes[:n1]
+
+    def pid(x: int, y: int) -> int:
+        return y * p + x
+
+    blocks = []
+    for s in chosen:
+        if s is None:
+            for c in range(p):
+                blocks.append(tuple(pid(c, y) for y in range(m1)))
+        else:
+            for b in range(p):
+                members = []
+                for y in range(m1):
+                    # x with s*x + b = y
+                    x = field.mul(field.inv(s), field.sub(y, b))
+                    members.append(pid(x, y))
+                blocks.append(members)
+    g = levi(IncidenceStructure([None] * m1 * p, blocks))
+    da, db = g.degree_sets()
+    expect(g.degrees() == (n1, m1), f"affine degrees {sorted(da)}/{sorted(db)}")
+    return g

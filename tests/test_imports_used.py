@@ -8,11 +8,12 @@ design_load and design_save, kept for a --design FILE option, are exempt.
 The text "violated invariant" appears only in graphs.expect, the one place a
 construction contract fails, and ConstructionError is raised only there and
 by the four searches that can come up empty.  A BipartiteGraph is constructed
-only by the three builders in graphs: levi, induced_subgraph and
-graph_from_edges.  An IncidenceStructure is constructed only by the four
-constructions that start from blocks (the quadric polygons, the Steiner
-truncation and the two affine prunes), so a deletion is always an induced
-subgraph of its host's incidence graph, never a rebuilt structure.  No
+only by the three builders in graphs, levi, induced_subgraph and
+graph_from_edges, and by the two affine constructions, which write their rows
+in closed form.  An IncidenceStructure is constructed only by the two
+constructions that start from blocks (the quadric polygons and the Steiner
+truncation), so a deletion is always an induced subgraph of its host's
+incidence graph, never a rebuilt structure.  No
 module imports deque: graphs.bfs_order is the one breadth-first search."""
 
 import ast
@@ -273,12 +274,14 @@ def test_bipartite_graph_calls_detector():
     assert found == ["graphs:levi", "prune:affine", "prune:C", "prune:<module>"]
 
 
-def test_graphs_built_only_by_the_three_builders():
+def test_graphs_built_only_by_the_five_builders():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("BipartiteGraph", sources)) == [
         "graphs:graph_from_edges",
         "graphs:induced_subgraph",
         "graphs:levi",
+        "prune:affine_girth6_graph",
+        "prune:affine_slab_graph",
     ]
 
 
@@ -294,13 +297,11 @@ def test_global_adjacency_built_only_by_the_searches():
     ]
 
 
-def test_incidence_structures_built_only_by_the_four_constructions():
+def test_incidence_structures_built_only_by_the_two_constructions():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("IncidenceStructure", sources)) == [
         "designs:steiner_truncate",
         "polygons:quadric_structure",
-        "prune:affine_girth6_graph",
-        "prune:affine_slab_graph",
     ]
 
 

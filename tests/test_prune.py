@@ -2,10 +2,13 @@ import hashlib
 
 import pytest
 
-from conftest import brute_girth, edge_count_conserved, lines_in
+from conftest import (
+    brute_girth, edge_count_conserved, lines_in, reference_affine_girth6_graph,
+    reference_affine_slab_graph,
+)
 
 from bbcage import graphs, prune
-from bbcage.gf import field_new, field_of_order
+from bbcage.gf import _TABLE_LIMIT, Field, field_new, field_of_order
 from bbcage.graphs import (
     BipartiteGraph, bfs_distances, diameter, expect_biregular, girth, levi, to_graph6,
 )
@@ -13,7 +16,9 @@ from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import conic_oval, projective_space
 from bbcage.prune import (
     affine_girth6_graph,
+    affine_girth6_order,
     affine_slab_graph,
+    affine_slab_order,
     find_free_edge,
     induced_branch_graph,
     mixed_degree_prune,
@@ -252,6 +257,7 @@ def test_free_edge_small_order_rejected():
 def test_slab_p5():
     g = affine_slab_graph(F5, 3, 4)
     assert (g.n_a, g.n_b) == (75, 100)
+    assert affine_slab_order(F5, 3, 4) == g.n_vertices
     assert expect_biregular(g, 3, 4, 8, g.n_vertices, "slab") is g
     assert girth(g) == 8
 
@@ -307,6 +313,82 @@ def test_slab_bytes_pinned(p, m1, n1):
     assert hashlib.sha256(to_graph6(g)).hexdigest() == _SLAB_DIGESTS[p, m1, n1]
 
 
+# graph6 SHA-256 of AG(2, p) graphs, from the builder that called Field
+# methods per incidence; 521 is over the field table limit
+_AG2_DIGESTS = {
+    (7, 7, 7): "99862745ef0fd796b6439b51d1847496a1ff8a13ab994008b94e50c36000c892",
+    (13, 5, 13): "747cc3fae1556fdd70ee05d0dee1ee0595a4572db48e68f7a43bd3ae08c9dbb9",
+    (521, 3, 4): "f888866a7ce7e70cf3c25237f70093820f4d231c09b7c04e293d9959d56e904a",
+}
+
+
+@pytest.mark.parametrize("p,m1,n1", sorted(_AG2_DIGESTS))
+def test_ag2_bytes_pinned(p, m1, n1):
+    g = affine_girth6_graph(field_new(p, 1), m1, n1)
+    assert hashlib.sha256(to_graph6(g)).hexdigest() == _AG2_DIGESTS[p, m1, n1]
+
+
+_AFFINE = {
+    # builder, Field-method reference, most directions (n1) at prime p
+    "ag2": (affine_girth6_graph, reference_affine_girth6_graph, lambda p: p),
+    "slab": (affine_slab_graph, reference_affine_slab_graph, lambda p: p + 1),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("family", sorted(_AFFINE))
+def test_affine_rows_match_the_field_reference(family, p):
+    # the closed-form rows against the incidence graph of lines built one
+    # Field call per incidence, for every admissible (m1, n1)
+    build, reference, most = _AFFINE[family]
+    field = field_new(p, 1)
+    for m1 in range(2, p + 1):
+        for n1 in range(2, most(p) + 1):
+            g, want = build(field, m1, n1), reference(field, m1, n1)
+            assert (g.n_a, g.n_b, g.adj_a) == (want.n_a, want.n_b, want.adj_a), (m1, n1)
+
+
+@pytest.mark.parametrize("p,m1,n1", [(521, 2, 2), (521, 3, 4), (1021, 4, 3), (1021, 2, 5)])
+def test_affine_girth6_rows_match_the_reference_without_tables(p, m1, n1):
+    # over the table limit the reference's Field.inv goes through pow
+    assert p > _TABLE_LIMIT
+    field = field_new(p, 1)
+    g, want = affine_girth6_graph(field, m1, n1), reference_affine_girth6_graph(field, m1, n1)
+    assert (g.n_a, g.n_b, g.adj_a) == (want.n_a, want.n_b, want.adj_a)
+
+
+def test_affine_girth6_makes_no_field_call(monkeypatch):
+    field = field_new(7, 1)
+    want = reference_affine_girth6_graph(field, 5, 7)
+
+    def refuse(*args):
+        raise AssertionError("Field arithmetic called")
+
+    for name in ("add", "neg", "sub", "mul", "dot", "inv", "pow"):
+        monkeypatch.setattr(Field, name, refuse)
+    assert affine_girth6_graph(field, 5, 7).adj_a == want.adj_a
+
+
+def test_slab_field_calls_do_not_grow_with_the_slab(monkeypatch):
+    # the ideal plane's geometry calls Field methods, the slab's points and
+    # rows do not: the count is the same at the smallest and largest (m1, n1)
+    calls = []
+    for name in ("add", "neg", "sub", "mul", "dot", "inv", "pow"):
+        method = getattr(Field, name)
+
+        def counted(self, *args, _method=method):
+            calls.append(1)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    counts = []
+    for m1, n1 in [(2, 2), (7, 8)]:
+        calls.clear()
+        affine_slab_graph(field_new(7, 1), m1, n1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_first_line_missing_is_first_walked_line(p):
     # the docstring's claim: the first line of PG(2, p) in sorted order, as
@@ -331,6 +413,7 @@ def test_slab_rejections():
 def test_affine_girth6_p5():
     g = affine_girth6_graph(F5, 3, 4)
     assert (g.n_a, g.n_b) == (15, 20)
+    assert affine_girth6_order(F5, 3, 4) == g.n_vertices
     assert expect_biregular(g, 3, 4, 6, g.n_vertices, "affine girth-6 graph") is g
     assert brute_girth(g) == 6
 
