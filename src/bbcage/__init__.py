@@ -55,7 +55,6 @@ _EXPORTS = {
         "Hyperplane",
         "ProjectivePoint",
         "QuadraticForm",
-        "conic_oval",
         "hyperplane_section",
         "pg_points",
         "quadric_points",

@@ -155,9 +155,6 @@ class Field:
             return (-a) % self.p
         return self._encode([(-c) % self.p for c in self._decode(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self._mul_t is not None:
             return self._mul_t[a][b]

@@ -23,14 +23,15 @@ from .graphs import ConstructionError, diameter, expect, expect_biregular, levi
 from .incidence import IncidenceStructure
 from .projective import (
     GeometryError,
+    Hyperplane,
     QuadraticForm,
     elliptic_form,
     hyperplane_section,
     parabolic_form,
     perp_lines,
     perp_masks,
+    pg_points,
     polar_perps,
-    projective_space,
     quadric_points,
 )
 
@@ -152,7 +153,8 @@ def ovoid_hyperplane(field: Field) -> tuple[int, ...]:
     is an ovoid).  Each hyperplane is sectioned at most once per field."""
     q = field.q
     s = gq_q4(field)
-    for h in projective_space(4, field).hyperplanes():
+    for pt in pg_points(4, field):
+        h = Hyperplane(pt.coords)
         # hyperplane_section checks each line meets h in one or all points
         ovoid, lines_inside, _ = hyperplane_section(s.points, s.blocks, h, field)
         if len(ovoid) == q * q + 1 and not lines_inside:

@@ -1,18 +1,15 @@
-"""Projective geometry over GF(q): points, lines and hyperplanes of PG(d, q),
+"""Projective geometry over GF(q): the points and hyperplanes of PG(d, q),
 quadric points and their polar perps, the lines of a generalized polygon
-read off its perps, hyperplane sections, and the conic oval.
+read off its perps, and hyperplane sections.
 
-Point representatives are normalized (first nonzero coordinate = 1) and listed
-in lexicographic coordinate order; a point's id is its position in that list,
-so every downstream structure is bit-reproducible.
+pg_points is the one list of PG(d, q): normalized representatives (first
+nonzero coordinate 1) in lexicographic coordinate order, a point's id its
+position, so every downstream structure is bit-reproducible.
 
 perp_lines reads the lines of a generalized polygon off its perps, the
 masks of the points collinear with each point, with no walk: polar_perps
 gives it the perps of Q(4,q) and Q(5,q), and the split Cayley hexagon the
 kernels of its octonion product (polygons.quadric_structure).
-ProjectiveSpace.line_through lists the points of the line through two
-points, and ProjectiveSpace.join names a line of PG(2, q) by the cross
-product of two of its points.
 
 Sections and perps find a hyperplane's points by meet in the middle over
 memoized half dot products (_scan), and a section counts its blocks by
@@ -53,79 +50,18 @@ class QuadraticForm(namedtuple("QuadraticForm", "dim matrix tag")):
     __slots__ = ()
 
 
-class ProjectiveSpace:
-    """PG(d, q) with normalized, lexicographically ordered point list."""
-
-    def __init__(self, d: int, field: Field):
-        if d < 1:
-            raise GeometryError(f"projective dimension must be >= 1, got {d}")
-        self.d = d
-        self.field = field
-        q = field.q
-        pts = []
-        for lead in range(d, -1, -1):
-            for tail in itertools.product(range(q), repeat=d - lead):
-                pts.append((0,) * lead + (1,) + tail)
-        self.points = [ProjectivePoint(i, c) for i, c in enumerate(pts)]
-        self._id = {c: i for i, c in enumerate(pts)}
-
-    def normalize(self, coords) -> tuple[int, ...]:
-        F = self.field
-        lead = next((c for c in coords if c != 0), None)
-        if lead is None:
-            raise GeometryError("cannot normalize the zero vector")
-        if lead == 1:
-            return tuple(coords)
-        s = F.inv(lead)
-        return tuple(F.mul(s, c) for c in coords)
-
-    def id_of(self, coords) -> int:
-        return self._id[self.normalize(coords)]
-
-    def _rest_of_line(self, a_id: int, b_id: int):
-        """The q - 1 point ids a + lam * b (lam = 1..q-1) of line ab other
-        than a and b, one at a time."""
-        F = self.field
-        a = self.points[a_id].coords
-        b = self.points[b_id].coords
-        for lam in range(1, F.q):
-            c = tuple(F.add(x, F.mul(lam, y)) for x, y in zip(a, b))
-            yield self._id[self.normalize(c)]
-
-    def line_through(self, a_id: int, b_id: int) -> tuple[int, ...]:
-        """The q+1 point ids of the line spanned by two distinct points."""
-        if a_id == b_id:
-            raise GeometryError("line_through needs two distinct points")
-        return tuple(sorted((a_id, b_id, *self._rest_of_line(a_id, b_id))))
-
-    def join(self, a_id: int, b_id: int) -> tuple[int, ...]:
-        """The line of PG(2, q) through two distinct points, as the normalized
-        cross product of their coordinates: the coefficients of the one
-        hyperplane through both."""
-        if self.d != 2:
-            raise GeometryError(f"join needs PG(2, q), not PG({self.d}, q)")
-        if a_id == b_id:
-            raise GeometryError("join needs two distinct points")
-        mul, sub = self.field.mul, self.field.sub
-        a, b = self.points[a_id].coords, self.points[b_id].coords
-        return self.normalize(
-            [sub(mul(a[i - 2], b[i - 1]), mul(a[i - 1], b[i - 2])) for i in range(3)]
-        )
-
-    def hyperplanes(self) -> list[Hyperplane]:
-        return [Hyperplane(p.coords) for p in self.points]
-
-
 @lru_cache(maxsize=None)
-def projective_space(d: int, field: Field) -> ProjectiveSpace:
-    return ProjectiveSpace(d, field)
-
-
-def pg_points(d: int, field: Field) -> list[ProjectivePoint]:
-    """All points of PG(d, q), 2 <= d <= 6."""
+def pg_points(d: int, field: Field) -> tuple[ProjectivePoint, ...]:
+    """All points of PG(d, q), 2 <= d <= 6, built once per (d, field): the
+    package's one list of them."""
     if not 2 <= d <= 6:
         raise GeometryError(f"supported dimensions are 2..6, got {d}")
-    return projective_space(d, field).points
+    coords = (
+        (0,) * lead + (1,) + tail
+        for lead in range(d, -1, -1)
+        for tail in itertools.product(range(field.q), repeat=d - lead)
+    )
+    return tuple(itertools.starmap(ProjectivePoint, enumerate(coords)))
 
 
 def _blank(d: int) -> list[list[int]]:
@@ -178,7 +114,7 @@ def quadric_points(form: QuadraticForm, field: Field) -> list[ProjectivePoint]:
     add, mul = field.add, field.mul
     terms = [(i, j, m) for i, row in enumerate(form.matrix) for j, m in enumerate(row) if m]
     out = []
-    for p in projective_space(form.dim, field).points:
+    for p in pg_points(form.dim, field):
         x, acc = p.coords, 0
         for i, j, m in terms:
             acc = add(acc, mul(m, mul(x[i], x[j])))
@@ -433,16 +369,3 @@ def hyperplane_section(
     inside = list(itertools.compress(block_ids, sel.translate(_BIT_BYTES)))
     return inside_pts, inside, list(itertools.compress(block_ids, sel.translate(_CLEAR_BYTES)))
 
-
-def conic_oval(field: Field) -> list[ProjectivePoint]:
-    """The q+1 conic points {(1, t, t^2)} + {(0, 0, 1)} of PG(2, q); no three
-    are collinear (asserted: the lines joining two of them, named by
-    ProjectiveSpace.join, are all distinct)."""
-    space = projective_space(2, field)
-    ids = [space.id_of((1, t, field.mul(t, t))) for t in range(field.q)]
-    ids.append(space.id_of((0, 0, 1)))
-    pts = [space.points[i] for i in sorted(ids)]
-    joins = {space.join(a.id, b.id) for a, b in itertools.combinations(pts, 2)}
-    if len(joins) != len(pts) * (len(pts) - 1) // 2:
-        raise GeometryError("conic produced three collinear points")
-    return pts

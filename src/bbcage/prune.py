@@ -7,7 +7,9 @@ biregular graphs of girth at least 8 and at least 6: from a slab of planes in
 PG(3, p) and the affine lines through the first points of a conic, and from
 horizontal lines of AG(2, p).  Their rows are written in closed form mod p,
 after the checks and order of affine_slab_order or affine_girth6_order,
-which construct calls before it builds anything.
+which construct calls before it builds anything.  The slab's ideal line,
+planes and conic directions are in closed form too (_slab_geometry), so no
+list of projective points is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .graphs import (
     BipartiteGraph, ConstructionError, GraphError, bfs_distances, bfs_order,
     biregular_pair, diameter, expect, expect_biregular, girth, induced_subgraph,
 )
-from .projective import conic_oval, projective_space
 
 
 def _anchor(
@@ -44,7 +45,7 @@ def _anchor(
         raise ValueError(f"host girth {girth(g)} != 2 * diameter {2 * r}")
     adj = g.adjacency()
     u, v = edge if edge is not None else (0, adj[0][0])
-    if v not in adj[u]:
+    if not 0 <= u < len(adj) or v not in adj[u]:
         raise ValueError(f"anchor ({u}, {v}) is not an edge")
     if edge is None and len(adj[u]) < len(adj[v]):
         u, v = v, u
@@ -202,22 +203,6 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
     raise ConstructionError(f"no cycle of length {length} through vertex {root}")
 
 
-def _first_line_missing(plane, targets: set[int]) -> tuple[int, ...]:
-    """The first line of PG(2, p), in sorted point-tuple order, that misses
-    targets.  Sorted lines differ in their two smallest ids, so it is the
-    line of the first pair a < b whose line misses targets."""
-    n = len(plane.points)
-    for a in sorted(set(range(n)) - targets):
-        seen = set(targets)  # and every point on a line already walked from a
-        for b in range(a + 1, n):
-            if b not in seen:
-                line = plane.line_through(a, b)
-                if targets.isdisjoint(line):
-                    return line
-                seen.update(line)
-    raise ConstructionError("no ideal line disjoint from the conic found")
-
-
 def affine_slab_order(field: Field, m1: int, n1: int) -> int:
     """The order of affine_slab_graph(field, m1, n1), once its parameters
     pass the checks that the builder and construct share."""
@@ -231,26 +216,48 @@ def affine_slab_order(field: Field, m1: int, n1: int) -> int:
     return (m1 + n1) * p * p
 
 
+def _slab_geometry(field: Field, m1: int, n1: int):
+    """The slab's ideal line u, its first m1 planes and its first n1 conic
+    directions, in closed form in the ideal plane X0 = 0, numbered as
+    PG(2, p) and so as in PG(3, p).
+
+    The conic X1^2 = X0 X2 is (0, 0, 1) and then (1, t, t^2), t = 0..p-1,
+    in id order.  A line missing the conic misses (0, 0, 1), so its two
+    smallest points are (0, 1, t) and (1, 0, b), and it misses the conic
+    exactly when x^2 - t x - b has no root mod p (Hirschfeld, Projective
+    Geometries over Finite Fields).  The first such line in sorted point
+    order has the least such (t, b); its coordinates are the cross product
+    (b, t, -1) of those two points.  The planes through it other than
+    X0 = 0 are (c, u), and normalized coordinates sort in PG(3, p) id order.
+    """
+    p = field.p
+
+    def lead_one(v):
+        s = field.inv(next(x for x in v if x))
+        return tuple(field.mul(s, x) for x in v)
+
+    t, b = next((t, b) for t in range(p) for b in range(p)
+                if all((x * x - t * x - b) % p for x in range(p)))
+    u = lead_one((b, t, p - 1))
+    planes = sorted(lead_one((c, *u)) for c in range(p))[:m1]
+    conic = [(0, 0, 1)] + [(1, x, x * x % p) for x in range(p)]
+    return u, planes, conic[:n1]
+
+
 def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     """Biregular graph of girth at least 8 from PG(3, p), p prime: V1 is the
     affine point set of m1 planes through a line of the ideal plane disjoint
-    from a conic, V2 the affine lines through the first n1 conic points of
-    conic_oval; degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
+    from the conic X1^2 = X0 X2, V2 the affine lines through its first n1
+    points; degrees are (n1, m1) with |V1| = m1*p^2 and |V2| = n1*p^2.
 
-    Only the ideal plane X0 = 0, numbered as PG(2, p) and so as in PG(3, p),
-    and the slab are built: the work grows with the output.  The ideal
-    line's coordinates are the join (cross product) of its first two points.
+    The ideal line, planes and directions come in closed form from
+    _slab_geometry, with no point list of the ideal plane: the work grows
+    with the output.
     """
     order = affine_slab_order(field, m1, n1)
     p = field.p
-    ideal = projective_space(2, field)
-    oval = [pt.id for pt in conic_oval(field)]
-    ell = _first_line_missing(ideal, set(oval))
-    # the planes through ell other than X0 = 0 are (c, u), u the coordinates
-    # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
-    # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
-    u = ideal.join(ell[0], ell[1])
-    planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
+    u, planes, directions = _slab_geometry(field, m1, n1)
+    # the affine point (1, x) lies on the plane (h0, w) when h0 + w . x = 0;
     # w = w[lead] * u: a plane's p^2 points solve u . x = -h0 / w[lead]
     lead = u.index(1)
     slab = []
@@ -263,14 +270,13 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     slab.sort()  # numbered in coordinate order
     # x lies on the line k p^2 + r[i1] p + r[i2] of the k-th direction d,
     # r = x - x[j] d with r[j] = 0 (j the lead of d, i1 < i2 the others)
-    directions = []
-    for k, point_id in enumerate(oval[:n1]):
-        d = ideal.points[point_id].coords
+    lines = []
+    for k, d in enumerate(directions):
         j = d.index(1)
         i1, i2 = (i for i in range(3) if i != j)
-        directions.append((k * p * p, j, i1, d[i1], i2, d[i2]))
+        lines.append((k * p * p, j, i1, d[i1], i2, d[i2]))
     rows = [[base + (x[i1] - x[j] * d1) % p * p + (x[i2] - x[j] * d2) % p
-             for base, j, i1, d1, i2, d2 in directions] for x in slab]
+             for base, j, i1, d1, i2, d2 in lines] for x in slab]
     g = BipartiteGraph(len(slab), n1 * p * p, rows)
     expect(g.n_vertices == order, f"slab order {g.n_vertices} != {order}")
     da, db = g.degree_sets()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
+from functools import lru_cache
 
 import pytest
 
@@ -250,12 +252,17 @@ def zorn(coords, field):
     return a, v, w, field.neg(a)
 
 
+def _sub(field, a, b):
+    """a - b in field."""
+    return field.add(a, field.neg(b))
+
+
 def _cross(u, v, field):
-    m, s = field.mul, field.sub
+    m = field.mul
     return (
-        s(m(u[1], v[2]), m(u[2], v[1])),
-        s(m(u[2], v[0]), m(u[0], v[2])),
-        s(m(u[0], v[1]), m(u[1], v[0])),
+        _sub(field, m(u[1], v[2]), m(u[2], v[1])),
+        _sub(field, m(u[2], v[0]), m(u[0], v[2])),
+        _sub(field, m(u[0], v[1]), m(u[1], v[0])),
     )
 
 
@@ -264,11 +271,11 @@ def zorn_mul(x, y, field):
     from the definition, independent of the library's kernel rows."""
     a1, v1, w1, b1 = x
     a2, v2, w2, b2 = y
-    m, add, sub = field.mul, field.add, field.sub
+    m, add = field.mul, field.add
     cw = _cross(w1, w2, field)
     cv = _cross(v1, v2, field)
     a = add(m(a1, a2), field.dot(v1, w2))
-    v = tuple(sub(add(m(a1, v2[i]), m(b2, v1[i])), cw[i]) for i in range(3))
+    v = tuple(_sub(field, add(m(a1, v2[i]), m(b2, v1[i])), cw[i]) for i in range(3))
     w = tuple(add(add(m(a2, w1[i]), m(b1, w2[i])), cv[i]) for i in range(3))
     b = add(m(b1, b2), field.dot(w1, v2))
     return a, v, w, b
@@ -289,8 +296,106 @@ def quadric_form(tag: str, field):
     return form
 
 
+class Space:
+    """PG(d, q) on the library's point list pg_points, with generic
+    operations that the package has no caller for: normalize, the id map,
+    the line walker (rest_of_line, line_through) and, in PG(2, q), join.
+    The oracle of lines_in, the slab reference and the quadric-line
+    cross-checks."""
+
+    def __init__(self, d: int, field):
+        from bbcage.projective import pg_points
+
+        self.field = field
+        self.points = pg_points(d, field)
+        self._id = {p.coords: p.id for p in self.points}
+
+    def normalize(self, coords) -> tuple[int, ...]:
+        """coords scaled so that the first nonzero coordinate is 1."""
+        F = self.field
+        lead = next(c for c in coords if c != 0)
+        if lead == 1:
+            return tuple(coords)
+        s = F.inv(lead)
+        return tuple(F.mul(s, c) for c in coords)
+
+    def id_of(self, coords) -> int:
+        return self._id[self.normalize(coords)]
+
+    def rest_of_line(self, a_id: int, b_id: int):
+        """The q - 1 point ids a + lam * b (lam = 1..q-1) of line ab other
+        than a and b, one at a time."""
+        F = self.field
+        a = self.points[a_id].coords
+        b = self.points[b_id].coords
+        for lam in range(1, F.q):
+            yield self.id_of(tuple(F.add(x, F.mul(lam, y)) for x, y in zip(a, b)))
+
+    def line_through(self, a_id: int, b_id: int) -> tuple[int, ...]:
+        """The q+1 point ids of the line spanned by two distinct points."""
+        from bbcage.projective import GeometryError
+
+        if a_id == b_id:
+            raise GeometryError("line_through needs two distinct points")
+        return tuple(sorted((a_id, b_id, *self.rest_of_line(a_id, b_id))))
+
+    def join(self, a_id: int, b_id: int) -> tuple[int, ...]:
+        """The line of PG(2, q) through two distinct points, as the normalized
+        cross product of their coordinates: the coefficients of the one
+        hyperplane through both."""
+        a, b = self.points[a_id].coords, self.points[b_id].coords
+        return self.normalize(_cross(a, b, self.field))
+
+
+@lru_cache(maxsize=None)
+def pg_space(d: int, field) -> Space:
+    return Space(d, field)
+
+
+def conic_oval(field) -> list:
+    """The q+1 points (1, t, t^2) and (0, 0, 1) of the conic X1^2 = X0 X2 of
+    PG(2, q), in id order."""
+    space = pg_space(2, field)
+    ids = [space.id_of((1, t, field.mul(t, t))) for t in range(field.q)]
+    ids.append(space.id_of((0, 0, 1)))
+    return [space.points[i] for i in sorted(ids)]
+
+
+def first_line_missing(plane, targets: set[int]) -> tuple[int, ...]:
+    """The first line of the plane plane (a Space of PG(2, p)), in sorted
+    point-tuple order, that misses targets, by the pair walk.  Sorted lines
+    differ in their two smallest ids, so it is the line of the first pair
+    a < b whose line misses targets."""
+    n = len(plane.points)
+    for a in sorted(set(range(n)) - targets):
+        seen = set(targets)  # and every point on a line already walked from a
+        for b in range(a + 1, n):
+            if b not in seen:
+                line = plane.line_through(a, b)
+                if targets.isdisjoint(line):
+                    return line
+                seen.update(line)
+    raise AssertionError("no line disjoint from targets")
+
+
+def walked_slab_geometry(field, m1: int, n1: int):
+    """The slab's ideal line coordinates u, its first m1 planes and its first
+    n1 conic directions, from the pair walk over the ideal plane X0 = 0:
+    the reference for prune._slab_geometry's closed form."""
+    p = field.p
+    ideal = pg_space(2, field)
+    oval = [pt.id for pt in conic_oval(field)]
+    ell = first_line_missing(ideal, set(oval))
+    # the planes through ell other than X0 = 0 are (c, u), u the coordinates
+    # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
+    # order
+    u = ideal.join(ell[0], ell[1])
+    planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
+    return u, planes, [ideal.points[i].coords for i in oval[:n1]]
+
+
 def lines_in(space, ids) -> list[tuple[int, ...]]:
-    """Every line of the ProjectiveSpace space whose q+1 points all lie in
+    """Every line of space (a Space) whose q+1 points all lie in
     ids, as sorted id tuples in sorted order: the generic line walker.
 
     Pairs are taken in sorted order, and the line of each pair not yet
@@ -312,7 +417,7 @@ def lines_in(space, ids) -> list[tuple[int, ...]]:
             rest ^= low
             b = members[low.bit_length() - 1]
             line = [a, b]
-            for c in space._rest_of_line(a, b):
+            for c in space.rest_of_line(a, b):
                 if c not in inside:
                     break
                 line.append(c)
@@ -329,11 +434,11 @@ def lines_in(space, ids) -> list[tuple[int, ...]]:
 def parabolic6_lines(field):
     """The points of Q(6,q) as coordinate tuples, and every line of PG(6, q)
     on it in local indices, from the generic line walker lines_in."""
-    from bbcage.projective import parabolic_form, projective_space, quadric_points
+    from bbcage.projective import parabolic_form, quadric_points
 
     pts = quadric_points(parabolic_form(6, field), field)
     local = {p.id: i for i, p in enumerate(pts)}
-    walk = lines_in(projective_space(6, field), local)
+    walk = lines_in(pg_space(6, field), local)
     return [p.coords for p in pts], [tuple(map(local.__getitem__, line)) for line in walk]
 
 
@@ -355,12 +460,8 @@ def reference_affine_slab_graph(field, m1: int, n1: int):
     """The slab graph built through Field methods, one call per incidence,
     and the incidence graph of its lines: the reference for
     prune.affine_slab_graph's closed-form rows."""
-    import itertools
-
     from bbcage.graphs import expect, levi
     from bbcage.incidence import IncidenceStructure
-    from bbcage.projective import conic_oval, projective_space
-    from bbcage.prune import _first_line_missing
 
     if field.k != 1:
         raise ValueError("slab construction needs a prime field")
@@ -369,17 +470,10 @@ def reference_affine_slab_graph(field, m1: int, n1: int):
         raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
     if not 2 <= n1 <= p + 1:
         raise ValueError(f"need 2 <= n1 <= {p + 1} conic points, got {n1}")
-    ideal = projective_space(2, field)
-    oval = [pt.id for pt in conic_oval(field)]
-    ell = _first_line_missing(ideal, set(oval))
-    # the planes through ell other than X0 = 0 are (c, u), u the coordinates
-    # of ell in the ideal plane; normalized coordinates sort in PG(3, p) id
-    # order, and the affine point (1, x) lies on (h0, w) when h0 + w . x = 0
-    u = ideal.join(ell[0], ell[1])
-    planes = sorted(ideal.normalize((c, *u)) for c in range(p))[:m1]
+    _, planes, directions = walked_slab_geometry(field, m1, n1)
+    # the affine point (1, x) lies on the plane (h0, w) when h0 + w . x = 0
     lines = []
-    for point_id in oval[:n1]:
-        d = ideal.points[point_id].coords
+    for d in directions:
         lead = d.index(1)
         # r + lam * d meets (h0, w) at lam = -(h0 + w . r) / (w . d)
         steps = [field.neg(field.inv(field.dot(w, d))) for _, *w in planes]
@@ -432,7 +526,7 @@ def reference_affine_girth6_graph(field, m1: int, n1: int):
                 members = []
                 for y in range(m1):
                     # x with s*x + b = y
-                    x = field.mul(field.inv(s), field.sub(y, b))
+                    x = field.mul(field.inv(s), field.add(y, field.neg(b)))
                     members.append(pid(x, y))
                 blocks.append(members)
     g = levi(IncidenceStructure([None] * m1 * p, blocks))

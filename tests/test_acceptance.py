@@ -25,7 +25,7 @@ from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import bfs_distances, diameter, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
-from bbcage.projective import hyperplane_section, projective_space
+from bbcage.projective import Hyperplane, hyperplane_section, pg_points
 from bbcage.prune import (
     affine_girth6_graph,
     affine_slab_graph,
@@ -146,7 +146,7 @@ def test_criterion_4_q2_girth_as_specified():
     measured, oracle = girth(g2), brute_girth(g2)
     section_sizes = Counter()
     hyperbolic_girths = Counter()
-    for h in projective_space(6, F2).hyperplanes():
+    for h in [Hyperplane(p.coords) for p in pg_points(6, F2)]:
         pts_in, _, _ = hyperplane_section(host.points, host.blocks, h, F2)
         section_sizes[len(pts_in)] += 1
         if len(pts_in) == (q * q + 1) * (q * q + q + 1):  # |Q+(5, q)| = 35

@@ -20,6 +20,10 @@ VERIFY_MODULES = ["bbcage", "bbcage.bounds", "bbcage.cli", "bbcage.graphs", "bbc
 STEINER_MODULES = [
     "bbcage", "bbcage.bounds", "bbcage.cli", "bbcage.designs", "bbcage.graphs", "bbcage.incidence",
 ]
+AFFINE_MODULES = [
+    "bbcage", "bbcage.bounds", "bbcage.cli", "bbcage.gf", "bbcage.graphs", "bbcage.incidence",
+    "bbcage.prune",
+]
 NEVER_LOADED = ("dataclasses", "fractions", "inspect")
 
 # Run one command line as the console script does, then write the loaded
@@ -93,6 +97,22 @@ def test_steiner_cage_loads_no_geometry(tmp_path):
     assert package_modules(modules) == STEINER_MODULES
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "t2-slab", "--q", "3", "--m1", "2", "--n1", "3"],
+        ["construct", "--family", "ag2-girth6", "--q", "5", "--m1", "2", "--n1", "3"],
+    ],
+    ids=["t2-slab", "ag2-girth6"],
+)
+def test_affine_families_load_no_projective_geometry(tmp_path, argv):
+    # the slab's ideal plane is in closed form, so neither affine family
+    # loads projective or polygons
+    code, modules = loaded(tmp_path, *argv)
+    assert code == 0
+    assert package_modules(modules) == AFFINE_MODULES
+
+
 def test_help_loads_only_the_cli(tmp_path):
     code, modules = loaded(tmp_path, "construct", "--help")
     assert code == 0
@@ -126,7 +146,7 @@ def test_no_command_loads_dataclasses_fractions_or_inspect(tmp_path, argv):
 
 
 def test_exports_resolve_to_their_defining_modules():
-    assert len(bbcage.__all__) == len(set(bbcage.__all__)) == 48
+    assert len(bbcage.__all__) == len(set(bbcage.__all__)) == 47
     assert set(bbcage.__all__) <= set(dir(bbcage))
     for name in bbcage.__all__:
         value = getattr(bbcage, name)

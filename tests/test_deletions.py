@@ -15,7 +15,7 @@ from bbcage.graphs import (
 )
 from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, ovoid_hyperplane, split_cayley_hexagon
-from bbcage.projective import Hyperplane, hyperplane_section, projective_space
+from bbcage.projective import Hyperplane, hyperplane_section, pg_points
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -179,7 +179,7 @@ def test_subquadrangle_rejects_ids_outside_the_structure():
 def test_every_hyperplane_deletion_matches_the_structure_oracle(host, q):
     field = field_of_order(q)
     s = host(field)
-    hyperplanes = projective_space(len(s.points[0]) - 1, field).hyperplanes()
+    hyperplanes = [Hyperplane(p.coords) for p in pg_points(len(s.points[0]) - 1, field)]
     assert len(hyperplanes) == (q ** len(s.points[0]) - 1) // (q - 1)
     for h in hyperplanes:
         pts_in, blocks_in, _ = hyperplane_section(s.points, s.blocks, h, field)

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import lines_in, structure_delete
+from conftest import lines_in, pg_space, structure_delete
 
 from bbcage.designs import (
     Design,
@@ -18,7 +18,6 @@ from bbcage.designs import (
 from bbcage.gf import field_new
 from bbcage.graphs import bfs_distances, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
-from bbcage.projective import projective_space
 
 
 @pytest.mark.parametrize("v", [7, 9, 13, 15, 19, 21, 25, 31, 37])
@@ -206,7 +205,7 @@ def test_file_separators_are_lf_and_ascii_space_only():
 
 def test_pg23_as_design():
     # the 13 lines of PG(2, 3) form an S(2, 4, 13)
-    space = projective_space(2, field_new(3, 1))
+    space = pg_space(2, field_new(3, 1))
     lines = lines_in(space, range(len(space.points)))
     d = Design(13, tuple(lines))
     assert design_validate(d).valid

@@ -7,7 +7,7 @@ cagebench, other than at its own def and in the __init__ export table; only
 design_load and design_save, kept for a --design FILE option, are exempt.
 The text "violated invariant" appears only in graphs.expect, the one place a
 construction contract fails, and ConstructionError is raised only there and
-by the four searches that can come up empty.  A BipartiteGraph is constructed
+by the three searches that can come up empty.  A BipartiteGraph is constructed
 only by the three builders in graphs, levi, induced_subgraph and
 graph_from_edges, and by the two affine constructions, which write their rows
 in closed form.  An IncidenceStructure is constructed only by the two
@@ -203,7 +203,6 @@ def test_construction_errors_only_from_expect_and_exhausted_searches():
     assert sorted(construction_raises(sources)) == [
         "graphs:expect",
         "polygons:ovoid_hyperplane",
-        "prune:_first_line_missing",
         "prune:_girth_cycle_through",
         "prune:find_free_edge",
     ]

@@ -24,7 +24,7 @@ from bbcage.projective import (
     elliptic_form,
     hyperplane_section,
     parabolic_form,
-    projective_space,
+    pg_points,
     quadric_points,
 )
 
@@ -191,7 +191,7 @@ def test_ovoid_search_sections_each_hyperplane_once(monkeypatch, field):
     assert ovoid_hyperplane(field) == coeffs
     # the search sections hyperplanes in point order up to the accepted one,
     # and a second call sections nothing
-    hyperplanes = [h.coeffs for h in projective_space(4, field).hyperplanes()]
+    hyperplanes = [p.coords for p in pg_points(4, field)]
     assert calls == hyperplanes[: hyperplanes.index(coeffs) + 1]
 
 

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    bfs_diameter, bfs_girth, bipartite_from_edges, lines_in, scan_section, two_colouring
+    bfs_diameter, bfs_girth, bipartite_from_edges, lines_in, pg_space, scan_section,
+    two_colouring,
 )
 
 from bbcage import graphs
@@ -32,7 +33,7 @@ from bbcage.graphs import (
     levi,
 )
 from bbcage.incidence import IncidenceStructure
-from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, projective_space
+from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, pg_points
 
 
 @st.composite
@@ -291,7 +292,7 @@ _SPACES = [(2, 3), (3, 2), (3, 3)]
 @lru_cache(maxsize=None)
 def _pair_scan_lines(d, q):
     """Every line of PG(d, q), deduplicated over all point pairs."""
-    space = projective_space(d, field_of_order(q))
+    space = pg_space(d, field_of_order(q))
     n = len(space.points)
     return sorted(
         {space.line_through(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -309,7 +310,7 @@ def space_and_point_list(draw):
     whole lines, some extra points, some points taken away again."""
     d, q = draw(st.sampled_from(_SPACES))
     lines = _pair_scan_lines(d, q)
-    n = len(projective_space(d, field_of_order(q)).points)
+    n = len(pg_points(d, field_of_order(q)))
     ids = set()
     for line in draw(st.lists(st.sampled_from(lines), max_size=6)):
         ids.update(line)
@@ -323,13 +324,13 @@ def space_and_point_list(draw):
 @given(case=space_and_point_list())
 def test_lines_in_matches_pair_scan(case):
     d, q, ids = case
-    space = projective_space(d, field_of_order(q))
+    space = pg_space(d, field_of_order(q))
     assert lines_in(space, ids) == _expected_lines_in(d, q, ids)
 
 
 @pytest.mark.parametrize("d,q", _SPACES)
 def test_lines_in_boundary_sets(d, q):
-    space = projective_space(d, field_of_order(q))
+    space = pg_space(d, field_of_order(q))
     everything = range(len(space.points))
     line = space.line_through(0, len(space.points) - 1)
     assert lines_in(space, []) == []
@@ -343,7 +344,7 @@ def test_lines_in_boundary_sets(d, q):
 def test_lines_in_hyperbolic_quadric(q):
     # X0 X1 + X2 X3 = 0 in PG(3, q): (q+1)^2 points on 2(q+1) lines
     field = field_of_order(q)
-    space = projective_space(3, field)
+    space = pg_space(3, field)
     add, mul = field.add, field.mul
     on = [
         p.id
@@ -372,7 +373,7 @@ def sectioned_structures(draw):
     blocks come as a tuple of tuples or as a list of lists."""
     d, q = draw(st.sampled_from(_SECTION_SPACES))
     field = field_of_order(q)
-    coords = [p.coords for p in projective_space(d, field).points]
+    coords = [p.coords for p in pg_points(d, field)]
     pts = draw(st.lists(st.sampled_from(coords), min_size=1, max_size=12))
     h = Hyperplane(draw(st.sampled_from(coords)))
     on = [i for i, c in enumerate(pts) if field.dot(h.coeffs, c) == 0]

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
+import re
 
 import pytest
 
 from conftest import (
-    brute_girth, edge_count_conserved, lines_in, reference_affine_girth6_graph,
-    reference_affine_slab_graph,
+    brute_girth, conic_oval, edge_count_conserved, first_line_missing, lines_in, pg_space,
+    reference_affine_girth6_graph, reference_affine_slab_graph, walked_slab_geometry,
 )
 
 from bbcage import graphs, prune
@@ -13,7 +15,6 @@ from bbcage.graphs import (
     BipartiteGraph, bfs_distances, diameter, expect_biregular, girth, levi, to_graph6,
 )
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
-from bbcage.projective import conic_oval, projective_space
 from bbcage.prune import (
     affine_girth6_graph,
     affine_girth6_order,
@@ -328,10 +329,42 @@ def test_ag2_bytes_pinned(p, m1, n1):
     assert hashlib.sha256(to_graph6(g)).hexdigest() == _AG2_DIGESTS[p, m1, n1]
 
 
+def _ag2_references(field):
+    """(m1, n1, (n_a, n_b, adj_a)) of the Field-method reference for every
+    admissible pair of affine_girth6_graph."""
+    p = field.p
+    for m1 in range(2, p + 1):
+        for n1 in range(2, p + 1):
+            want = reference_affine_girth6_graph(field, m1, n1)
+            yield m1, n1, (want.n_a, want.n_b, want.adj_a)
+
+
+def _slab_references(field):
+    """(m1, n1, (n_a, n_b, adj_a)) for every admissible pair of
+    affine_slab_graph, each cut from the one Field-method reference at
+    (p, p + 1).  Its slab is every affine point, in coordinate order: the
+    slab of m1 planes is the points on the first m1 of its planes, in order,
+    and a row lists one line per direction, in direction order, so n1
+    directions are each row's first n1 entries."""
+    p = field.p
+    full = reference_affine_slab_graph(field, p, p + 1)
+    points = list(itertools.product(range(p), repeat=3))
+    assert full.n_a == len(points)
+    _, planes, _ = walked_slab_geometry(field, p, p + 1)
+    plane_of = [
+        next(k for k, (h0, *w) in enumerate(planes) if (h0 + field.dot(w, x)) % p == 0)
+        for x in points
+    ]
+    for m1 in range(2, p + 1):
+        rows = [row for row, k in zip(full.adj_a, plane_of) if k < m1]
+        for n1 in range(2, p + 2):
+            yield m1, n1, (len(rows), n1 * p * p, tuple(row[:n1] for row in rows))
+
+
 _AFFINE = {
-    # builder, Field-method reference, most directions (n1) at prime p
-    "ag2": (affine_girth6_graph, reference_affine_girth6_graph, lambda p: p),
-    "slab": (affine_slab_graph, reference_affine_slab_graph, lambda p: p + 1),
+    # builder, and its Field-method references for every admissible (m1, n1)
+    "ag2": (affine_girth6_graph, _ag2_references),
+    "slab": (affine_slab_graph, _slab_references),
 }
 
 
@@ -340,12 +373,11 @@ _AFFINE = {
 def test_affine_rows_match_the_field_reference(family, p):
     # the closed-form rows against the incidence graph of lines built one
     # Field call per incidence, for every admissible (m1, n1)
-    build, reference, most = _AFFINE[family]
+    build, references = _AFFINE[family]
     field = field_new(p, 1)
-    for m1 in range(2, p + 1):
-        for n1 in range(2, most(p) + 1):
-            g, want = build(field, m1, n1), reference(field, m1, n1)
-            assert (g.n_a, g.n_b, g.adj_a) == (want.n_a, want.n_b, want.adj_a), (m1, n1)
+    for m1, n1, want in references(field):
+        g = build(field, m1, n1)
+        assert (g.n_a, g.n_b, g.adj_a) == want, (m1, n1)
 
 
 @pytest.mark.parametrize("p,m1,n1", [(521, 2, 2), (521, 3, 4), (1021, 4, 3), (1021, 2, 5)])
@@ -364,7 +396,7 @@ def test_affine_girth6_makes_no_field_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("Field arithmetic called")
 
-    for name in ("add", "neg", "sub", "mul", "dot", "inv", "pow"):
+    for name in ("add", "neg", "mul", "dot", "inv", "pow"):
         monkeypatch.setattr(Field, name, refuse)
     assert affine_girth6_graph(field, 5, 7).adj_a == want.adj_a
 
@@ -373,7 +405,7 @@ def test_slab_field_calls_do_not_grow_with_the_slab(monkeypatch):
     # the ideal plane's geometry calls Field methods, the slab's points and
     # rows do not: the count is the same at the smallest and largest (m1, n1)
     calls = []
-    for name in ("add", "neg", "sub", "mul", "dot", "inv", "pow"):
+    for name in ("add", "neg", "mul", "dot", "inv", "pow"):
         method = getattr(Field, name)
 
         def counted(self, *args, _method=method):
@@ -391,14 +423,34 @@ def test_slab_field_calls_do_not_grow_with_the_slab(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_first_line_missing_is_first_walked_line(p):
-    # the docstring's claim: the first line of PG(2, p) in sorted order, as
+    # the pair walk's claim: the first line of PG(2, p) in sorted order, as
     # the generic walker lists all of them, that misses the conic
     field = field_new(p, 1)
-    plane = projective_space(2, field)
+    plane = pg_space(2, field)
     oval = {pt.id for pt in conic_oval(field)}
     walked = lines_in(plane, range(len(plane.points)))
     first = next(line for line in walked if oval.isdisjoint(line))
-    assert prune._first_line_missing(plane, oval) == first
+    assert first_line_missing(plane, oval) == first
+
+
+def assert_slab_geometry_is_walked(p: int):
+    """prune._slab_geometry's closed-form ideal line, its planes for m1 = p
+    and its conic directions for n1 = p + 1 equal the pair walk's over the
+    ideal plane; and no three directions are collinear: the lines joining
+    two of them are all distinct."""
+    field = field_new(p, 1)
+    got = prune._slab_geometry(field, p, p + 1)
+    assert got == walked_slab_geometry(field, p, p + 1), p
+    plane = pg_space(2, field)
+    ids = [plane.id_of(d) for d in got[2]]
+    joins = {plane.join(a, b) for a, b in itertools.combinations(ids, 2)}
+    assert len(joins) == len(ids) * (len(ids) - 1) // 2, p
+
+
+# every prime to 61 here; CI's "Ideal-line cross-check" runs them to 251
+@pytest.mark.parametrize("p", [p for p in range(2, 62) if all(p % d for d in range(2, p))])
+def test_slab_geometry_is_the_walked_geometry(p):
+    assert_slab_geometry_is_walked(p)
 
 
 def test_slab_rejections():
@@ -477,6 +529,19 @@ def test_prune_anchor_must_be_an_edge():
         mixed_degree_prune(host, edge=(0, non_edge))
     with pytest.raises(ValueError, match="is not an edge"):
         induced_branch_graph(host, 2, 3, edge=(0, non_edge))
+
+
+@pytest.mark.parametrize("edge", [(-1, 15), (85, 0)])
+def test_prune_anchor_endpoints_must_be_vertices(edge):
+    # Q(4,3)'s incidence graph has 80 vertices: -1 would wrap round to 79,
+    # and (79, 15) is an edge; 85 is past the end
+    host = levi(gq_q4(F3))
+    assert host.n_vertices == 80 and 15 in host.adjacency()[79]
+    error = f"^{re.escape(f'anchor {edge} is not an edge')}$"
+    with pytest.raises(ValueError, match=error):
+        mixed_degree_prune(host, edge=edge)
+    with pytest.raises(ValueError, match=error):
+        induced_branch_graph(host, 3, 3, edge=edge)
 
 
 def test_default_anchor_puts_the_smaller_degree_at_v():
