@@ -141,8 +141,30 @@ def _polygon_gap(m: int, n: int, r: int) -> str | None:
     return None
 
 
+# improved_bound refuses, before any series or tree loop, a girth over
+# BOUND_MAX_GIRTH, which bounds the loops' length (a cycle, whose bound grows
+# only linearly, is at most 2^18 long in verify), and a bound that could
+# pass BOUND_MAX_BITS bits (_bound_bits): 2^2100 has 633 decimal digits,
+# under the 640 below which no interpreter digit limit applies
+# (sys.int_info.str_digits_check_threshold), so every accepted report is
+# printed the same whatever PYTHONINTMAXSTRDIGITS is.
+BOUND_MAX_GIRTH = 1 << 20
+BOUND_MAX_BITS = 2100
+
+
+def _bound_bits(m: int, n: int, r: int) -> int:
+    """An upper bound on the bit length of each bound for (m, n; 2r): each
+    is at most (r + 2)(m + n) lam^(r // 2), lam = (m-1)(n-1), and the bit
+    length of lam^e is at most e * (lam - 1).bit_length()."""
+    lam = (m - 1) * (n - 1)
+    return (r // 2) * (lam - 1).bit_length() + (m + n).bit_length() + (r + 2).bit_length()
+
+
 def improved_bound(m: int, n: int, g: int) -> BoundsReport:
     """Best lower bound this library knows for (m, n; g) biregular graphs.
+
+    A girth over BOUND_MAX_GIRTH, or a bound that may need more than
+    BOUND_MAX_BITS bits, is refused before anything is summed.
 
     For g/2 even, starts from moore_even and adds (m+n)/gcd(m,n) whenever the
     relevant polygon-nonexistence predicate fires on order (m-1, n-1).  For
@@ -153,7 +175,14 @@ def improved_bound(m: int, n: int, g: int) -> BoundsReport:
         raise BoundsError(f"need 2 <= m <= n, got ({m}, {n})")
     if g < 6 or g % 2:
         raise BoundsError(f"need even girth >= 6, got {g}")
+    if g > BOUND_MAX_GIRTH:
+        raise BoundsError(f"girth {g} is over the cap of {BOUND_MAX_GIRTH}")
     r = g // 2
+    bits = _bound_bits(m, n, r)
+    if bits > BOUND_MAX_BITS:
+        raise BoundsError(
+            f"the bounds for ({m}, {n}; {g}) may need {bits} bits, over the cap of {BOUND_MAX_BITS}"
+        )
     if r % 2 == 0:
         base = improved = moore_even(m, n, g)
         prov = _polygon_gap(m, n, r) if m >= 3 else None

@@ -12,20 +12,22 @@ gives it the perps of Q(4,q) and Q(5,q), and the split Cayley hexagon the
 kernels of its octonion product (polygons.quadric_structure).
 
 Sections and perps find a hyperplane's points by meet in the middle over
-memoized half dot products (_scan), and a section counts its blocks by
-summing the packed stars of those points.  There is one section cache: the
-index and stars of a structure's own tuples of tuples are built once and
-found by identity (_indexed); other inputs are indexed on every call.
+memoized half dot products (_scan).  A section scans its blocks the same
+way, through an index whose positions are the blocks' points (_block_index),
+and counts each block's points on the hyperplane bit-parallel.  There is one
+section cache: the indexes of a structure's own tuples of tuples are built
+once and found by identity (_indexed); other inputs are indexed on every
+call.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
 from .gf import Field
-from .incidence import point_stars
 
 
 class GeometryError(ValueError):
@@ -188,42 +190,124 @@ def perp_lines(perps) -> list[tuple[int, ...]]:
 
 def _mask_index(point_coords, field: Field):
     """The hyperplane index of a point list: its coordinate masks (bit j of
-    masks[i][v] set when point j has coordinate i equal to v), the mask of
-    all its points, their ids, the split c = (d+1)//2, a memo per half
-    (see _scan) and the field."""
+    masks[i][v] set when point j has coordinate i equal to v, each row
+    built when first read, see _Rows), the mask of all its points, their
+    ids, the split c = (d+1)//2, a memo per half (see _scan) and the field.
+    Its positions are the points, point j at bit j (_position_index)."""
     n = len(point_coords)
-    masks = [[0] * field.q for _ in range(len(point_coords[0]) if n else 0)]
-    for j, coords in enumerate(point_coords):
-        bit = 1 << j
-        for row, v in zip(masks, coords):
-            row[v] |= bit
-    masks = tuple(map(tuple, masks))
-    return masks, (1 << n) - 1, tuple(range(n)), len(masks) // 2, {}, {}, field
+    return _position_index(point_coords, range(n - 1, -1, -1), tuple(range(n)), field)
+
+
+def _block_index(point_coords, blocks, field: Field):
+    """The hyperplane index of the blocks' points, and the shifts j*b of its
+    block positions j: bit j*b + i of its masks is the j-th point of block
+    i, so one _scan gives, for each j, the b-bit mask of the blocks whose
+    j-th point is on the hyperplane.  A block naming a point index outside
+    0..len(point_coords)-1 is refused, the first such block named."""
+    b = len(blocks)
+    # the point at each position, highest first; _EMPTY past a block's end
+    at = list(itertools.chain.from_iterable(itertools.zip_longest(*blocks, fillvalue=_EMPTY)))
+    at.reverse()
+    try:
+        index = _position_index(point_coords, at, tuple(range(b)), field)
+    except KeyError:
+        for bi, blk in enumerate(blocks):
+            for x in blk:
+                if not 0 <= x < len(point_coords):
+                    raise GeometryError(f"block {bi} has out-of-range point index {x}") from None
+        raise
+    return index, range(0, len(at), b or 1)
+
+
+# The point of an empty position, past the end of a shorter block
+_EMPTY = object()
+# _PLANE[t] translates each byte to the digit 0 or 1, its bit t
+_PLANE = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
+
+
+class _Rows(dict):
+    """An index's coordinate masks: rows[i][v] is the mask of the positions
+    whose coordinate i is v, each row built by build(i) when a scan first
+    reads it, so a hyperplane with few nonzero coefficients builds few."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, i):
+        row = self[i] = self.build(i)
+        return row
+
+
+def _position_index(point_coords, at, ids, field: Field):
+    """The _mask_index of positions: at names the point at each position,
+    from the highest position down, or _EMPTY; a name that is no point
+    index raises KeyError.
+
+    A position is a string of bytes: its point's coordinates, one byte each
+    or, when q > 255, one per 8-bit digit, then 1, or 0 for an empty
+    position.  The strings of the positions are joined once, so bit t of a
+    coordinate over all positions is one strided slice, one translate to
+    the digits 0 and 1 and one base-2 int; the mask of a value is the AND
+    of its bits' planes, or of their complements, within the mask of all
+    points.  No mask is grown bit by bit."""
+    q, n = field.q, len(point_coords)
+    d1 = len(point_coords[0]) if n else 0
+    bits = (q - 1).bit_length()
+    step = -(-bits // 8)  # bytes per coordinate
+    values = itertools.chain.from_iterable(point_coords)
+    if step > 1:
+        values = (v >> s & 255 for v in values for s in range(0, bits, 8))
+    text, size = bytes(values).decode("latin-1"), d1 * step
+    cells = dict(enumerate([text[i : i + size] + "\1" for i in range(0, n * size, size)]))
+    cells[_EMPTY] = "\0" * (size + 1)
+    w = size + 1  # bytes per position
+    # str.join copies its parts; bytes.join would hold a buffer per part
+    joined = "".join(map(cells.__getitem__, at)).encode("latin-1")
+    full = int(joined[w - 1 :: w].translate(_PLANE[0]) or b"0", 2)
+
+    def build(i):
+        planes = [
+            int(joined[i * step + t // 8 :: w].translate(_PLANE[t % 8]) or b"0", 2)
+            for t in range(bits)
+        ]
+        row = [0] * q
+        for v in set(map(operator.itemgetter(i), point_coords)):
+            mask = full
+            for t, plane in enumerate(planes):
+                mask &= plane if v >> t & 1 else ~plane
+            row[v] = mask
+        return row
+
+    return _Rows(build), full, ids, d1 // 2, {}, {}, field
 
 
 # The one section cache: entries of _indexed for tuples of tuples, keyed by
-# identity.  Each entry holds its key object, so that object's id is not
-# reused while it lives.
+# the identity of build's arguments.  Each entry holds its arguments, so
+# their ids are not reused while it lives.  A block index is the largest
+# entry (CPython 3.11): at Q(5,7), 17,200 lines on 137,600 positions, it
+# keeps 1.6 MB of joined coordinates and ids, 0.7 MB of masks once every
+# row is read, and about 129 KB per memoized half; at Q(5,8), 33,345
+# lines, 3.3 MB, 1.7 MB and 306 KB.  A section memoizes at most 2 halves;
+# a sweep of every hyperplane all 2 q^3 of them, 88 MB and 314 MB.
 _BY_IDENTITY: dict = {}
 
 
-def _indexed(build, rows, arg):
-    """build(rows, arg), kept per rows object when rows is a tuple of tuples,
-    which cannot change: a structure's points and blocks are indexed once,
-    however many hyperplanes section them, and never re-hashed.  Any other
-    rows are indexed again on every call."""
-    if type(rows) is tuple:
-        key = build, id(rows), arg
-        hit = _BY_IDENTITY.get(key)
-        if hit is not None:
-            return hit[1]
-        if all(type(r) is tuple for r in rows):
-            value = build(rows, arg)
-            if len(_BY_IDENTITY) >= 16:
-                del _BY_IDENTITY[next(iter(_BY_IDENTITY))]
-            _BY_IDENTITY[key] = rows, value
-            return value
-    return build(rows, arg)
+def _indexed(build, *args):
+    """build(*args), args some lists of rows and then the field, kept per
+    argument objects when each list is a tuple of tuples, which cannot
+    change: a structure's points and blocks are indexed once, however many
+    hyperplanes section them, and never re-hashed.  Any other lists are
+    indexed again on every call."""
+    key = build, *map(id, args)
+    hit = _BY_IDENTITY.get(key)
+    if hit is not None:
+        return hit[1]
+    value = build(*args)
+    if all(type(x) is tuple and {*map(type, x)} <= {tuple} for x in args[:-1]):
+        if len(_BY_IDENTITY) >= 16:
+            del _BY_IDENTITY[next(iter(_BY_IDENTITY))]
+        _BY_IDENTITY[key] = args, value
+    return value
 
 
 def _scan(index, start: int, coeffs) -> int:
@@ -237,25 +321,27 @@ def _scan(index, start: int, coeffs) -> int:
     key = tuple(coeffs[:c])
     low = lows.get(key)
     if low is None:
-        low = lows[key] = _residues(masks[:c], key, field, full)
+        low = lows[key] = _residues(masks, key, field, full, 0)
     key = tuple(coeffs[c:])
     high = highs.get(key)
     if high is None:
         neg = tuple(map(field.neg, key))
-        high = highs[key] = _residues(masks[c:], neg, field, full)
+        high = highs[key] = _residues(masks, neg, field, full, c)
     return sum(map(int.__and__, low, high)) & start
 
 
-def _residues(rows, coeffs, field: Field, full: int) -> list[int]:
-    """res[t] = the points of full whose coordinates in rows dot coeffs to t,
-    carried from res[0] = full by res'[t + h_i * v] |= res[t] & rows[i][v]."""
+def _residues(masks, coeffs, field: Field, full: int, first: int) -> list[int]:
+    """res[t] = the points of full whose coordinates first, first + 1, ...
+    dot coeffs to t, carried from res[0] = full by
+    res'[t + h_i * v] |= res[t] & masks[i][v]; only the rows of nonzero
+    coefficients are read."""
     add, mul = field.add, field.mul
     res = [full] + [0] * (field.q - 1)
-    for h, row in zip(coeffs, rows):
+    for i, h in enumerate(coeffs, first):
         if h == 0:
             continue
         nxt = [0] * field.q
-        for v, at_v in enumerate(row):
+        for v, at_v in enumerate(masks[i]):
             if at_v:
                 hv = mul(h, v)
                 for t, rt in enumerate(res):
@@ -275,37 +361,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _star_index(blocks, n: int):
-    """The blocks on n points as packed counts, built once per structure
-    (see _indexed).
-
-    Block b owns the w bits from bit w*b, w the bit length of the largest
-    block size (at least 1).  A point's packed star holds one unit in the
-    field of each block through it, as often as the block names the point,
-    so a sum of packed stars counts each block's points among them.  Returns
-    the packed stars by point, w, the packed sizes, a unit per field and the
-    ids 0..b-1.
-
-    The stars are incidence.point_stars, whose refusal of a point index
-    outside 0..n-1, naming the first such block, is raised as GeometryError.
-    """
-    try:
-        stars = point_stars(n, blocks)
-    except ValueError as exc:
-        raise GeometryError(str(exc)) from None
-    sizes = tuple(map(len, blocks))
-    w, b = max(sizes, default=0).bit_length() or 1, len(sizes)
-    units = ((1 << w * b) - 1) // ((1 << w) - 1)
-    packed = sum(map(int.__lshift__, sizes, range(0, w * b, w)))
-    unit = [1 << shift for shift in range(0, w * b, w)]
-    stars = tuple(sum(map(unit.__getitem__, star)) for star in stars)
-    return stars, w, packed, units, tuple(range(b))
-
-
-# bin(mask)[-1:1:-w] lists bits 0, w, 2w, ... of mask as the characters 0
-# and 1; these tables turn them into the bytes 0 and 1, or 1 and 0.
+# bin(mask)[-1:1:-1] lists the bits of mask, lowest first, as the
+# characters 0 and 1; this table turns them into the bytes 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_CLEAR_BYTES = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def _members(mask: int, ids: tuple[int, ...]) -> list[int]:
@@ -329,43 +387,53 @@ def hyperplane_section(
     GeometryError naming the first such block; so does a block naming a
     point index outside 0..len(point_coords)-1, and so do coefficients that
     are no hyperplane of the points' space: a count other than the points'
-    coordinate count, a coefficient outside 0..q-1, or all coefficients 0.
+    coordinate count, a coefficient that is no int or is outside 0..q-1, or
+    all coefficients 0.  The coefficients are checked before any index is
+    built.
 
-    The points on h are one scan of the hyperplane index (_scan); the sum of
-    their packed stars (_star_index) is each block's count of them, which
-    must be the block's size (inside h) or 1.  Only a violation is counted
-    block by block, to name it.  A structure's own tuples of tuples are
-    indexed once (see _indexed); other inputs are indexed on every call.
+    The points on h are one scan of the points' hyperplane index (_scan),
+    and the blocks' points on h one scan of the blocks' (_block_index): for
+    each position j, the blocks whose j-th point is on h.  A block is inside
+    h when each of its positions is on h (an empty block is), and must
+    otherwise have exactly one on h, counted bit-parallel over the
+    positions in a ones and a twos mask.  Only a violation is counted block
+    by block, to name it.  A structure's own tuples of tuples are indexed
+    once (see _indexed); other inputs are indexed on every call.
     """
-    stars, w, sizes, units, block_ids = _indexed(_star_index, blocks, len(point_coords))
-    index = _indexed(_mask_index, point_coords, field)
-    masks, full, point_ids = index[:3]
     coeffs = h.coeffs
-    if masks and len(coeffs) != len(masks):
+    if point_coords and len(coeffs) != len(point_coords[0]):
         raise GeometryError(
-            f"hyperplane has {len(coeffs)} coefficients, the points {len(masks)} coordinates"
+            f"hyperplane has {len(coeffs)} coefficients, "
+            f"the points {len(point_coords[0])} coordinates"
         )
-    bad = next((c for c in coeffs if not 0 <= c < field.q), None)
-    if bad is not None:
-        raise GeometryError(f"hyperplane coefficient {bad} is outside 0..{field.q - 1}")
+    for c in coeffs:
+        if not isinstance(c, int):
+            raise GeometryError(f"hyperplane coefficient {c!r} is not an int")
+        if not 0 <= c < field.q:
+            raise GeometryError(f"hyperplane coefficient {c} is outside 0..{field.q - 1}")
     if not any(coeffs):
         raise GeometryError("hyperplane coefficients are all 0")
-    on = _scan(index, full, coeffs)
-    inside_pts = _members(on, point_ids)
-    counts = sum(map(stars.__getitem__, inside_pts))
-    # One unit per block whose count is not its size: field x of the XOR is
-    # nonzero iff x or (x | top bit) - 1 has the top bit; the - 1 never borrows.
-    diff, top = counts ^ sizes, units << w - 1
-    met = (((diff | top) - units | diff) & top) >> w - 1
-    if counts & (met << w) - met != met:
-        for bi, blk in enumerate(blocks):
-            k = sum(on >> x & 1 for x in blk)
-            if k != len(blk) and k != 1:
-                raise GeometryError(
-                    f"block {bi} meets the hyperplane in {k} of {len(blk)} points"
-                )
-    # each block is inside h or met once: one selector names both lists
-    sel = bin(units ^ met | 1 << w * len(block_ids))[-1:1:-w].encode()
-    inside = list(itertools.compress(block_ids, sel.translate(_BIT_BYTES)))
-    return inside_pts, inside, list(itertools.compress(block_ids, sel.translate(_CLEAR_BYTES)))
-
+    points = _indexed(_mask_index, point_coords, field)
+    on = _scan(points, points[1], coeffs)
+    index, shifts = _indexed(_block_index, point_coords, blocks, field)
+    at, ids = _scan(index, index[1], coeffs), index[2]
+    off, b = index[1] ^ at, len(ids)
+    every = (1 << b) - 1
+    miss = ones = twos = 0
+    for shift in shifts:
+        m = at >> shift & every
+        twos |= ones & m
+        ones |= m
+        miss |= off >> shift
+    miss &= every
+    bad = miss & ~(ones ^ twos)
+    if bad:
+        bi = (bad & -bad).bit_length() - 1
+        blk = blocks[bi]
+        n = sum(on >> x & 1 for x in blk)
+        raise GeometryError(f"block {bi} meets the hyperplane in {n} of {len(blk)} points")
+    inside = _members(every ^ miss, ids)
+    tangent = list(ids)
+    for bi in reversed(inside):
+        del tangent[bi]
+    return _members(on, points[2]), inside, tangent

@@ -5,7 +5,10 @@ import pytest
 from conftest import bipartite_from_edges, tree_count_oracle
 
 from bbcage.bounds import (
+    BOUND_MAX_BITS,
+    BOUND_MAX_GIRTH,
     BoundsError,
+    _bound_bits,
     divisibility_bound_odd,
     excess_of,
     girth6_bound,
@@ -192,3 +195,39 @@ def test_table_moore_column_matches_except_qminus1_family():
             assert row["moore_col_published"] - row["moore_col"] == 1
         else:
             assert not row["moore_col_mismatch"]
+
+
+def test_bound_bits_is_an_upper_bound():
+    # _bound_bits, which improved_bound checks against its cap before any
+    # loop runs, is never below the bit length of either bound
+    for m in range(2, 9):
+        for n in range(m, 30):
+            for g in range(6, 160, 2):
+                report = improved_bound(m, n, g)
+                bits = _bound_bits(m, n, g // 2)
+                assert report.moore_bound.bit_length() <= bits
+                assert report.improved_lower_bound.bit_length() <= bits
+
+
+@pytest.mark.parametrize(
+    "m,n,g,error",
+    [
+        (3, 4, 2_000_000, "girth 2000000 is over the cap of 1048576"),
+        (2, 2, (1 << 20) + 2, "girth 1048578 is over the cap of 1048576"),
+        (3, 4, 200_000, r"the bounds for \(3, 4; 200000\) may need 150020 bits, over the cap of 2100"),
+        (3, 10**700, 6, r"the bounds for \(3, 10{700}; 6\) may need \d+ bits, over the cap of 2100"),
+    ],
+    ids=["huge-girth", "cycle-past-cap", "too-many-bits", "huge-degree"],
+)
+def test_improved_bound_refuses_before_summing(m, n, g, error):
+    if "10{700}" in error:
+        error = error.replace("10{700}", "1" + "0" * 700)
+    with pytest.raises(BoundsError, match=f"^{error}$"):
+        improved_bound(m, n, g)
+
+
+def test_improved_bound_at_the_caps():
+    # a cycle as long as verify accepts, and the largest (3, 4) girth
+    assert improved_bound(2, 2, 1 << 18).improved_lower_bound == 1 << 18
+    assert improved_bound(2, 2, BOUND_MAX_GIRTH).moore_bound == BOUND_MAX_GIRTH
+    assert improved_bound(3, 4, 2782).improved_lower_bound.bit_length() <= BOUND_MAX_BITS

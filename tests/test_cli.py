@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -425,6 +429,40 @@ def test_bounds_command(capsys):
     assert json.loads(stdout)["improved_lower_bound"] == 32
     code, _, _ = run(capsys, "bounds", "--m", "5", "--n", "3", "--girth", "8")
     assert code == 2
+
+
+def test_bounds_refuses_a_huge_girth_at_once(capsys):
+    # the series would run for many seconds and then print a number of more
+    # digits than the interpreter converts by default
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "bounds", "--m", "3", "--n", "4", "--girth", "2000000")
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (2, "")
+    assert err == "bbcage: error: girth 2000000 is over the cap of 1048576\n"
+    code, stdout, err = run(capsys, "bounds", "--m", "3", "--n", "4", "--girth", "2784")
+    assert (code, stdout) == (2, "")
+    assert err == "bbcage: error: the bounds for (3, 4; 2784) may need 2102 bits, over the cap of 2100\n"
+
+
+@pytest.mark.parametrize("girth", [2782, 2780])
+def test_bounds_near_the_cap_ignore_the_digit_limit(girth):
+    # the largest girths accepted for (3, 4) print the same bytes with the
+    # interpreter's digit limit at its default, off, and at its least
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = set()
+    for limit in (None, "0", "640"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(src)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        done = subprocess.run(
+            [sys.executable, "-m", "bbcage.cli", "bounds", "--m", "3", "--n", "4", "--girth", str(girth)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        outs.add(done.stdout)
+    (out,) = outs
+    assert len(str(json.loads(out)["improved_lower_bound"])) > 500
 
 
 def test_table_refuses_a_q_that_is_no_prime_power(capsys):

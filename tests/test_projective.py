@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -279,7 +280,8 @@ def test_hyperplane_section_counts_repeated_points():
 
 
 def test_members_and_mask_of_invert_bits():
-    # the mask of a member list is the plain sum that _star_index takes
+    # _members lists the set bits in one pass; summing their powers of two
+    # gives the mask back
     rng = random.Random(20)
     ids = tuple(range(3000))
     masks = [0, 1, (1 << 3000) - 1]
@@ -294,10 +296,9 @@ def test_members_and_mask_of_invert_bits():
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
 def test_block_lists_read_every_wth_bit(w):
-    # the block lists are read off bits 0, w, 2w, ... of one packed mask:
-    # 200 blocks of sizes up to 2^w - 1, so w is the field width, each drawn
-    # inside X0 = 0 or meeting it once, in both orders and with the last
-    # block of each kind
+    # the block lists are read off one inside mask: 200 blocks of sizes up
+    # to 2^w - 1, each drawn inside X0 = 0 or meeting it once, in both
+    # orders and with the last block of each kind
     rng = random.Random(w)
     for last in (0, 1):
         kinds = [rng.randrange(2) for _ in range(199)] + [last]
@@ -305,21 +306,18 @@ def test_block_lists_read_every_wth_bit(w):
         for inside, k in zip(kinds, [2**w - 1] + [rng.randrange(1, 2**w) for _ in kinds[1:]]):
             blk = [rng.choice((1, 2)) for _ in range(k)]
             blocks.append(tuple(blk) if inside else (blk[0],) + (0,) * (k - 1))
-        assert projective._star_index(tuple(blocks), 3)[1] == w
         kinds = [k or len(b) == 1 for k, b in zip(kinds, blocks)]  # one point: inside
         want = ([1, 2], [i for i, k in enumerate(kinds) if k], [i for i, k in enumerate(kinds) if not k])
         assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == want
         assert scan_section(_TRIANGLE, blocks, _X0, F2) == want
 
 
-# Five-bit counts: a block of 17 points, with repeats, makes each block's
-# field w = (17).bit_length() = 5 bits wide, and counts of 16 (0b10000) and
-# 15 (0b01111) sit beside full fields.
+# Blocks of 17 points, with repeats: counts of 16 and 15 beside blocks fully
+# inside, and an empty block.
 _WIDE = [(1,) * 9 + (2,) * 8, (1,) + (0,) * 16, (2, 2) * 8, (0,) * 15 + (2,), ()]
 
 
 def test_hyperplane_section_counts_in_five_bit_fields():
-    assert projective._star_index(tuple(_WIDE), 3)[1] == 5
     want = ([1, 2], [0, 2, 4], [1, 3])
     for blocks in (_WIDE, tuple(_WIDE)):
         assert hyperplane_section(_TRIANGLE, blocks, _X0, F2) == want
@@ -373,19 +371,19 @@ def test_hyperplane_section_indexes_a_structure_once(monkeypatch):
     # a structure's tuples of tuples are looked up by identity, not re-hashed
     s = gq_q4(F3)  # built first: building scans its points too
     calls = []
-    stars, masks = projective._star_index, projective._mask_index
-    monkeypatch.setattr(projective, "_star_index", lambda b, n: calls.append(1) or stars(b, n))
+    blocks, masks = projective._block_index, projective._mask_index
+    monkeypatch.setattr(projective, "_block_index", lambda c, b, f: calls.append(1) or blocks(c, b, f))
     monkeypatch.setattr(projective, "_mask_index", lambda c, f: calls.append(2) or masks(c, f))
     hyperplanes = [Hyperplane(p.coords) for p in pg_points(4, F3)]
     for h in hyperplanes[:10]:
         assert hyperplane_section(s.points, s.blocks, h, F3) == scan_section(
             s.points, s.blocks, h, F3
         )
-    assert calls == [1, 2]
+    assert calls == [2, 1]
     # lists are indexed again on every call
     for h in hyperplanes[:3]:
         hyperplane_section(list(s.points), list(s.blocks), h, F3)
-    assert calls == [1, 2] * 4
+    assert calls == [2, 1] * 4
 
 
 # Coefficient vectors that are no hyperplane of PG(4, 3), the space of
@@ -398,15 +396,23 @@ def test_hyperplane_section_indexes_a_structure_once(monkeypatch):
         ((1, 0, 0, 0, 0, 2, 2), "hyperplane has 7 coefficients, the points 5 coordinates"),
         ((1, 0, 7, 0, 0), r"hyperplane coefficient 7 is outside 0\.\.2"),
         ((0, 0, 0, 0, 0), "hyperplane coefficients are all 0"),
+        ((1.0, 0, 0, 0, 0), r"hyperplane coefficient 1\.0 is not an int"),
+        ((0, "1", 0, 0, 0), "hyperplane coefficient '1' is not an int"),
+        ((0, 0, 0, 1, None), "hyperplane coefficient None is not an int"),
     ],
-    ids=["short", "long", "out-of-field", "zero"],
+    ids=["short", "long", "out-of-field", "zero", "float", "str", "none"],
 )
-def test_hyperplane_section_rejects_non_hyperplanes(coeffs, error):
+def test_hyperplane_section_rejects_non_hyperplanes(monkeypatch, coeffs, error):
     s = gq_q4(F3)
     with pytest.raises(GeometryError, match=f"^{error}$"):
         hyperplane_section(s.points, s.blocks, Hyperplane(coeffs), F3)
     with pytest.raises(GeometryError, match=f"^{error}$"):
         hyperplane_delete(s, Hyperplane(coeffs))
+    # refused before any index is built: lists are indexed on every call
+    for name in ("_mask_index", "_block_index"):
+        monkeypatch.setattr(projective, name, None)
+    with pytest.raises(GeometryError, match=f"^{error}$"):
+        hyperplane_section(list(s.points), list(s.blocks), Hyperplane(coeffs), F3)
 
 
 def test_hyperplane_section_returns_fresh_lists():
@@ -428,14 +434,16 @@ def test_list_inputs_are_indexed_on_every_call(monkeypatch, build, q):
     hyperplanes = [Hyperplane(p.coords) for p in pg_points(len(s.points[0]) - 1, field)]
     want = [hyperplane_section(s.points, s.blocks, h, field) for h in hyperplanes]
     calls = []
-    stars, masks = projective._star_index, projective._mask_index
-    monkeypatch.setattr(projective, "_star_index", lambda b, n: calls.append(1) or stars(b, n))
+    index_blocks, masks = projective._block_index, projective._mask_index
+    monkeypatch.setattr(
+        projective, "_block_index", lambda c, b, f: calls.append(1) or index_blocks(c, b, f)
+    )
     monkeypatch.setattr(projective, "_mask_index", lambda c, f: calls.append(2) or masks(c, f))
     pts, blocks = [list(c) for c in s.points], [list(b) for b in s.blocks]
     for h, sections in zip(hyperplanes, want):
         assert hyperplane_section(pts, blocks, h, field) == sections
         assert scan_section(pts, blocks, h, field) == sections
-    assert calls == [1, 2] * len(hyperplanes)
+    assert calls == [2, 1] * len(hyperplanes)
 
 
 @pytest.mark.parametrize(
@@ -462,8 +470,9 @@ def test_scan_is_the_dot_product_oracle(build, q):
 
 @pytest.mark.parametrize("build,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2)])
 def test_one_section_of_lists_computes_two_halves(monkeypatch, build, q):
-    # a fresh index computes only the two halves its hyperplane asks for;
-    # a structure's cached index computes each half once
+    # a fresh point index and a fresh block index each compute only the two
+    # halves the hyperplane asks for; a structure's cached indexes compute
+    # each half once
     s = build(field_of_order(q))
     field = s.tag["field"]
     pts, blocks = [list(c) for c in s.points], [list(b) for b in s.blocks]
@@ -475,13 +484,13 @@ def test_one_section_of_lists_computes_two_halves(monkeypatch, build, q):
         projective, "_residues", lambda *a: calls.append(a[1]) or residues(*a)
     )
     assert hyperplane_section(pts, blocks, h, field) == want
-    assert len(calls) == 2
+    assert len(calls) == 2 + 2
     assert hyperplane_section(pts, blocks, h, field) == want
-    assert len(calls) == 4
+    assert len(calls) == 8
     calls.clear()
     for _ in range(3):
         assert hyperplane_section(s.points, s.blocks, h, field) == want
-    assert len(calls) <= 2
+    assert len(calls) <= 2 + 2
 
 
 def test_hyperplane_section_sees_points_mutated_between_calls():
@@ -489,6 +498,68 @@ def test_hyperplane_section_sees_points_mutated_between_calls():
     assert hyperplane_section(pts, [], _X0, F2) == ([1, 2], [], [])
     pts[1][0] = 1
     assert hyperplane_section(pts, [], _X0, F2) == ([2], [], [])
+
+
+def test_section_of_20k_blocks_stays_small():
+    # 20,000 blocks of 4 points: the block index is linear in the blocks'
+    # points, so the section peaks far under an index quadratic in the
+    # block count (about 75 MB here)
+    blocks = [(1, 2, 1, 2) if i % 3 else (1, 0, 0, 0) for i in range(20_000)]
+    want = ([1, 2], [i for i in range(20_000) if i % 3], [i for i in range(20_000) if not i % 3])
+    tracemalloc.start()
+    try:
+        got = hyperplane_section(_TRIANGLE, blocks, _X0, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("q", [256, 257, 1031])
+def test_section_over_wide_fields_matches_block_scan(q):
+    # coordinates of one byte (q = 256) or two (q > 256, with and without
+    # field tables): 60 points of PG(3, q), half of them drawn on h, and
+    # blocks inside h, tangent to it, ragged and empty; then a violation
+    field, rng = field_of_order(q), random.Random(q)
+    h = Hyperplane((rng.randrange(q), rng.randrange(q), rng.randrange(q), rng.randrange(1, q)))
+    inv = field.inv(h.coeffs[3])
+
+    def on_h():
+        x = [rng.randrange(q) for _ in range(3)]
+        return (*x, field.mul(field.neg(field.dot(h.coeffs[:3], x)), inv))
+
+    pts = [on_h() if i % 2 else tuple(rng.randrange(q) for _ in range(4)) for i in range(60)]
+    on = [i for i, x in enumerate(pts) if field.dot(h.coeffs, x) == 0]
+    off = [i for i in range(60) if i not in on]
+    blocks = []
+    for _ in range(200):
+        if rng.randrange(2):
+            blocks.append(tuple(rng.sample(on, rng.randrange(7))))
+        else:
+            blocks.append(tuple(rng.sample(off, rng.randrange(6)) + [rng.choice(on)]))
+    want = scan_section(pts, blocks, h, field)
+    assert want[1] and want[2]
+    for b in (blocks, [list(x) for x in blocks]):
+        assert hyperplane_section(pts, b, h, field) == want
+    bad = blocks + [(on[0], on[1], off[0])]
+    with pytest.raises(GeometryError, match=r"^block 200 meets the hyperplane in 2 of 3 points$"):
+        hyperplane_section(pts, bad, h, field)
+
+
+@pytest.mark.parametrize("build,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2)])
+def test_a_scan_builds_only_the_rows_it_reads(build, q):
+    # an index builds a coordinate's masks when a scan first reads them,
+    # and a scan reads only the coordinates of its nonzero coefficients
+    s = build(field_of_order(q))
+    field = s.tag["field"]
+    pts = [list(c) for c in s.points]
+    d1 = len(pts[0])
+    h = (0,) * (d1 - 2) + (1, 1)
+    for index in (projective._mask_index(pts, field), projective._block_index(pts, s.blocks, field)[0]):
+        assert not index[0]
+        projective._scan(index, index[1], h)
+        assert sorted(index[0]) == [d1 - 2, d1 - 1]
 
 
 def test_point_stars():
