@@ -8,11 +8,13 @@ in construction order), class B occupies n_a..n_a+n_b-1 (blocks).
 
 Girth and diameter share one level engine, _levels: roots in one class grow
 a Python-int bitset per vertex, one class per level, each vertex ORing its
-neighbours' frontiers.  Until a vertex meets one root through two neighbours,
-the bits sent at level L, deg(w) per frontier bit of w less one returning bit
-when L >= 2, equal the new (root, vertex) pairs, so the first level with a
-surplus gives girth 2L (Itai and Rodeh, 1978, counting for the collision test).
-Every other search, here and in prune, walks the one breadth-first search,
+neighbours' frontiers.  It reads class-local rows, class A's adj_a and class
+B's its transpose, so no search builds the global adjacency; only the prunes
+do.  Until a vertex meets one root through two neighbours, the bits sent at
+level L, deg(w) per frontier bit of w less one returning bit when L >= 2,
+equal the new (root, vertex) pairs, so the first level with a surplus gives
+girth 2L (Itai and Rodeh, 1978, counting for the collision test).  Every
+other search, here and in prune, walks the one breadth-first search,
 bfs_order.
 """
 
@@ -24,7 +26,7 @@ from collections import Counter
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .incidence import IncidenceStructure
+from .incidence import IncidenceStructure, point_stars
 
 
 class GraphError(ValueError):
@@ -71,15 +73,12 @@ class BipartiteGraph:
 
     def adjacency(self) -> list[list[int]]:
         """Global adjacency lists, ascending, built fresh on every call and
-        not kept: class-A rows are ascending already, and class-B rows are
-        filled in increasing u.  A caller that reads them repeatedly keeps
-        the result."""
-        adj = [[] for _ in range(self.n_vertices)]
-        for u, nbrs in enumerate(self.adj_a):
-            for b in nbrs:
-                adj[u].append(self.n_a + b)
-                adj[self.n_a + b].append(u)
-        return adj
+        not kept: class-A rows are adj_a shifted past class A, and class-B
+        rows are their transpose, incidence.point_stars.  A caller that reads
+        them repeatedly keeps the result."""
+        n_a = self.n_a
+        rows = [[n_a + b for b in nbrs] for nbrs in self.adj_a]
+        return rows + list(map(list, point_stars(self.n_b, self.adj_a)))
 
     def degree_sets(self) -> tuple[frozenset[int], frozenset[int]]:
         """The degrees met in class A and in class B, measured on the first
@@ -169,56 +168,63 @@ def _classes(g: BipartiteGraph) -> tuple[range, range]:
 
 
 # The engine searches a chunk of roots at a time: as many as fit ROOT_BITS
-# bits over the n bitsets of one list, and at least one.  So a graph of up to
-# 23,170 vertices is one chunk, and a list never holds more than ROOT_BITS bits.
+# bits over the n bitsets of one chunk, and at least one.  So a graph of up to
+# 23,170 vertices is one chunk.  The two per-class unseen lists hold those n
+# bitsets, and the frontier and the next level one class each, so the engine
+# holds at most 2 * ROOT_BITS bits, plus the transpose of adj_a.
 ROOT_BITS = 2**29
 
 
 def _levels(g: BipartiteGraph, roots, full: bool) -> int | float:
-    """The level engine from roots in one class, on a global adjacency built
-    here and dropped on return; it looks for cycles only if g stores no girth.
-    A full pass runs every chunk to exhaustion and returns the largest
-    eccentricity of its roots, math.inf if one misses a vertex; otherwise
-    roots of degree < 2 are dropped, and a chunk stops at the best level."""
-    adj = g.adjacency()
-    n = len(adj)
-    a, b = range(g.n_a), range(g.n_a, n)
-    own, other = (a, b) if roots and roots[0] < g.n_a else (b, a)
-    todo = iter(roots) if full else (v for v in roots if len(adj[v]) >= 2)
-    back = [len(nbrs) - 1 for nbrs in adj]  # bits sent on, less the return
+    """The level engine from roots (global ids) in one class, on class-local
+    rows: class A's as adj_a stores them, class B's their transpose, built
+    here and dropped on return; every list is one class's, indexed within it.
+    It looks for cycles only if g stores no girth.  A full pass runs every
+    chunk to exhaustion and returns the largest eccentricity of its roots,
+    math.inf if one misses a vertex; otherwise roots of degree < 2 are
+    dropped, and a chunk stops at the best level."""
+    stars = point_stars(g.n_b, g.adj_a)
+    in_b = bool(roots) and roots[0] >= g.n_a
+    rows = (stars, g.adj_a) if in_b else (g.adj_a, stars)  # roots' class first
+    todo = (v - g.n_a if in_b else v for v in roots)
+    if not full:
+        todo = (v for v in todo if len(rows[0][v]) >= 2)
+    back = [[len(nbrs) - 1 for nbrs in side] for side in rows]  # bits sent on, less the return
     best = math.inf if g._girth is None else 0  # shortest cycle so far
     ecc = 0
-    chunk = max(1, ROOT_BITS // max(n, 1))
+    chunk = max(1, ROOT_BITS // max(g.n_vertices, 1))
     while part := list(islice(todo, chunk)):
-        unseen = [(1 << len(part)) - 1] * n
-        frontier = [0] * n
+        unseen = [[(1 << len(part)) - 1] * len(side) for side in rows]
+        frontier = [0] * len(rows[0])
         for i, root in enumerate(part):
             frontier[root] = 1 << i
-            unseen[root] ^= 1 << i
-        sent = sum(len(adj[root]) for root in part)
+            unseen[0][root] ^= 1 << i
+        sent = sum(len(rows[0][root]) for root in part)
         level = 1
         while full or 2 * level < best:
-            nxt = [0] * n
-            for v in other if level % 2 else own:  # odd levels: the other class
+            side = level % 2  # odd levels: the other class
+            left = unseen[side]
+            nxt = [0] * len(left)
+            for v, nbrs in enumerate(rows[side]):
                 once = 0
-                for w in adj[v]:
+                for w in nbrs:
                     once |= frontier[w]
-                new = once & unseen[v]
+                new = once & left[v]
                 if new:
                     nxt[v] = new
-                    unseen[v] ^= new
+                    left[v] ^= new
             if not any(nxt):
                 break
             if 2 * level < best:
                 counts = list(map(int.bit_count, nxt))
                 if sum(counts) < sent:
                     best = 2 * level
-                sent = sum(map(mul, back, counts))
+                sent = sum(map(mul, back[side], counts))
             frontier = nxt
             level += 1
-        if full and any(unseen):  # later chunks only look for cycles
+        if full and any(map(any, unseen)):  # later chunks only look for cycles
             ecc, full = math.inf, False
-            todo = (v for v in todo if len(adj[v]) >= 2)
+            todo = (v for v in todo if len(rows[0][v]) >= 2)
         elif full:
             ecc = max(ecc, level - 1)
     if g._girth is None:

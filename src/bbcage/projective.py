@@ -334,20 +334,20 @@ def _residues(masks, coeffs, field: Field, full: int, first: int) -> list[int]:
     """res[t] = the points of full whose coordinates first, first + 1, ...
     dot coeffs to t, carried from res[0] = full by
     res'[t + h_i * v] |= res[t] & masks[i][v]; only the rows of nonzero
-    coefficients are read."""
+    coefficients are read, and only the nonzero res[t], the live pairs."""
     add, mul = field.add, field.mul
     res = [full] + [0] * (field.q - 1)
+    live = [(0, full)]
     for i, h in enumerate(coeffs, first):
         if h == 0:
             continue
-        nxt = [0] * field.q
+        res = [0] * field.q
         for v, at_v in enumerate(masks[i]):
             if at_v:
                 hv = mul(h, v)
-                for t, rt in enumerate(res):
-                    if rt:
-                        nxt[add(t, hv)] |= rt & at_v
-        res = nxt
+                for t, rt in live:
+                    res[add(t, hv)] |= rt & at_v
+        live = [(t, rt) for t, rt in enumerate(res) if rt]
     return res
 
 

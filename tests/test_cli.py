@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -126,6 +127,68 @@ def test_other_runtime_errors_are_not_assertions(monkeypatch):
     monkeypatch.setattr(deletions, "construct_named", boom)
     with pytest.raises(RuntimeError, match="not a contract"):
         main(["construct", "--family", "q4-ovoid-delete", "--q", "2"])
+    assert gc.isenabled()
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the cyclic collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (["construct", "--family", "q4", "--q", "2"], 0),
+        (["construct", "--family", "hexagon", "--q", "5"], 2),
+        (["construct", "--family", "q4-ovoid-delete", "--q", "2"], 3),
+    ],
+)
+def test_main_restores_the_collector(
+    capsys, monkeypatch, collector_state, enabled, argv, exit_code
+):
+    # the command runs with the collector paused; its caller's state returns
+    from bbcage.graphs import ConstructionError
+
+    def boom(family, q):
+        assert not gc.isenabled()
+        raise ConstructionError("violated invariant: synthetic")
+
+    monkeypatch.setattr(deletions, "construct_named", boom)
+    (gc.enable if enabled else gc.disable)()
+    assert run(capsys, *argv)[0] == exit_code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize(
+    "small,large",
+    [
+        (["construct", "--family", "q4", "--q", "2"], ["construct", "--family", "q4", "--q", "3"]),
+        (["construct", "--family", "q5", "--q", "3"], ["construct", "--family", "q5", "--q", "4"]),
+        (
+            ["construct", "--family", "t2-slab", "--q", "5", "--m1", "3", "--n1", "3"],
+            ["construct", "--family", "t2-slab", "--q", "7", "--m1", "3", "--n1", "3"],
+        ),
+        # exit 2: a q past the quadrangle cap
+        (["construct", "--family", "q4", "--q", "6"], ["construct", "--family", "q4", "--q", "7"]),
+    ],
+)
+def test_cyclic_garbage_does_not_grow_with_the_graph(capsys, collector_state, small, large):
+    # pausing the collector is safe only while no per-vertex structure forms
+    # a cycle: what gc.collect finds after a command is the command line's,
+    # the same at two sizes of one family
+    def garbage(argv):
+        gc.collect()
+        gc.disable()
+        code = main(argv)
+        found = gc.collect()
+        capsys.readouterr()
+        return code, found
+
+    assert garbage(small) == garbage(large)
 
 
 def test_named_builders_are_looked_up_when_called(monkeypatch):

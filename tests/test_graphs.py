@@ -1,17 +1,18 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import (
-    bfs_diameter, bipartite_from_edges, brute_girth, holds_only_adj_a_and_invariants,
+    bfs_diameter, bfs_girth, bipartite_from_edges, brute_girth, holds_only_adj_a_and_invariants,
 )
 
 from bbcage import graphs
 from bbcage.bounds import excess_of
 from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
-from bbcage.gf import field_new
+from bbcage.gf import field_new, field_of_order
 from bbcage.graphs import (
     BipartiteGraph,
     ConstructionError,
@@ -29,6 +30,7 @@ from bbcage.graphs import (
 )
 from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
+from bbcage.prune import affine_girth6_graph
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -84,6 +86,60 @@ def test_girth_and_diameter_measured_once(monkeypatch):
 
     monkeypatch.setattr(BipartiteGraph, "adjacency", no_adjacency)
     assert (girth(g), diameter(g)) == (8, 4)
+
+
+def _dual(g):
+    """The same graph with its classes swapped, so class B is the smaller."""
+    return bipartite_from_edges(g.n_b, g.n_a, [(b - g.n_a, a) for a, b in g.edges()])
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, None])  # None: all roots in one chunk
+@pytest.mark.parametrize(
+    "make",
+    [
+        # an 8-cycle beside a 12-cycle: disconnected, girth 8
+        lambda: bipartite_from_edges(
+            10, 10,
+            [(i, i) for i in range(10)]
+            + [(i, (i + 1) % 4) for i in range(4)]
+            + [(i, 4 + (i - 3) % 6) for i in range(4, 10)],
+        ),
+        # Q(5,2) with its lines as class A: 45 lines, 27 points
+        lambda: _dual(levi(gq_q5(F2))),
+        # the path a0 b0 a1 b1 a2: class B is smaller and its eccentricity 3
+        # is odd, so class A is searched too
+        lambda: BipartiteGraph(3, 2, [[0], [0, 1], [1]]),
+    ],
+)
+def test_searches_read_class_local_rows(monkeypatch, make, per_chunk):
+    # girth and diameter read adj_a and its transpose: no search builds the
+    # global adjacency, whatever the chunk size
+    g = make()
+    want = bfs_girth(g), bfs_diameter(g)
+    fresh = [induced_subgraph(g, range(g.n_vertices)) for _ in range(2)]
+
+    def no_adjacency(self):
+        raise AssertionError("global adjacency built by a search")
+
+    monkeypatch.setattr(BipartiteGraph, "adjacency", no_adjacency)
+    monkeypatch.setattr(graphs, "ROOT_BITS", (per_chunk or g.n_vertices) * g.n_vertices)
+    a, b = fresh
+    assert (girth(a), diameter(a)) == (want[0], math.inf if want[1] is None else want[1])
+    assert (diameter(b), girth(b)) == (math.inf if want[1] is None else want[1], want[0])
+
+
+def test_diameter_peak_stays_small():
+    # class-local rows and lists: diameter of a 1,922-vertex affine graph
+    # holds under 1.5 MiB (2.2 MiB when it built the global adjacency)
+    g = affine_girth6_graph(field_of_order(31), 31, 31)
+    tracemalloc.start()
+    try:
+        assert diameter(g) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert girth(g) == 6
+    assert peak < 1.5 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -284,13 +284,11 @@ def test_graphs_built_only_by_the_five_builders():
     ]
 
 
-def test_global_adjacency_built_only_by_the_searches():
-    # each level search builds the global adjacency it reads and drops it on
-    # return; a prune builds one for all its anchored searches to share; the
-    # degree sets are counted off adj_a
+def test_global_adjacency_built_only_by_the_prunes():
+    # a prune builds one for all its anchored searches to share; girth and
+    # diameter read adj_a and its transpose, and the degree sets adj_a alone
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("adjacency", sources)) == [
-        "graphs:_levels",
         "prune:_anchor",
         "prune:find_free_edge",
     ]

@@ -516,10 +516,11 @@ def test_section_of_20k_blocks_stays_small():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("q", [256, 257, 1031])
+@pytest.mark.parametrize("q", [256, 257, 1031, 65536])
 def test_section_over_wide_fields_matches_block_scan(q):
     # coordinates of one byte (q = 256) or two (q > 256, with and without
-    # field tables): 60 points of PG(3, q), half of them drawn on h, and
+    # field tables, and q = 2^16, where a half walks its live residues, not
+    # all q of them): 60 points of PG(3, q), half of them drawn on h, and
     # blocks inside h, tangent to it, ragged and empty; then a violation
     field, rng = field_of_order(q), random.Random(q)
     h = Hyperplane((rng.randrange(q), rng.randrange(q), rng.randrange(q), rng.randrange(1, q)))

@@ -116,11 +116,11 @@ def adjacency_builds(monkeypatch):
 
 
 def test_each_prune_builds_one_adjacency(adjacency_builds):
-    # girth, diameter and degree_sets each build the adjacency they search;
-    # once they are measured, a prune builds the host's adjacency just once
+    # girth, diameter and degree_sets build no global adjacency; a prune
+    # builds the host's just once
     host = levi(gq_q4(F4))
     assert (girth(host), diameter(host), host.degrees()) == (8, 4, (5, 5))
-    adjacency_builds.clear()
+    assert adjacency_builds == []
 
     def host_builds():
         return sum(g is host for g in adjacency_builds)
