@@ -63,14 +63,13 @@ def _build_family(args):
         _require(args.m1 is not None and args.n1 is not None, "--m1/--n1 required")
     if fam in ("ag2-girth6", "t2-slab"):
         from . import prune
-        from .gf import field_of_order
 
-        field, m1, n1 = field_of_order(args.q), args.m1, args.n1
+        q, m1, n1 = args.q, args.m1, args.n1
         if fam == "ag2-girth6":
-            _require_order(args, prune.affine_girth6_order(field, m1, n1))
-            return prune.affine_girth6_graph(field, m1, n1)
-        _require_order(args, prune.affine_slab_order(field, m1, n1))
-        return prune.affine_slab_graph(field, m1, n1)
+            _require_order(args, prune.affine_girth6_order(q, m1, n1))
+            return prune.affine_girth6_graph(q, m1, n1)
+        _require_order(args, prune.affine_slab_order(q, m1, n1))
+        return prune.affine_slab_graph(q, m1, n1)
     if fam in HOSTS:
         return _host_graph(fam, args.q)
     if fam in ("branch-prune", "mixed-prune"):
@@ -174,8 +173,8 @@ def _cmd_construct(args) -> int:
 # The cap bounds memory, not time: verify's one level search (two when the
 # diameter is odd) takes one level per step of the longest distance, each
 # level O(n) work per chunk of roots, so a graph of large diameter, such as a
-# long cycle, costs about n^3 (verify on C_2000 0.9 s, C_4000 3.9 s, medians of
-# 5 runs at commit ac44e11, CPython 3.11.7 on a shared 2-CPU Xeon; ROADMAP item 8).
+# long cycle, costs about n^3 (verify on C_2000 0.43 s, C_4000 1.73 s, medians of
+# 7 runs at commit 64473c3, CPython 3.11.7 on a shared 2-CPU Xeon; ROADMAP item 8).
 VERIFY_MAX_ORDER = 2 ** 18
 # A graph6 file spends n(n-1)/12 bytes on the body of an n-vertex graph, and
 # to_graph6 holds two copies of it; 64 MiB of body is an order of 28,378.

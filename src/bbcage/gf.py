@@ -5,7 +5,9 @@ coordinates base p (index = c0 + c1*p + ... + c_{k-1}*p^{k-1}), so 0 and 1 are
 always the additive and multiplicative identities.  The modulus is the
 lexicographically smallest monic irreducible of degree k over GF(p), read with
 the highest-degree coefficient as the most significant digit; this makes every
-element index, and hence every downstream coordinate, reproducible.
+element index, and hence every downstream coordinate, reproducible.  A
+Field is at most _TABLE_LIMIT elements and does all its arithmetic by table;
+prime_power factors orders up to MAX_ORDER for the integer constructions.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import itertools
 from functools import lru_cache
 from math import isqrt
 
-MAX_ORDER = 1 << 16
-_TABLE_LIMIT = 512  # build full q x q tables up to this order
+MAX_ORDER = 1 << 16  # the largest order that prime_power factors
+_TABLE_LIMIT = 512  # the largest Field: full q x q tables
 
 
 class FieldError(ValueError):
@@ -82,15 +84,13 @@ class Field:
         if k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
         q = p ** k
-        if q > MAX_ORDER:
-            raise FieldError(f"field order {q} exceeds cap {MAX_ORDER}")
+        if q > _TABLE_LIMIT:
+            raise FieldError(f"field order {q} exceeds cap {_TABLE_LIMIT}")
         self.p = p
         self.k = k
         self.q = q
         self.modulus = _smallest_irreducible(p, k)
-        self._add_t = self._mul_t = self._inv_t = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- representation helpers -------------------------------------------
 
@@ -108,12 +108,17 @@ class Field:
         return val
 
     def _build_tables(self):
-        """add digit by digit; mul and inv by the logarithms to the smallest
-        g with g^((q-1)/r) != 1 for each prime r | q - 1, a primitive element."""
+        """add digit by digit; mul by the logarithms to the smallest g whose
+        powers first return to 1 at q - 1, a primitive element."""
         p, q, n = self.p, self.q, self.q - 1
-        primes = [r for r in range(2, q) if n % r == 0 and _is_prime(r)]
-        g = next(g for g in range(1, q) if all(self.pow(g, n // r) != 1 for r in primes))
-        exp = list(itertools.accumulate([g] * (n - 1), self._mul_slow, initial=1)) * 2
+
+        def powers(g):  # 1, g, g^2, ... up to g's first return to 1
+            out = [1]
+            while (x := self._mul_slow(out[-1], g)) != 1:
+                out.append(x)
+            return out
+
+        exp = next(e for e in map(powers, range(1, q)) if len(e) == n) * 2
         logs = sorted(range(n), key=exp.__getitem__)  # the logs of 1..q-1
         add, digits = [[0]], range(p)
         for _ in range(self.k):
@@ -123,13 +128,6 @@ class Field:
                    for r in add for x in digits]
         self._add_t = add
         self._mul_t = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
-        self._inv_t = [0] + [exp[n - i] for i in logs]
-
-    def _add_slow(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
 
     def _mul_slow(self, a: int, b: int) -> int:
         p, k = self.p, self.k
@@ -146,9 +144,7 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._add_slow(a, b)
+        return self._add_t[a][b]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
@@ -156,43 +152,15 @@ class Field:
         return self._encode([(-c) % self.p for c in self._decode(a)])
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        return self._mul_slow(a, b)
+        return self._mul_t[a][b]
 
     def dot(self, u, v) -> int:
-        """The field sum of u[i] * v[i], read straight from the tables when
-        the field has them."""
+        """The field sum of u[i] * v[i], read straight from the tables."""
         acc = 0
         add_t, mul_t = self._add_t, self._mul_t
-        if add_t is None:
-            for x, y in zip(u, v):
-                acc = self.add(acc, self.mul(x, y))
-        else:
-            for x, y in zip(u, v):
-                acc = add_t[acc][mul_t[x][y]]
+        for x, y in zip(u, v):
+            acc = add_t[acc][mul_t[x][y]]
         return acc
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("0 has no multiplicative inverse")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise FieldError("0 has no multiplicative inverse")
-            return 0 if e else 1
-        e %= self.q - 1
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
 
     def __eq__(self, other):
         return (
@@ -219,7 +187,7 @@ def field_of_order(q: int) -> Field:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k, p prime, for a q within the field cap; else
+    """(p, k) with q = p^k, p prime, for a q up to MAX_ORDER; else
     FieldError."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")

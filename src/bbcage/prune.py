@@ -18,7 +18,7 @@ import itertools
 import math
 
 from .bounds import moore_odd
-from .gf import Field
+from .gf import prime_power
 from .graphs import (
     BipartiteGraph, ConstructionError, GraphError, bfs_distances, bfs_order,
     biregular_pair, diameter, expect, expect_biregular, girth, induced_subgraph,
@@ -203,12 +203,12 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
     raise ConstructionError(f"no cycle of length {length} through vertex {root}")
 
 
-def affine_slab_order(field: Field, m1: int, n1: int) -> int:
-    """The order of affine_slab_graph(field, m1, n1), once its parameters
+def affine_slab_order(q: int, m1: int, n1: int) -> int:
+    """The order of affine_slab_graph(q, m1, n1), once its parameters
     pass the checks that the builder and construct share."""
-    if field.k != 1:
+    p, k = prime_power(q)
+    if k != 1:
         raise ValueError("slab construction needs a prime field")
-    p = field.p
     if not 2 <= m1 <= p:
         raise ValueError(f"need 2 <= m1 <= {p}, got {m1}")
     if not 2 <= n1 <= p + 1:
@@ -216,7 +216,7 @@ def affine_slab_order(field: Field, m1: int, n1: int) -> int:
     return (m1 + n1) * p * p
 
 
-def _slab_geometry(field: Field, m1: int, n1: int):
+def _slab_geometry(p: int, m1: int, n1: int):
     """The slab's ideal line u, its first m1 planes and its first n1 conic
     directions, in closed form in the ideal plane X0 = 0, numbered as
     PG(2, p) and so as in PG(3, p).
@@ -230,11 +230,10 @@ def _slab_geometry(field: Field, m1: int, n1: int):
     (b, t, -1) of those two points.  The planes through it other than
     X0 = 0 are (c, u), and normalized coordinates sort in PG(3, p) id order.
     """
-    p = field.p
 
     def lead_one(v):
-        s = field.inv(next(x for x in v if x))
-        return tuple(field.mul(s, x) for x in v)
+        s = pow(next(x for x in v if x), -1, p)
+        return tuple(s * x % p for x in v)
 
     t, b = next((t, b) for t in range(p) for b in range(p)
                 if all((x * x - t * x - b) % p for x in range(p)))
@@ -244,7 +243,7 @@ def _slab_geometry(field: Field, m1: int, n1: int):
     return u, planes, conic[:n1]
 
 
-def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
+def affine_slab_graph(q: int, m1: int, n1: int) -> BipartiteGraph:
     """Biregular graph of girth at least 8 from PG(3, p), p prime: V1 is the
     affine point set of m1 planes through a line of the ideal plane disjoint
     from the conic X1^2 = X0 X2, V2 the affine lines through its first n1
@@ -254,9 +253,8 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     _slab_geometry, with no point list of the ideal plane: the work grows
     with the output.
     """
-    order = affine_slab_order(field, m1, n1)
-    p = field.p
-    u, planes, directions = _slab_geometry(field, m1, n1)
+    order, p = affine_slab_order(q, m1, n1), q
+    u, planes, directions = _slab_geometry(p, m1, n1)
     # the affine point (1, x) lies on the plane (h0, w) when h0 + w . x = 0;
     # w = w[lead] * u: a plane's p^2 points solve u . x = -h0 / w[lead]
     lead = u.index(1)
@@ -284,12 +282,12 @@ def affine_slab_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
     return g
 
 
-def affine_girth6_order(field: Field, m1: int, n1: int) -> int:
-    """The order of affine_girth6_graph(field, m1, n1), once its parameters
+def affine_girth6_order(q: int, m1: int, n1: int) -> int:
+    """The order of affine_girth6_graph(q, m1, n1), once its parameters
     pass the checks that the builder and construct share."""
-    if field.k != 1:
+    p, k = prime_power(q)
+    if k != 1:
         raise ValueError("affine construction needs a prime field")
-    p = field.p
     if not 2 <= m1 <= p:
         raise ValueError(f"only {p} horizontal lines are affine, got m1={m1}")
     if not 2 <= n1 <= p:
@@ -297,13 +295,12 @@ def affine_girth6_order(field: Field, m1: int, n1: int) -> int:
     return (m1 + n1) * p
 
 
-def affine_girth6_graph(field: Field, m1: int, n1: int) -> BipartiteGraph:
+def affine_girth6_graph(q: int, m1: int, n1: int) -> BipartiteGraph:
     """Bipartite graph from AG(2, p), p prime: V1 the points of m1 horizontal
     lines, V2 the affine lines through n1 non-horizontal directions; degrees
     (n1, m1), no 4-cycles.  The girth is not measured here: it is at least 6,
     and exactly 6 once triangles fit (m1, n1 >= 3)."""
-    order = affine_girth6_order(field, m1, n1)
-    p = field.p
+    order, p = affine_girth6_order(q, m1, n1), q
     # point (x, y) is y p + x; line k p + c of the k-th direction, slopes
     # 1..p-1 and then the vertical, is a y + b x = c: y - s x = c, or x = c
     directions = [(1, -s) for s in range(1, p)] + [(0, 1)]

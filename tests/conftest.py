@@ -243,6 +243,23 @@ def degree_measures(monkeypatch):
     return measured
 
 
+def inverse(field, a: int) -> int:
+    """The inverse of a nonzero a in field, read off a's row of the mul
+    table."""
+    assert a, "0 has no multiplicative inverse"
+    return field._mul_t[a].index(1)
+
+
+def digit_add(field, a: int, b: int) -> int:
+    """a + b in field, digit by digit base p: the sum of the coordinate
+    polynomials, independent of the add table."""
+    p, total, place = field.p, 0, 1
+    for _ in range(field.k):
+        total += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return total
+
+
 def zorn(coords, field):
     """The trace-zero split octonion of a point of Q(6,q), as a Zorn vector
     matrix (a, v, w, b) with a = X0, v = (X1, X3, X5), w = (X2, X4, X6) and
@@ -316,7 +333,7 @@ class Space:
         lead = next(c for c in coords if c != 0)
         if lead == 1:
             return tuple(coords)
-        s = F.inv(lead)
+        s = inverse(F, lead)
         return tuple(F.mul(s, c) for c in coords)
 
     def id_of(self, coords) -> int:
@@ -476,7 +493,7 @@ def reference_affine_slab_graph(field, m1: int, n1: int):
     for d in directions:
         lead = d.index(1)
         # r + lam * d meets (h0, w) at lam = -(h0 + w . r) / (w . d)
-        steps = [field.neg(field.inv(field.dot(w, d))) for _, *w in planes]
+        steps = [field.neg(inverse(field, field.dot(w, d))) for _, *w in planes]
         # the affine lines in direction d, each from its smallest point, the
         # one whose coordinate lead is 0, in PG(3, p) id order
         for rest in itertools.product(range(p), repeat=2):
@@ -526,7 +543,7 @@ def reference_affine_girth6_graph(field, m1: int, n1: int):
                 members = []
                 for y in range(m1):
                     # x with s*x + b = y
-                    x = field.mul(field.inv(s), field.add(y, field.neg(b)))
+                    x = field.mul(inverse(field, s), field.add(y, field.neg(b)))
                     members.append(pid(x, y))
                 blocks.append(members)
     g = levi(IncidenceStructure([None] * m1 * p, blocks))

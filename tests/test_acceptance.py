@@ -273,9 +273,9 @@ def test_criterion_8_property_suites():
         induced_branch_graph(levi(gq_q4(F2)), 2, 3),
         mixed_degree_prune(levi(gq_q4(F2))),
         mixed_degree_prune(levi(gq_q5(F2))),
-        affine_slab_graph(F3, 2, 3),
-        affine_girth6_graph(F3, 2, 2),
-        affine_girth6_graph(field_new(5, 1), 3, 4),
+        affine_slab_graph(3, 2, 3),
+        affine_girth6_graph(3, 2, 2),
+        affine_girth6_graph(5, 3, 4),
         levi(gq_q4(F2)),
     ]
     # girth oracle equivalence on everything small enough
@@ -322,7 +322,7 @@ def test_criterion_9_prune_correctness():
         assert False, "(2,3) should be outside the hypothesis on Q(4,3)"
     except ValueError:
         pass
-    slab = affine_slab_graph(field_new(5, 1), 3, 4)
+    slab = affine_slab_graph(5, 3, 4)
     assert slab.n_vertices == 175
     assert expect_biregular(slab, 3, 4, 8, slab.n_vertices, "slab") is slab
     budget.done()

@@ -259,6 +259,13 @@ def test_construct_huge_prime_q_exit2(capsys):
     assert "exceeds cap" in err
 
 
+def test_construct_field_over_the_table_cap_exit2(capsys):
+    # GF(1024) has no tables, so no Field: refused before the GQ's own cap
+    code, stdout, err = run(capsys, "construct", "--family", "q5", "--q", "1024")
+    assert (code, stdout) == (2, "")
+    assert err == "bbcage: error: field order 1024 exceeds cap 512\n"
+
+
 @pytest.mark.parametrize("family", ["mixed-prune", "branch-prune"])
 def test_construct_auto_edge_on_hexagon_exit2(capsys, family):
     code, stdout, err = run(

@@ -12,7 +12,7 @@ from bbcage import graphs
 from bbcage.bounds import excess_of
 from bbcage.deletions import NAMED_FAMILIES, construct_named
 from bbcage.designs import sts_generate
-from bbcage.gf import field_new, field_of_order
+from bbcage.gf import field_new
 from bbcage.graphs import (
     BipartiteGraph,
     ConstructionError,
@@ -131,7 +131,7 @@ def test_searches_read_class_local_rows(monkeypatch, make, per_chunk):
 def test_diameter_peak_stays_small():
     # class-local rows and lists: diameter of a 1,922-vertex affine graph
     # holds under 1.5 MiB (2.2 MiB when it built the global adjacency)
-    g = affine_girth6_graph(field_of_order(31), 31, 31)
+    g = affine_girth6_graph(31, 31, 31)
     tracemalloc.start()
     try:
         assert diameter(g) == 4

@@ -10,7 +10,7 @@ from conftest import (
 )
 
 from bbcage import graphs, prune
-from bbcage.gf import _TABLE_LIMIT, Field, field_new, field_of_order
+from bbcage.gf import Field, field_new, field_of_order
 from bbcage.graphs import (
     BipartiteGraph, bfs_distances, diameter, expect_biregular, girth, levi, to_graph6,
 )
@@ -256,9 +256,9 @@ def test_free_edge_small_order_rejected():
 
 
 def test_slab_p5():
-    g = affine_slab_graph(F5, 3, 4)
+    g = affine_slab_graph(5, 3, 4)
     assert (g.n_a, g.n_b) == (75, 100)
-    assert affine_slab_order(F5, 3, 4) == g.n_vertices
+    assert affine_slab_order(5, 3, 4) == g.n_vertices
     assert expect_biregular(g, 3, 4, 8, g.n_vertices, "slab") is g
     assert girth(g) == 8
 
@@ -268,7 +268,7 @@ def test_slab_p3_girth_is_twelve():
     # p = 3 with two planes no configuration closes an 8-, 10- or shorter
     # cycle; measured and cycle-enumeration girth is 12 for every choice of
     # three conic directions.
-    g = affine_slab_graph(F3, 2, 3)
+    g = affine_slab_graph(3, 2, 3)
     assert (g.n_a, g.n_b) == (18, 27)
     assert girth(g) == 12
     assert brute_girth(g) == 12
@@ -276,7 +276,7 @@ def test_slab_p3_girth_is_twelve():
 
 @pytest.mark.parametrize("p,m1,n1", [(3, 2, 2), (5, 2, 3), (7, 3, 3)])
 def test_slab_no_short_cycles(p, m1, n1):
-    g = affine_slab_graph(field_new(p, 1), m1, n1)
+    g = affine_slab_graph(p, m1, n1)
     assert girth(g) >= 8
     # direct cycle enumeration capped at length 6: nothing may close
     assert brute_girth(g, cap=6) is None
@@ -288,7 +288,7 @@ def test_slab_no_short_cycles(p, m1, n1):
 def test_slab_two_planes_girth_at_least_8(p, n1, girth_measured):
     # the slab guarantee is girth >= 8, not girth 8: with m1 = 2 planes no
     # 8-cycle closes at these parameters
-    g = affine_slab_graph(field_new(p, 1), 2, n1)
+    g = affine_slab_graph(p, 2, n1)
     assert girth(g) == girth_measured >= 8
 
 
@@ -310,22 +310,25 @@ _SLAB_DIGESTS = {
 
 @pytest.mark.parametrize("p,m1,n1", sorted(_SLAB_DIGESTS))
 def test_slab_bytes_pinned(p, m1, n1):
-    g = affine_slab_graph(field_new(p, 1), m1, n1)
+    g = affine_slab_graph(p, m1, n1)
     assert hashlib.sha256(to_graph6(g)).hexdigest() == _SLAB_DIGESTS[p, m1, n1]
 
 
 # graph6 SHA-256 of AG(2, p) graphs, from the builder that called Field
-# methods per incidence; 521 is over the field table limit
+# methods per incidence; at 521 and 1021, over today's Field cap, those
+# methods ran without tables
 _AG2_DIGESTS = {
     (7, 7, 7): "99862745ef0fd796b6439b51d1847496a1ff8a13ab994008b94e50c36000c892",
     (13, 5, 13): "747cc3fae1556fdd70ee05d0dee1ee0595a4572db48e68f7a43bd3ae08c9dbb9",
     (521, 3, 4): "f888866a7ce7e70cf3c25237f70093820f4d231c09b7c04e293d9959d56e904a",
+    (1021, 2, 5): "30f2502efdcb0d7b98065f0249fcfe71b949f9feca068735d7b6efb8c3b8e951",
+    (1021, 4, 3): "27f53c5115ca05c0d079ab835a5774919acaf4a13315c68ae3f6d7047fc10e69",
 }
 
 
 @pytest.mark.parametrize("p,m1,n1", sorted(_AG2_DIGESTS))
 def test_ag2_bytes_pinned(p, m1, n1):
-    g = affine_girth6_graph(field_new(p, 1), m1, n1)
+    g = affine_girth6_graph(p, m1, n1)
     assert hashlib.sha256(to_graph6(g)).hexdigest() == _AG2_DIGESTS[p, m1, n1]
 
 
@@ -374,51 +377,23 @@ def test_affine_rows_match_the_field_reference(family, p):
     # the closed-form rows against the incidence graph of lines built one
     # Field call per incidence, for every admissible (m1, n1)
     build, references = _AFFINE[family]
-    field = field_new(p, 1)
-    for m1, n1, want in references(field):
-        g = build(field, m1, n1)
+    for m1, n1, want in references(field_new(p, 1)):
+        g = build(p, m1, n1)
         assert (g.n_a, g.n_b, g.adj_a) == want, (m1, n1)
 
 
-@pytest.mark.parametrize("p,m1,n1", [(521, 2, 2), (521, 3, 4), (1021, 4, 3), (1021, 2, 5)])
-def test_affine_girth6_rows_match_the_reference_without_tables(p, m1, n1):
-    # over the table limit the reference's Field.inv goes through pow
-    assert p > _TABLE_LIMIT
-    field = field_new(p, 1)
-    g, want = affine_girth6_graph(field, m1, n1), reference_affine_girth6_graph(field, m1, n1)
-    assert (g.n_a, g.n_b, g.adj_a) == (want.n_a, want.n_b, want.adj_a)
-
-
-def test_affine_girth6_makes_no_field_call(monkeypatch):
-    field = field_new(7, 1)
-    want = reference_affine_girth6_graph(field, 5, 7)
-
+def test_affine_families_make_no_field(monkeypatch):
+    # both families are integer formulas mod p: no Field is made and no
+    # field arithmetic runs, here or at p = 521, over the Field cap
     def refuse(*args):
-        raise AssertionError("Field arithmetic called")
+        raise AssertionError("Field called")
 
-    for name in ("add", "neg", "mul", "dot", "inv", "pow"):
+    for name in ("__init__", "add", "neg", "mul", "dot", "_mul_slow"):
         monkeypatch.setattr(Field, name, refuse)
-    assert affine_girth6_graph(field, 5, 7).adj_a == want.adj_a
-
-
-def test_slab_field_calls_do_not_grow_with_the_slab(monkeypatch):
-    # the ideal plane's geometry calls Field methods, the slab's points and
-    # rows do not: the count is the same at the smallest and largest (m1, n1)
-    calls = []
-    for name in ("add", "neg", "mul", "dot", "inv", "pow"):
-        method = getattr(Field, name)
-
-        def counted(self, *args, _method=method):
-            calls.append(1)
-            return _method(self, *args)
-
-        monkeypatch.setattr(Field, name, counted)
-    counts = []
-    for m1, n1 in [(2, 2), (7, 8)]:
-        calls.clear()
-        affine_slab_graph(field_new(7, 1), m1, n1)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    for build, digests, key in [(affine_girth6_graph, _AG2_DIGESTS, (7, 7, 7)),
+                                (affine_slab_graph, _SLAB_DIGESTS, (7, 4, 6)),
+                                (affine_girth6_graph, _AG2_DIGESTS, (521, 3, 4))]:
+        assert hashlib.sha256(to_graph6(build(*key))).hexdigest() == digests[key]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -439,7 +414,7 @@ def assert_slab_geometry_is_walked(p: int):
     ideal plane; and no three directions are collinear: the lines joining
     two of them are all distinct."""
     field = field_new(p, 1)
-    got = prune._slab_geometry(field, p, p + 1)
+    got = prune._slab_geometry(p, p, p + 1)
     assert got == walked_slab_geometry(field, p, p + 1), p
     plane = pg_space(2, field)
     ids = [plane.id_of(d) for d in got[2]]
@@ -455,17 +430,17 @@ def test_slab_geometry_is_the_walked_geometry(p):
 
 def test_slab_rejections():
     with pytest.raises(ValueError):
-        affine_slab_graph(F3, 2, 5)  # only p + 1 conic points
+        affine_slab_graph(3, 2, 5)  # only p + 1 conic points
     with pytest.raises(ValueError):
-        affine_slab_graph(F3, 4, 3)  # only p planes
+        affine_slab_graph(3, 4, 3)  # only p planes
     with pytest.raises(ValueError):
-        affine_slab_graph(F4, 2, 3)  # prime fields only
+        affine_slab_graph(4, 2, 3)  # prime fields only
 
 
 def test_affine_girth6_p5():
-    g = affine_girth6_graph(F5, 3, 4)
+    g = affine_girth6_graph(5, 3, 4)
     assert (g.n_a, g.n_b) == (15, 20)
-    assert affine_girth6_order(F5, 3, 4) == g.n_vertices
+    assert affine_girth6_order(5, 3, 4) == g.n_vertices
     assert expect_biregular(g, 3, 4, 6, g.n_vertices, "affine girth-6 graph") is g
     assert brute_girth(g) == 6
 
@@ -473,7 +448,7 @@ def test_affine_girth6_p5():
 def test_affine_girth6_degenerate_parameters():
     # with only two directions and two horizontals no 6-cycle can close;
     # the 12-vertex graph is a single 12-cycle
-    g = affine_girth6_graph(F3, 2, 2)
+    g = affine_girth6_graph(3, 2, 2)
     assert g.n_vertices == 12
     assert girth(g) == 12
     assert brute_girth(g) == 12
@@ -481,11 +456,11 @@ def test_affine_girth6_degenerate_parameters():
 
 def test_affine_girth6_rejections():
     with pytest.raises(ValueError):
-        affine_girth6_graph(F5, 6, 3)
+        affine_girth6_graph(5, 6, 3)
     with pytest.raises(ValueError):
-        affine_girth6_graph(F5, 3, 6)
+        affine_girth6_graph(5, 3, 6)
     with pytest.raises(ValueError):
-        affine_girth6_graph(F4, 2, 2)
+        affine_girth6_graph(4, 2, 2)
 
 
 def test_branch_prune_asymmetric_host():
