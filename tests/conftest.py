@@ -243,10 +243,34 @@ def degree_measures(monkeypatch):
     return measured
 
 
+class Residues:
+    """The integers mod a prime p under Field's method names, for the
+    references at a prime over the Field cap, where no Field is made."""
+
+    k = 1
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def dot(self, u, v) -> int:
+        return sum(a * b for a, b in zip(u, v)) % self.p
+
+
 def inverse(field, a: int) -> int:
     """The inverse of a nonzero a in field, read off a's row of the mul
-    table."""
+    table, or by Python's modular pow for Residues."""
     assert a, "0 has no multiplicative inverse"
+    if isinstance(field, Residues):
+        return pow(a, -1, field.p)
     return field._mul_t[a].index(1)
 
 

@@ -5,12 +5,12 @@ import re
 import pytest
 
 from conftest import (
-    brute_girth, conic_oval, edge_count_conserved, first_line_missing, lines_in, pg_space,
-    reference_affine_girth6_graph, reference_affine_slab_graph, walked_slab_geometry,
+    Residues, brute_girth, conic_oval, edge_count_conserved, first_line_missing, lines_in,
+    pg_space, reference_affine_girth6_graph, reference_affine_slab_graph, walked_slab_geometry,
 )
 
 from bbcage import graphs, prune
-from bbcage.gf import Field, field_new, field_of_order
+from bbcage.gf import Field, FieldError, field_new, field_of_order
 from bbcage.graphs import (
     BipartiteGraph, bfs_distances, diameter, expect_biregular, girth, levi, to_graph6,
 )
@@ -382,18 +382,42 @@ def test_affine_rows_match_the_field_reference(family, p):
         assert (g.n_a, g.n_b, g.adj_a) == want, (m1, n1)
 
 
-def test_affine_families_make_no_field(monkeypatch):
-    # both families are integer formulas mod p: no Field is made and no
-    # field arithmetic runs, here or at p = 521, over the Field cap
+@pytest.mark.parametrize("p,m1,n1", [(521, 2, 2), (521, 3, 4), (1021, 4, 3), (1021, 2, 5)])
+def test_affine_girth6_rows_match_the_reference_without_tables(p, m1, n1):
+    # over the Field cap the reference computes on Residues, plain integers
+    # mod p with a pow inverse
+    with pytest.raises(FieldError):
+        field_new(p, 1)
+    field = Residues(p)
+    g, want = affine_girth6_graph(p, m1, n1), reference_affine_girth6_graph(field, m1, n1)
+    assert (g.n_a, g.n_b, g.adj_a) == (want.n_a, want.n_b, want.adj_a)
+
+
+def _refuse_field(monkeypatch):
     def refuse(*args):
         raise AssertionError("Field called")
 
     for name in ("__init__", "add", "neg", "mul", "dot", "_mul_slow"):
         monkeypatch.setattr(Field, name, refuse)
-    for build, digests, key in [(affine_girth6_graph, _AG2_DIGESTS, (7, 7, 7)),
-                                (affine_slab_graph, _SLAB_DIGESTS, (7, 4, 6)),
-                                (affine_girth6_graph, _AG2_DIGESTS, (521, 3, 4))]:
-        assert hashlib.sha256(to_graph6(build(*key))).hexdigest() == digests[key]
+
+
+def test_affine_girth6_makes_no_field_call(monkeypatch):
+    # the rows are integer formulas mod p: no Field is made and no field
+    # arithmetic runs, here or at p = 521, over the Field cap
+    want = reference_affine_girth6_graph(field_new(7, 1), 5, 7)
+    _refuse_field(monkeypatch)
+    assert affine_girth6_graph(7, 5, 7).adj_a == want.adj_a
+    key = (521, 3, 4)
+    assert hashlib.sha256(to_graph6(affine_girth6_graph(*key))).hexdigest() == _AG2_DIGESTS[key]
+
+
+def test_slab_field_calls_do_not_grow_with_the_slab(monkeypatch):
+    # the ideal plane's geometry is closed-form too: no Field is made and
+    # no field arithmetic runs at the smallest or the largest (m1, n1)
+    want = [reference_affine_slab_graph(field_new(7, 1), 7, 8).adj_a]
+    _refuse_field(monkeypatch)
+    assert affine_slab_graph(7, 2, 2).n_vertices == 2 * 49 + 2 * 49
+    assert [affine_slab_graph(7, 7, 8).adj_a] == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
