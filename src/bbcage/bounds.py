@@ -263,9 +263,9 @@ def _row_templates():
 
 def polygon_family_table(q_values) -> list[dict]:
     """One row per known polygon family and q: the edge-prune graph order and
-    tree-bound columns recomputed from the general formulas next to the
-    published per-family formulas, with any disagreeing cell flagged.  Each
-    q must be a prime power within the field cap (FieldError otherwise)."""
+    tree-bound columns from the general formulas next to the published
+    per-family formulas, any disagreeing cell flagged.  Each q must be a prime
+    power up to prime_power's cap 2^16, not Field's 512 (else FieldError)."""
     from .gf import prime_power
 
     rows = []

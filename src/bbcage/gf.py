@@ -1,13 +1,15 @@
 """Exact arithmetic in GF(q) for prime powers q = p^k.
 
 Elements are canonical small integers 0..q-1: the index packs the polynomial
-coordinates base p (index = c0 + c1*p + ... + c_{k-1}*p^{k-1}), so 0 and 1 are
-always the additive and multiplicative identities.  The modulus is the
-lexicographically smallest monic irreducible of degree k over GF(p), read with
-the highest-degree coefficient as the most significant digit; this makes every
-element index, and hence every downstream coordinate, reproducible.  A
-Field is at most _TABLE_LIMIT elements and does all its arithmetic by table;
-prime_power factors orders up to MAX_ORDER for the integer constructions.
+coordinates base p (index = c0 + c1*p + ... + c_{k-1}*p^{k-1}; _digits reads
+them off), so 0 and 1 are always the additive and multiplicative identities.
+The modulus is the lexicographically smallest monic irreducible of degree k
+over GF(p), read with the highest-degree coefficient as the most significant
+digit; this makes every element index, and hence every downstream coordinate,
+reproducible.  A Field is at most _TABLE_LIMIT elements and does all its
+arithmetic (add, neg, mul) by table; a larger order is refused before any
+work.  prime_power factors orders up to MAX_ORDER for the integer
+constructions.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ def _smallest_factor(n: int) -> int:
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _smallest_factor(n) == n
+def _digits(n: int, p: int, k: int) -> tuple:
+    """The k base-p digits of n, least significant first."""
+    return tuple(n // p ** i % p for i in range(k))
 
 
 # Polynomials over GF(p) are tuples of coefficients, constant term first.
@@ -62,24 +65,22 @@ def _irreducible(poly: tuple, p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple:
-    """Smallest monic irreducible of degree k, ordered by base-p digits."""
-    for t in range(p ** k):
-        coeffs = []
-        r = t
-        for _ in range(k):
-            coeffs.append(r % p)
-            r //= p
-        poly = tuple(coeffs) + (1,)
-        if _irreducible(poly, p):
-            return poly
-    raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
+    """Smallest monic irreducible of degree k, ordered by base-p digits
+    (every degree k >= 1 has one)."""
+    polys = (_digits(t, p, k) + (1,) for t in range(p ** k))
+    return next(poly for poly in polys if _irreducible(poly, p))
 
 
 class Field:
     """The finite field GF(p^k) with deterministic element indexing."""
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
+        # a p over the cap or a k over 16 (2^16 is MAX_ORDER) is refused at
+        # once: no trial division, and p^k is not formed
+        if p > _TABLE_LIMIT or k > 16:
+            order = p if k == 1 else f"{p}^{k}"
+            raise FieldError(f"field order {order} exceeds cap {_TABLE_LIMIT}")
+        if p < 2 or _smallest_factor(p) != p:
             raise FieldError(f"characteristic {p} is not prime")
         if k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
@@ -92,24 +93,9 @@ class Field:
         self.modulus = _smallest_irreducible(p, k)
         self._build_tables()
 
-    # -- representation helpers -------------------------------------------
-
-    def _decode(self, i: int) -> list:
-        cs = []
-        for _ in range(self.k):
-            cs.append(i % self.p)
-            i //= self.p
-        return cs
-
-    def _encode(self, cs) -> int:
-        val = 0
-        for c in reversed(cs):
-            val = val * self.p + c
-        return val
-
     def _build_tables(self):
-        """add digit by digit; mul by the logarithms to the smallest g whose
-        powers first return to 1 at q - 1, a primitive element."""
+        """add digit by digit, neg off add; mul by the logarithms to the
+        smallest g whose powers first return to 1 at q - 1, a primitive element."""
         p, q, n = self.p, self.q, self.q - 1
 
         def powers(g):  # 1, g, g^2, ... up to g's first return to 1
@@ -127,19 +113,18 @@ class Field:
             add = [[(x + y) % p + p * s for s in r for y in digits]
                    for r in add for x in digits]
         self._add_t = add
+        self._neg_t = [row.index(0) for row in add]
         self._mul_t = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
 
     def _mul_slow(self, a: int, b: int) -> int:
         p, k = self.p, self.k
-        if k == 1:
-            return (a * b) % p
-        ca, cb = self._decode(a), self._decode(b)
+        cb = _digits(b, p, k)
         conv = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
+        for i, x in enumerate(_digits(a, p, k)):
             if x:
                 for j, y in enumerate(cb):
                     conv[i + j] += x * y
-        return self._encode(_poly_mod(conv, self.modulus, p))
+        return sum(c * p ** i for i, c in enumerate(_poly_mod(conv, self.modulus, p)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,9 +132,7 @@ class Field:
         return self._add_t[a][b]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._encode([(-c) % self.p for c in self._decode(a)])
+        return self._neg_t[a]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul_t[a][b]

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,28 @@ def test_no_field_beyond_table_limit():
         field_of_order(1024)
 
 
+_HUGE_REFUSALS = """
+from bbcage.gf import Field, FieldError
+for p, k in ((2**61 - 1, 1), (2, 10**9), (10**30 + 57, 3)):
+    try:
+        Field(p, k)
+    except FieldError as e:
+        print(e)
+"""
+
+
+def test_huge_refusals_end_quickly():
+    # a prime p near 2^61 would take trial division to 1.5e9, 2^(10^9) is a
+    # 125 MB integer: the cap refuses each before either.  In a child
+    # process, so that a hang fails under the timeout
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _HUGE_REFUSALS], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 and all(f"exceeds cap {_TABLE_LIMIT}" in s for s in lines)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (5, 1)])
 def test_dot_matches_add_mul_fold(p, k):
     f = field_new(p, k)
@@ -159,7 +185,8 @@ def test_tables_match_slow_arithmetic(p, k):
     # the tables come from logarithms and digit sums; the slow path from
     # polynomial products reduced by the modulus.  Every pair is compared
     # in the small fields, 4000 random pairs in GF(512) and GF(509), the
-    # largest fields with tables, whose tables no digest pins.
+    # largest fields with tables, whose tables no digest pins.  Every
+    # element's table negative is its additive inverse.
     f = field_new(p, k)
     q = f.q
     if q <= 64:
@@ -171,6 +198,7 @@ def test_tables_match_slow_arithmetic(p, k):
         assert f._add_t[a][b] == digit_add(f, a, b)
         assert f._mul_t[a][b] == f._mul_slow(a, b)
     assert all(f._mul_slow(a, inverse(f, a)) == 1 for a in range(1, q))
+    assert all(f.add(a, f.neg(a)) == 0 for a in range(q))
 
 
 @pytest.mark.parametrize("p,k", [(2, 9), (3, 5), (7, 3)])
