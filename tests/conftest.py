@@ -88,6 +88,48 @@ def structure_delete(structure, point_ids, block_ids):
     return levi(IncidenceStructure([None] * len(remap), kept))
 
 
+def reference_design_validate(design):
+    """design_validate as it was before it skipped the pair walk: every one of
+    the C(v, 2) point pairs is looked up to list the uncovered ones."""
+    from collections import Counter
+
+    from bbcage.designs import DesignReport
+
+    problems = []
+    sizes = {len(b) for b in design.blocks}
+    uniform = len(sizes) == 1
+    if not uniform:
+        problems.append(f"block sizes {sorted(sizes)} are not uniform")
+    points = range(design.v)
+    outside = sorted(set().union(*design.blocks).difference(points))
+    if outside:
+        problems.append(f"points outside 0..{design.v - 1}: {outside[:10]}")
+    blocks = [sorted(x for x in blk if x in points) if outside else sorted(blk)
+              for blk in design.blocks]
+    pair_count = Counter(
+        itertools.chain.from_iterable(itertools.combinations(blk, 2) for blk in blocks)
+    )
+    multi = sorted(k for k, c in pair_count.items() if c > 1)
+    uncovered = [pair for pair in itertools.combinations(points, 2) if pair not in pair_count]
+    pair_ok = not multi and not uncovered
+    if multi:
+        problems.append(f"pairs covered more than once: {multi[:10]}")
+    if uncovered:
+        problems.append(f"uncovered pairs: {uncovered[:10]}")
+    count = Counter(itertools.chain.from_iterable(blocks))
+    reps = [count[x] for x in points]
+    rep_ok = len(set(reps)) == 1
+    if not rep_ok:
+        problems.append(f"replication numbers {sorted(set(reps))} are not uniform")
+    return DesignReport(
+        valid=uniform and pair_ok and rep_ok and not outside,
+        uniform_block_size=uniform,
+        pair_coverage=pair_ok,
+        uniform_replication=rep_ok,
+        problems=problems,
+    )
+
+
 def _bfs(adj, src):
     dist = [-1] * len(adj)
     dist[src] = 0

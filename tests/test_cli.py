@@ -23,11 +23,13 @@ def run(capsys, *argv):
 
 
 def fresh_hosts():
-    """Clear the cached host polygons: levi stores each host's graph, and so
-    its measured invariants, on the structure, so a test that counts the
-    measurements of a host builds it afresh."""
+    """Clear the cached host polygons and triple systems: levi stores each
+    host's graph, and so its measured invariants, on the structure, and a
+    cached STS keeps its truncation host, so a test that counts the
+    measurements or builds of a host builds it afresh."""
     for build in (polygons.gq_q4, polygons.gq_q5, polygons.split_cayley_hexagon):
         build.cache_clear()
+    designs._sts_cache.clear()
 
 
 def test_construct_cage_report(tmp_path, capsys):

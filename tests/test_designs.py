@@ -5,6 +5,7 @@ import pytest
 
 from conftest import lines_in, pg_space, structure_delete
 
+from bbcage import designs
 from bbcage.designs import (
     Design,
     DesignError,
@@ -43,9 +44,10 @@ def test_sts_file_bytes_pinned(v, digest):
     assert hashlib.sha256(design_save(sts_generate(v)).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("v", [6, 8, 11, 5, 17])
+@pytest.mark.parametrize("v", [6, 8, 11, 5, 17, 13.0])
 def test_sts_infeasible(v):
-    with pytest.raises(DesignError):
+    # 13.0 equals the key 13 of the cache, yet only an int v is a point count
+    with pytest.raises(DesignError, match=f"^no Steiner triple system on {v} points$"):
         sts_generate(v)
 
 
@@ -233,3 +235,129 @@ def test_polygon_blocks_export_in_design_format():
     assert back.blocks == d.blocks
     assert design_save(back) == text
     assert not design_validate(back).valid  # a quadrangle is not a 2-design
+
+
+@pytest.fixture
+def sts_cache(monkeypatch):
+    """An empty triple-system cache for one test, the process's own restored
+    after it."""
+    cache = {}
+    monkeypatch.setattr(designs, "_sts_cache", cache)
+    return cache
+
+
+@pytest.fixture
+def structures_built(monkeypatch):
+    """The block lists of the incidence structures steiner_truncate builds,
+    one per host, in call order."""
+    built = []
+
+    def counting(points, blocks):
+        built.append(blocks)
+        return IncidenceStructure(points, blocks)
+
+    monkeypatch.setattr(designs, "IncidenceStructure", counting)
+    return built
+
+
+def test_sts_repeat_returns_the_same_object(sts_cache):
+    d = sts_generate(13)
+    assert sts_generate(13) is d
+    assert sts_generate(15) is not d
+    assert list(sts_cache) == [13, 15]
+
+
+def test_sts_validated_once_per_v(sts_cache, monkeypatch):
+    checked = []
+
+    def counting(design):
+        checked.append(design.v)
+        return design_validate(design)
+
+    monkeypatch.setattr(designs, "design_validate", counting)
+    for v in (13, 19, 13, 13, 19, 21):
+        sts_generate(v)
+    assert checked == [13, 19, 21]
+
+
+def test_sts_cache_holds_at_most_its_bound_lru_first(sts_cache, monkeypatch):
+    # b = 26, 57, 70 and 117 for v = 13, 19, 21 and 27
+    monkeypatch.setattr(designs, "STS_CACHE_BLOCKS", 130)
+    held = []
+    for v in (13, 19, 13, 21, 19, 27):
+        d = sts_generate(v)
+        held.append(list(sts_cache))
+        assert sts_cache[v][0] is d
+        assert sum(e[0].b for e in sts_cache.values()) <= 130
+    assert held == [
+        [13],
+        [13, 19],
+        [19, 13],  # returned again: now the most recently returned
+        [13, 21],  # 83 + 70 > 130: 19 goes, the least recently returned
+        [21, 19],
+        [27],  # 117 + 127 and 117 + 57 are over the bound
+    ]
+
+
+def test_sts_over_the_bound_is_returned_not_kept(sts_cache, monkeypatch):
+    monkeypatch.setattr(designs, "STS_CACHE_BLOCKS", 60)
+    small = sts_generate(19)  # 57 blocks
+    big = sts_generate(21)  # 70 blocks
+    assert design_validate(big).valid and big.b == 70
+    assert list(sts_cache) == [19]
+    assert sts_generate(21) is not big and sts_generate(21) == big
+    assert sts_generate(19) is small
+
+
+def test_sts_at_the_cap_fits_the_bound():
+    # the largest STS the order cap lets construct truncate, v = 1249
+    assert 1249 * 1248 // 6 <= designs.STS_CACHE_BLOCKS < 2 * (1249 * 1248 // 6)
+
+
+def test_one_host_for_every_truncation_of_the_cached_design(sts_cache, structures_built):
+    d = sts_generate(19)
+    graphs = [steiner_truncate(d, x) for x in range(19)]
+    assert structures_built == [d.blocks]
+    assert sts_cache[19][1] is not None
+    assert len({id(g) for g in graphs}) == 19  # each truncation a fresh graph
+    assert all(g._girth == 6 for g in graphs)
+
+
+def test_equal_design_builds_its_own_host(sts_cache, structures_built):
+    d = sts_generate(13)
+    for twin in (Design(d.v, d.blocks), design_load(design_save(d))):
+        assert twin == d and twin is not d
+        for x in (0, 7):
+            assert steiner_truncate(twin, x).adj_a == steiner_truncate(d, x).adj_a
+    # two hosts per twin (one per call), one for the cached design
+    assert len(structures_built) == 5
+    assert sts_cache[13][0] is d
+
+
+@pytest.mark.parametrize("point", [1.5, 2.0, "1", None])
+def test_truncate_refuses_a_point_that_is_not_an_int(monkeypatch, structures_built, point):
+    # refused before the range, the degrees or the host are looked at
+    monkeypatch.setattr(designs, "truncation_degrees", lambda v, k: pytest.fail("checked"))
+    with pytest.raises(DesignError) as err:
+        steiner_truncate(sts_generate(13), point)
+    assert str(err.value) == f"point {point!r} is not an int"
+    assert structures_built == []
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (13, "block 25 has out-of-range point index 13"),
+        (-1, "block 25 has out-of-range point index -1"),
+        (8, "block 25 repeats a point"),
+    ],
+)
+def test_truncate_turns_a_bad_block_into_a_design_error(bad, message):
+    d = sts_generate(13)
+    assert d.blocks[-1] == (7, 8, 10)
+    broken = Design(13, d.blocks[:-1] + ((7, 8, bad),))
+    with pytest.raises(ValueError, match=message):
+        IncidenceStructure([None] * 13, broken.blocks)
+    with pytest.raises(DesignError) as err:
+        steiner_truncate(broken, 0)
+    assert str(err.value) == message

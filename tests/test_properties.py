@@ -3,7 +3,7 @@ the per-root BFS oracles, the stored degree sets against an edge recount and
 the global adjacency, graph_from_edges against a union-find 2-colouring, the
 rows every graph builder makes, the file readers against hostile input,
 the generic line walker conftest.lines_in against a scan of every point
-pair, and
+pair, design_validate against the walk of every pair, and
 hyperplane_section against the per-block scan."""
 
 import math
@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    bfs_diameter, bfs_girth, bipartite_from_edges, lines_in, pg_space, scan_section,
-    two_colouring,
+    bfs_diameter, bfs_girth, bipartite_from_edges, lines_in, pg_space,
+    reference_design_validate, scan_section, two_colouring,
 )
 
 from bbcage import graphs
-from bbcage.designs import DesignError, design_load
+from bbcage.designs import Design, DesignError, design_load, design_validate, sts_generate
 from bbcage.gf import field_of_order
 from bbcage.graphs import (
     GraphError,
@@ -284,6 +284,38 @@ def test_design_load_raises_only_design_errors(text):
         design_load(text)
     except DesignError:
         pass
+
+
+@st.composite
+def designs_to_validate(draw):
+    """A triple system with up to three breaks (a block missing, a block
+    repeated, a point out of range, a point repeated within its block), or
+    any short list of short blocks on a few points."""
+    if draw(st.booleans()):
+        v = draw(st.sampled_from([7, 9, 13, 15, 19]))
+        blocks = list(sts_generate(v).blocks)
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(blocks) - 1))
+            a, b, c = blocks[i]
+            kind = draw(st.sampled_from(["missing", "repeated", "outside", "repeat-point"]))
+            if kind == "missing":
+                del blocks[i]
+            elif kind == "repeated":
+                blocks.append(blocks[i])
+            elif kind == "outside":
+                blocks[i] = (a, b, draw(st.sampled_from([-1, v, v + 5])))
+            else:
+                blocks[i] = (a, a, c)
+        return Design(v, tuple(blocks))
+    v = draw(st.integers(0, 8))
+    block = st.lists(st.integers(-2, v + 1), max_size=4).map(tuple)
+    return Design(v, tuple(draw(st.lists(block, max_size=12))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(design=designs_to_validate())
+def test_design_validate_matches_the_pair_walk(design):
+    assert design_validate(design) == reference_design_validate(design)
 
 
 _SPACES = [(2, 3), (3, 2), (3, 3)]
