@@ -11,7 +11,7 @@ separators) makes the file malformed.  Lines of spaces only are skipped.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .bounds import girth6_bound
 from .graphs import BipartiteGraph, expect, expect_biregular, induced_subgraph, levi
@@ -131,29 +131,31 @@ def design_validate(design: Design) -> DesignReport:
     if not uniform:
         problems.append(f"block sizes {sorted(sizes)} are not uniform")
     points = range(design.v)
-    outside = sorted(set().union(*design.blocks).difference(points))
+    outside = sorted(x for x in set().union(*design.blocks) if x not in points)
     if outside:
         problems.append(f"points outside 0..{design.v - 1}: {outside[:10]}")
     blocks = [sorted(x for x in blk if x in points) if outside else sorted(blk)
               for blk in design.blocks]
     pair_count = Counter(chain.from_iterable(combinations(blk, 2) for blk in blocks))
+    count = Counter(chain.from_iterable(blocks))
     multi = sorted(k for k, c in pair_count.items() if c > 1)
     # the keys are in-range pairs x <= y, and x = y only for a repeated point:
-    # with C(v, 2) keys x < y every pair is covered, so none are walked
-    covered = len(pair_count) - sum((x, x) in pair_count for x in points)
-    uncovered = [] if covered == design.v * (design.v - 1) // 2 else [
-        pair for pair in combinations(points, 2) if pair not in pair_count
-    ]
+    # with C(v, 2) keys x < y every pair is covered, so none are walked; else
+    # the walk ends at the tenth uncovered pair, past no more than every key
+    covered = len(pair_count) - sum((x, x) in pair_count for x in count)
+    uncovered = [] if covered == design.v * (design.v - 1) // 2 else list(
+        islice((p for p in combinations(points, 2) if p not in pair_count), 10))
     pair_ok = not multi and not uncovered
     if multi:
         problems.append(f"pairs covered more than once: {multi[:10]}")
     if uncovered:
-        problems.append(f"uncovered pairs: {uncovered[:10]}")
-    count = Counter(chain.from_iterable(blocks))
-    reps = [count[x] for x in points]
-    rep_ok = len(set(reps)) == 1
+        problems.append(f"uncovered pairs: {uncovered}")
+    reps = set(count.values())
+    if len(count) < design.v:  # a point on no block
+        reps.add(0)
+    rep_ok = len(reps) == 1
     if not rep_ok:
-        problems.append(f"replication numbers {sorted(set(reps))} are not uniform")
+        problems.append(f"replication numbers {sorted(reps)} are not uniform")
     return DesignReport(
         valid=uniform and pair_ok and rep_ok and not outside,
         uniform_block_size=uniform,
@@ -184,14 +186,18 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
     """Delete one point and every block through it: the induced subgraph of
     the design's incidence graph on the other vertices is an (m, n; 6)
     biregular graph of order (n/m + 1)(n+1)(m-1), where m is the block size
-    and n = replication - 1 (truncation_degrees).  The host is built per
-    call, except for the design sts_generate holds, whose host is built once.
+    and n = replication - 1 (truncation_degrees), and b = v(v-1)/(k(k-1)),
+    checked before any host is built.  The host is built per call, except
+    for the design sts_generate holds, whose host is built once.
     """
     if not isinstance(point, int):
         raise DesignError(f"point {point!r} is not an int")
     if not 0 <= point < design.v:
         raise DesignError(f"point {point} out of range")
     m, n = truncation_degrees(design.v, design.k)
+    b = design.v * (design.v - 1) // (m * (m - 1))  # an integer once n + 1 = 0 (mod m)
+    if design.b != b:
+        raise DesignError(f"a 2-({design.v}, {m}, 1) design has {b} blocks, got {design.b}")
     entry = _sts_cache.get(design.v)
     if entry is None or entry[0] is not design:  # by identity: a host for this call
         entry = [design, None]

@@ -131,12 +131,6 @@ def bfs_order(adj: list[list[int]], dist: list[int], src: int) -> list[int]:
     return order
 
 
-def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
-    dist = [-1] * len(adj)
-    bfs_order(adj, dist, src)
-    return dist
-
-
 def girth(g: BipartiteGraph) -> int | float:
     """Exact girth, math.inf for forests: the level engine from the smaller
     class stops at its first surplus.  Stored on the graph by the first search

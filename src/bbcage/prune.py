@@ -20,7 +20,7 @@ import math
 from .bounds import moore_odd
 from .gf import prime_power
 from .graphs import (
-    BipartiteGraph, ConstructionError, GraphError, bfs_distances, bfs_order,
+    BipartiteGraph, ConstructionError, GraphError, bfs_order,
     biregular_pair, diameter, expect, expect_biregular, girth, induced_subgraph,
 )
 
@@ -55,7 +55,8 @@ def _anchor(
 def _branches(adj, anchor: int, depth: int) -> tuple[list[int], list[int]]:
     """Distances from anchor and, up to depth < r, the branch of each vertex:
     the anchor's neighbour that its one shortest path leaves by (girth 2r),
-    so d(root, w) = d(anchor, w) - 1 exactly when branch[w] is root."""
+    so d(root, w) = d(anchor, w) - 1 exactly when branch[w] is root; the
+    anchor and the vertices at depth r or more keep branch -1."""
     dist = [-1] * len(adj)
     order = bfs_order(adj, dist, anchor)
     branch = [-1] * len(adj)
@@ -125,19 +126,17 @@ def mixed_degree_prune(
     """Prune a certified r-gon incidence graph of order (s, t) down to an
     (s, t+1; 2r) biregular graph on (st)^(r/2 - 1) * (s + t + 1) vertices.
 
-    Keeps three distance shells along the anchor edge (u, v) plus the two
-    deepest shells of every branch at v except the first; the degree contract
-    is verified by measurement and any failure aborts loudly.  Swapping the
-    anchor orientation yields the (s+1, t; 2r) twin.
+    Keeps the shells at distances r - 2, r - 1 and r from v, less the first
+    branch's, around the anchor edge (u, v); the degree contract is verified
+    by measurement and any failure aborts loudly.  Swapping the anchor
+    orientation yields the (s+1, t; 2r) twin.
     """
     r, u, v, adj = _anchor(g, edge)
     s = len(adj[v]) - 1
     t = len(adj[u]) - 1
-    roots = set([w for w in adj[v] if w != u][1:])
-    du = bfs_distances(adj, u)
+    first = next(w for w in adj[v] if w != u)
     dv, branch = _branches(adj, v, r - 1)
-    # three shells along the anchor, d(v, w) = d(u, w) + 1, and two per root
-    keep = [w for w, d in enumerate(dv) if d >= r - 2 and (d == du[w] + 1 or branch[w] in roots)]
+    keep = [w for w, d in enumerate(dv) if d >= r - 2 and branch[w] != first]
     order = (s * t) ** (r // 2 - 1) * (s + t + 1)
     return expect_biregular(induced_subgraph(g, keep), s, t + 1, 2 * r, order, "mixed prune")
 

@@ -130,7 +130,9 @@ def reference_design_validate(design):
     )
 
 
-def _bfs(adj, src):
+def bfs_distances(adj, src):
+    """Distances from src over the adjacency lists adj, -1 where unreached:
+    a deque BFS, independent of the library's bfs_order."""
     dist = [-1] * len(adj)
     dist[src] = 0
     q = deque([src])
@@ -141,6 +143,23 @@ def _bfs(adj, src):
                 dist[y] = dist[x] + 1
                 q.append(y)
     return dist
+
+
+def reference_mixed_keep(adj, r, u, v):
+    """The vertices mixed_degree_prune keeps around the anchor (u, v) of an
+    r-gon's incidence graph, by the rule it kept while it searched from both
+    ends of the anchor: d(v, w) >= r - 2, and either d(v, w) = d(u, w) + 1
+    or w's branch at v is one of v's neighbours other than u and the first.
+    A vertex's branch is the neighbour of v that its one shortest path from
+    v leaves by, read off its one neighbour closer to v."""
+    du, dv = bfs_distances(adj, u), bfs_distances(adj, v)
+    branch = {x: x for x in adj[v]}
+    for w in sorted(range(len(adj)), key=dv.__getitem__):
+        if 1 < dv[w] < r:
+            (branch[w],) = {branch[y] for y in adj[w] if dv[y] == dv[w] - 1}
+    roots = set([w for w in adj[v] if w != u][1:])
+    return [w for w, d in enumerate(dv)
+            if d >= r - 2 and (d == du[w] + 1 or branch.get(w) in roots)]
 
 
 def bfs_girth(graph):
@@ -173,7 +192,7 @@ def bfs_diameter(graph):
     adj = graph.adjacency()
     diam = 0
     for v in range(len(adj)):
-        dist = _bfs(adj, v)
+        dist = bfs_distances(adj, v)
         if -1 in dist:
             return None
         diam = max(diam, max(dist))

@@ -15,14 +15,14 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from conftest import brute_girth, edge_count_conserved
+from conftest import bfs_distances, brute_girth, edge_count_conserved
 
 from bbcage.bounds import excess_of, girth6_bound, improved_bound, moore_even, polygon_family_table
 from bbcage.cli import main
 from bbcage.deletions import construct_named, hyperplane_delete
 from bbcage.designs import steiner_truncate, sts_generate
 from bbcage.gf import field_new, field_of_order
-from bbcage.graphs import bfs_distances, diameter, expect_biregular, girth, levi
+from bbcage.graphs import diameter, expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import Hyperplane, hyperplane_section, pg_points

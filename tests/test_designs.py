@@ -1,9 +1,14 @@
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import lines_in, pg_space, structure_delete
+from conftest import bfs_distances, lines_in, pg_space, structure_delete
 
 from bbcage import designs
 from bbcage.designs import (
@@ -17,7 +22,7 @@ from bbcage.designs import (
     truncation_degrees,
 )
 from bbcage.gf import field_new
-from bbcage.graphs import bfs_distances, expect_biregular, girth, levi
+from bbcage.graphs import expect_biregular, girth, levi
 from bbcage.incidence import IncidenceStructure
 
 
@@ -342,6 +347,37 @@ def test_truncate_refuses_a_point_that_is_not_an_int(monkeypatch, structures_bui
         steiner_truncate(sts_generate(13), point)
     assert str(err.value) == f"point {point!r} is not an int"
     assert structures_built == []
+
+
+def test_truncate_refuses_a_wrong_block_count(structures_built):
+    # v = 19 and k = 3 pass truncation_degrees, but an STS(19) has 57 blocks
+    with pytest.raises(DesignError) as err:
+        steiner_truncate(Design(19, ((0, 1, 2),)))
+    assert str(err.value) == "a 2-(19, 3, 1) design has 57 blocks, got 1"
+    assert structures_built == []
+
+
+# Validate a one-block design on 2^20 points under a 256 MiB address-space
+# limit and print its problems: C(v, 2) is 5.5e11 pairs, so a walk over them
+# all runs out of memory or time.
+_SPARSE_VALIDATE = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+from bbcage.designs import design_load, design_validate
+print(json.dumps(design_validate(design_load("1048576 1 3\\n0 1 2\\n")).problems))
+"""
+
+
+def test_validate_a_sparse_design_in_time_and_memory():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _SPARSE_VALIDATE], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    uncovered = [(0, x) for x in range(3, 13)]
+    assert json.loads(done.stdout) == [
+        f"uncovered pairs: {uncovered}",
+        "replication numbers [0, 1] are not uniform",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -325,7 +325,6 @@ def test_one_breadth_first_search():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert deque_imports(sources) == []
     assert sorted(constructor_calls("bfs_order", sources)) == [
-        "graphs:bfs_distances",
         "graphs:graph_from_edges",
         "prune:_branches",
         "prune:_girth_cycle_through",

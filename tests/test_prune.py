@@ -5,14 +5,15 @@ import re
 import pytest
 
 from conftest import (
-    Residues, brute_girth, conic_oval, edge_count_conserved, first_line_missing, lines_in,
-    pg_space, reference_affine_girth6_graph, reference_affine_slab_graph, walked_slab_geometry,
+    Residues, bfs_distances, brute_girth, conic_oval, edge_count_conserved, first_line_missing,
+    lines_in, pg_space, reference_affine_girth6_graph, reference_affine_slab_graph,
+    reference_mixed_keep, walked_slab_geometry,
 )
 
 from bbcage import graphs, prune
 from bbcage.gf import Field, FieldError, field_new, field_of_order
 from bbcage.graphs import (
-    BipartiteGraph, bfs_distances, diameter, expect_biregular, girth, levi, to_graph6,
+    BipartiteGraph, diameter, expect_biregular, girth, induced_subgraph, levi, to_graph6,
 )
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.prune import (
@@ -87,8 +88,8 @@ def test_mixed_prune_orders_and_parameters():
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """The source of every bfs_order call, in call order, whether from graphs
-    (bfs_distances) or from prune."""
+    """The source of every bfs_order call, in call order, whether from prune
+    or through graphs."""
     sources = []
     bfs = graphs.bfs_order
 
@@ -134,11 +135,12 @@ def test_each_prune_builds_one_adjacency(adjacency_builds):
 
 
 def test_prunes_search_each_anchor_once(bfs_sources):
-    # One BFS from each end of the anchor edge: every branch shell is read off
-    # the anchor's BFS tree.  The digests pin the graph6 bytes the prunes
-    # wrote when every shell ran its own BFS.
+    # Every branch shell is read off one anchor's BFS tree: the mixed prune
+    # searches from v alone, the branch prune from each end of the anchor
+    # edge.  The digests pin the graph6 bytes the prunes wrote when every
+    # shell ran its own BFS.
     g = mixed_degree_prune(levi(gq_q5(F4)))
-    assert len(bfs_sources) == len(set(bfs_sources)) == 2
+    assert len(bfs_sources) == 1
     digest = hashlib.sha256(to_graph6(g)).hexdigest()
     assert digest == "fb3ae77aff5e56c37cfaeb71d890def2a87e3e2db4d1cf48975d26aa28f9da9d"
     bfs_sources.clear()
@@ -146,6 +148,43 @@ def test_prunes_search_each_anchor_once(bfs_sources):
     assert len(bfs_sources) == len(set(bfs_sources)) == 2
     digest = hashlib.sha256(to_graph6(g)).hexdigest()
     assert digest == "da510f3f3319d34884adb7c0017518d3005048029815a3e121d8f5d7068cea45"
+
+
+@pytest.mark.parametrize(
+    "host,q",
+    [(gq_q4, q) for q in (2, 3, 4, 5)]
+    + [(gq_q5, q) for q in (2, 3, 4, 5)]
+    + [(split_cayley_hexagon, 2), (split_cayley_hexagon, 3)],
+)
+def test_mixed_prune_matches_the_two_search_rule(host, q):
+    # The mixed prune reads its keep rule off v's branch labels alone; the
+    # reference searches from u too and keeps d(v, w) = d(u, w) + 1.  At the
+    # default anchor and at four incident pairs spread over the points, in
+    # both orientations, the two give the same graph.
+    g = levi(host(field_of_order(q)))
+    r = diameter(g)
+    adj = g.adjacency()
+    points = range(0, g.n_a, max(1, g.n_a // 4))
+    pairs = [(p, g.n_a + g.adj_a[p][-(k % 2)]) for k, p in enumerate(points)]
+    edges = [None, *pairs, *((b, a) for a, b in pairs)]
+    for edge in edges:
+        _, u, v, _ = prune._anchor(g, edge)
+        want = induced_subgraph(g, reference_mixed_keep(adj, r, u, v))
+        assert mixed_degree_prune(g, edge).adj_a == want.adj_a, (edge, u, v)
+
+
+def test_mixed_prune_of_a_complete_bipartite_host():
+    # K(s+1, t+1) is the incidence graph of a generalized 2-gon: girth 4 and
+    # diameter 2.  The prune keeps v's whole class and all but one of u's,
+    # so K(t+1, s), an (s, t+1; 4) graph on s + t + 1 vertices.  The
+    # two-search rule left v itself out (it has no branch), one vertex short.
+    for n_a, n_b in ((3, 3), (3, 4), (4, 3), (5, 6)):
+        host = BipartiteGraph(n_a, n_b, [range(n_b)] * n_a)
+        _, u, v, adj = prune._anchor(host, None)
+        s, t = len(adj[v]) - 1, len(adj[u]) - 1
+        g = mixed_degree_prune(host)
+        assert g.n_vertices == s + t + 1 and g.num_edges == s * (t + 1)
+        assert len(reference_mixed_keep(adj, 2, u, v)) == s + t
 
 
 @pytest.mark.parametrize(
