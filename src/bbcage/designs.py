@@ -14,8 +14,8 @@ from collections import Counter, namedtuple
 from itertools import chain, combinations, islice
 
 from .bounds import girth6_bound
-from .graphs import BipartiteGraph, expect, expect_biregular, induced_subgraph, levi
-from .incidence import IncidenceStructure
+from .graphs import BipartiteGraph, expect, expect_biregular
+from .incidence import point_stars
 
 
 class DesignError(ValueError):
@@ -49,23 +49,16 @@ class DesignReport(
 
 def _half_label(n2: int):
     """Permutation of Z_{2n} relabeling the cyclic addition table so the
-    diagonal reads 0..n-1, 0..n-1 (half-idempotent commutative quasigroup)."""
-    out = [0] * n2
-    n = n2 // 2
-    for h in range(n):
-        out[2 * h] = h
-        out[2 * h + 1] = n + h
-    return out
+    diagonal reads 0..n-1, 0..n-1 (half-idempotent commutative quasigroup):
+    2h goes to h and 2h + 1 to n + h."""
+    return [i // 2 + i % 2 * (n2 // 2) for i in range(n2)]
 
 
 # The validated STS(v) of this process, by v, least recently returned by
-# sts_generate first.  Each entry is [design, host]: host is the design's Levi
-# graph, built by its first truncation, else None.  The entries hold at most
-# STS_CACHE_BLOCKS blocks in all, about one STS at the order cap (v = 1249 has
-# 259,792 blocks); that design and its host hold 30.8 MB under tracemalloc
-# (18.0 MB and 12.8 MB, CPython 3.11.7).
+# sts_generate first: at most STS_CACHE_BLOCKS blocks in all, about one STS at
+# the order cap (v = 1249: 259,792 blocks, 17.9 MiB by tracemalloc on CPython 3.11.7).
 STS_CACHE_BLOCKS = 2 ** 18
-_sts_cache: dict[int, list] = {}
+_sts_cache: dict[int, Design] = {}
 
 
 def sts_generate(v: int) -> Design:
@@ -73,17 +66,16 @@ def sts_generate(v: int) -> Design:
 
     Bose construction for v = 3 (mod 6), Skolem for v = 1 (mod 6); the output
     passes design_validate.  It is the process's one validated, immutable
-    STS(v): a repeat call returns the same object unchecked, and truncations
-    of it share one host.  The designs kept hold at most STS_CACHE_BLOCKS
-    blocks, the least recently returned dropped first; a larger design is
-    returned but not kept.
+    STS(v): a repeat call returns the same object unchecked.  The designs
+    kept hold at most STS_CACHE_BLOCKS blocks, the least recently returned
+    dropped first; a larger design is returned but not kept.
     """
     if not isinstance(v, int) or v < 7 or v % 6 not in (1, 3):
         raise DesignError(f"no Steiner triple system on {v} points")
-    entry = _sts_cache.pop(v, None)
-    if entry is not None:
-        _sts_cache[v] = entry  # now the most recently returned
-        return entry[0]
+    design = _sts_cache.pop(v, None)
+    if design is not None:
+        _sts_cache[v] = design  # now the most recently returned
+        return design
 
     ids = list(range(v))  # one int object per point, shared by its blocks
 
@@ -113,10 +105,10 @@ def sts_generate(v: int) -> Design:
     report = design_validate(design)
     expect(report.valid, f"generated triple system is invalid: {report.problems}")
     if design.b <= STS_CACHE_BLOCKS:
-        held = design.b + sum(d.b for d, _ in _sts_cache.values())
+        held = design.b + sum(d.b for d in _sts_cache.values())
         while held > STS_CACHE_BLOCKS:  # drop the least recently returned
-            held -= _sts_cache.pop(next(iter(_sts_cache)))[0].b
-        _sts_cache[v] = [design, None]
+            held -= _sts_cache.pop(next(iter(_sts_cache))).b
+        _sts_cache[v] = design
     return design
 
 
@@ -183,12 +175,12 @@ def truncation_degrees(v: int, k: int) -> tuple[int, int]:
 
 
 def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
-    """Delete one point and every block through it: the induced subgraph of
-    the design's incidence graph on the other vertices is an (m, n; 6)
-    biregular graph of order (n/m + 1)(n+1)(m-1), where m is the block size
-    and n = replication - 1 (truncation_degrees), and b = v(v-1)/(k(k-1)),
-    checked before any host is built.  The host is built per call, except
-    for the design sts_generate holds, whose host is built once.
+    """Delete one point and every block through it: the other points and the
+    blocks that miss it, each in order, form an (m, n; 6) biregular graph of
+    order (n/m + 1)(n+1)(m-1), where m is the block size, n is the
+    replication less one (truncation_degrees) and b = v(v-1)/(k(k-1)).  Its
+    rows are written from the blocks once all are in range and then all free
+    of repeats; a refusal names the block's index in design.blocks.
     """
     if not isinstance(point, int):
         raise DesignError(f"point {point!r} is not an int")
@@ -198,25 +190,20 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
     b = design.v * (design.v - 1) // (m * (m - 1))  # an integer once n + 1 = 0 (mod m)
     if design.b != b:
         raise DesignError(f"a 2-({design.v}, {m}, 1) design has {b} blocks, got {design.b}")
-    entry = _sts_cache.get(design.v)
-    if entry is None or entry[0] is not design:  # by identity: a host for this call
-        entry = [design, None]
-    if entry[1] is None:
-        try:
-            structure = IncidenceStructure([None] * design.v, design.blocks)
-        except ValueError as exc:  # a block point outside 0..v-1, or repeated
-            raise DesignError(str(exc)) from exc
-        entry[1] = levi(structure)
-    host = entry[1]
-    doomed = {point, *(host.n_a + b for b in host.adj_a[point])}
-    g = induced_subgraph(host, (x for x in range(host.n_vertices) if x not in doomed))
+    bad = [f"block {bi} has out-of-range point index {x}"
+           for bi, blk in enumerate(design.blocks) for x in blk if not 0 <= x < design.v]
+    bad += [f"block {bi} repeats a point"
+            for bi, blk in enumerate(design.blocks) if len(set(blk)) < len(blk)]
+    if bad:
+        raise DesignError(bad[0])
+    kept = [blk for blk in design.blocks if point not in blk]
+    rows = point_stars(design.v, kept)
+    g = BipartiteGraph(design.v - 1, len(kept), rows[:point] + rows[point + 1:])
     return expect_biregular(g, m, n, 6, girth6_bound(m, n), "truncation")
 
 
 def design_save(design: Design) -> str:
-    lines = [f"{design.v} {design.b} {design.k}"]
-    for blk in design.blocks:
-        lines.append(" ".join(str(x) for x in blk))
+    lines = [f"{design.v} {design.b} {design.k}", *(" ".join(map(str, b)) for b in design.blocks)]
     return "\n".join(lines) + "\n"
 
 

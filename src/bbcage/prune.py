@@ -37,6 +37,8 @@ def _anchor(
     the lexicographically first edge, oriented so that v is the endpoint of
     smaller degree (ties keep the block-side endpoint as v).
     """
+    if edge is not None:
+        _ints("anchor u, anchor v", *edge)
     biregular_pair(g)  # raises GraphError unless biregular
     r = diameter(g)
     if r == math.inf:
@@ -50,6 +52,13 @@ def _anchor(
     if edge is None and len(adj[u]) < len(adj[v]):
         u, v = v, u
     return r, u, v, adj
+
+
+def _ints(names: str, *values) -> None:
+    """Refuse, before any use, a value that is not an int, by its name in names."""
+    for name, x in zip(names.split(", "), values):
+        if not isinstance(x, int):
+            raise ValueError(f"{name} {x!r} is not an int")
 
 
 def _branches(adj, anchor: int, depth: int) -> tuple[list[int], list[int]]:
@@ -128,12 +137,13 @@ def mixed_degree_prune(
 
     Keeps the shells at distances r - 2, r - 1 and r from v, less the first
     branch's, around the anchor edge (u, v); the degree contract is verified
-    by measurement and any failure aborts loudly.  Swapping the anchor
-    orientation yields the (s+1, t; 2r) twin.
+    by measurement and any failure aborts loudly; s = 1 (a thin host) is
+    refused first.  Swapping the anchor orientation yields the (s+1, t; 2r) twin.
     """
     r, u, v, adj = _anchor(g, edge)
-    s = len(adj[v]) - 1
-    t = len(adj[u]) - 1
+    s, t = len(adj[v]) - 1, len(adj[u]) - 1
+    if s == 1:  # a class of degree s = 1 closes no cycle, so girth 2r cannot hold
+        raise ValueError(f"thin host: anchor vertex {v} has degree 2, so s = 1 < 2")
     first = next(w for w in adj[v] if w != u)
     dv, branch = _branches(adj, v, r - 1)
     keep = [w for w, d in enumerate(dv) if d >= r - 2 and branch[w] != first]
@@ -205,6 +215,7 @@ def _girth_cycle_through(adj, root: int, length: int) -> list[int]:
 def affine_slab_order(q: int, m1: int, n1: int) -> int:
     """The order of affine_slab_graph(q, m1, n1), once its parameters
     pass the checks that the builder and construct share."""
+    _ints("q, m1, n1", q, m1, n1)
     p, k = prime_power(q)
     if k != 1:
         raise ValueError("slab construction needs a prime field")
@@ -284,6 +295,7 @@ def affine_slab_graph(q: int, m1: int, n1: int) -> BipartiteGraph:
 def affine_girth6_order(q: int, m1: int, n1: int) -> int:
     """The order of affine_girth6_graph(q, m1, n1), once its parameters
     pass the checks that the builder and construct share."""
+    _ints("q, m1, n1", q, m1, n1)
     p, k = prime_power(q)
     if k != 1:
         raise ValueError("affine construction needs a prime field")

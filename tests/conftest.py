@@ -88,6 +88,24 @@ def structure_delete(structure, point_ids, block_ids):
     return levi(IncidenceStructure([None] * len(remap), kept))
 
 
+def reference_steiner_truncate(design, point: int = 0):
+    """steiner_truncate as it was when it built a host: the design's
+    incidence structure (whose block checks become DesignError), its Levi
+    graph, and the induced subgraph on all but the point and the blocks
+    through it.  The degree and girth contract is left to the caller."""
+    from bbcage.designs import DesignError
+    from bbcage.graphs import induced_subgraph, levi
+    from bbcage.incidence import IncidenceStructure
+
+    try:
+        structure = IncidenceStructure([None] * design.v, design.blocks)
+    except ValueError as exc:  # a block point outside 0..v-1, or repeated
+        raise DesignError(str(exc)) from exc
+    host = levi(structure)
+    doomed = {point, *(host.n_a + b for b in host.adj_a[point])}
+    return induced_subgraph(host, (x for x in range(host.n_vertices) if x not in doomed))
+
+
 def reference_design_validate(design):
     """design_validate as it was before it skipped the pair walk: every one of
     the C(v, 2) point pairs is looked up to list the uncovered ones."""

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bfs_distances, lines_in, pg_space, structure_delete
+from conftest import (
+    bfs_distances, lines_in, pg_space, reference_steiner_truncate, structure_delete,
+)
 
 from bbcage import designs
 from bbcage.designs import (
@@ -22,8 +24,8 @@ from bbcage.designs import (
     truncation_degrees,
 )
 from bbcage.gf import field_new
-from bbcage.graphs import expect_biregular, girth, levi
-from bbcage.incidence import IncidenceStructure
+from bbcage.graphs import BipartiteGraph, expect_biregular, girth, levi
+from bbcage.incidence import IncidenceStructure, point_stars
 
 
 @pytest.mark.parametrize("v", [7, 9, 13, 15, 19, 21, 25, 31, 37])
@@ -166,6 +168,14 @@ def test_truncation_matches_the_structure_oracle(v):
         assert steiner_truncate(d, x).adj_a == structure_delete(s, [x], through).adj_a
 
 
+@pytest.mark.parametrize("v", range(13, 98, 6))
+def test_truncation_rows_match_the_host_reference(v):
+    # every admissible v <= 100 with n = -1 (mod 3); every point up to v = 49
+    d = sts_generate(v)
+    for x in range(v) if v <= 49 else (0, v // 2, v - 1):
+        assert steiner_truncate(d, x).adj_a == reference_steiner_truncate(d, x).adj_a, x
+
+
 def test_file_roundtrip():
     d = sts_generate(13)
     text = design_save(d)
@@ -252,16 +262,16 @@ def sts_cache(monkeypatch):
 
 
 @pytest.fixture
-def structures_built(monkeypatch):
-    """The block lists of the incidence structures steiner_truncate builds,
-    one per host, in call order."""
+def rows_built(monkeypatch):
+    """The kept blocks each steiner_truncate call writes its rows from, one
+    list per truncation, in call order."""
     built = []
 
-    def counting(points, blocks):
+    def counting(n, blocks):
         built.append(blocks)
-        return IncidenceStructure(points, blocks)
+        return point_stars(n, blocks)
 
-    monkeypatch.setattr(designs, "IncidenceStructure", counting)
+    monkeypatch.setattr(designs, "point_stars", counting)
     return built
 
 
@@ -292,8 +302,8 @@ def test_sts_cache_holds_at_most_its_bound_lru_first(sts_cache, monkeypatch):
     for v in (13, 19, 13, 21, 19, 27):
         d = sts_generate(v)
         held.append(list(sts_cache))
-        assert sts_cache[v][0] is d
-        assert sum(e[0].b for e in sts_cache.values()) <= 130
+        assert sts_cache[v] is d
+        assert sum(e.b for e in sts_cache.values()) <= 130
     assert held == [
         [13],
         [13, 19],
@@ -319,42 +329,52 @@ def test_sts_at_the_cap_fits_the_bound():
     assert 1249 * 1248 // 6 <= designs.STS_CACHE_BLOCKS < 2 * (1249 * 1248 // 6)
 
 
-def test_one_host_for_every_truncation_of_the_cached_design(sts_cache, structures_built):
+def test_truncations_build_rows_and_no_host(sts_cache, rows_built, monkeypatch):
+    # the cached design, an equal one and a design_load twin alike: no
+    # IncidenceStructure, and one graph per truncation, its result, so no
+    # levi graph and no induced subgraph of one
+    structures, graphs_made = [], []
+    structure_init = IncidenceStructure.__init__
+    graph_init = BipartiteGraph.__init__
+
+    def counting_structure(self, *args, **kwargs):
+        structures.append(args)
+        structure_init(self, *args, **kwargs)
+
+    def counting_graph(self, *args):
+        graphs_made.append(self)
+        graph_init(self, *args)
+
+    monkeypatch.setattr(IncidenceStructure, "__init__", counting_structure)
+    monkeypatch.setattr(BipartiteGraph, "__init__", counting_graph)
     d = sts_generate(19)
-    graphs = [steiner_truncate(d, x) for x in range(19)]
-    assert structures_built == [d.blocks]
-    assert sts_cache[19][1] is not None
-    assert len({id(g) for g in graphs}) == 19  # each truncation a fresh graph
-    assert all(g._girth == 6 for g in graphs)
-
-
-def test_equal_design_builds_its_own_host(sts_cache, structures_built):
-    d = sts_generate(13)
-    for twin in (Design(d.v, d.blocks), design_load(design_save(d))):
-        assert twin == d and twin is not d
-        for x in (0, 7):
-            assert steiner_truncate(twin, x).adj_a == steiner_truncate(d, x).adj_a
-    # two hosts per twin (one per call), one for the cached design
-    assert len(structures_built) == 5
-    assert sts_cache[13][0] is d
+    twins = [Design(d.v, d.blocks), design_load(design_save(d))]
+    assert all(twin == d and twin is not d for twin in twins)
+    for x in range(19):
+        got = [steiner_truncate(design, x) for design in (d, *twins)]
+        assert all(g._girth == 6 and g.adj_a == got[0].adj_a for g in got)
+    assert structures == []
+    assert len(graphs_made) == len(rows_built) == 3 * 19
+    assert len(set(map(id, graphs_made))) == 3 * 19  # each truncation a fresh graph
+    assert list(sts_cache) == [19] and sts_cache[19] is d
 
 
 @pytest.mark.parametrize("point", [1.5, 2.0, "1", None])
-def test_truncate_refuses_a_point_that_is_not_an_int(monkeypatch, structures_built, point):
-    # refused before the range, the degrees or the host are looked at
+def test_truncate_refuses_a_point_that_is_not_an_int(monkeypatch, rows_built, point):
+    # refused before the range, the degrees or the rows are looked at
     monkeypatch.setattr(designs, "truncation_degrees", lambda v, k: pytest.fail("checked"))
     with pytest.raises(DesignError) as err:
         steiner_truncate(sts_generate(13), point)
     assert str(err.value) == f"point {point!r} is not an int"
-    assert structures_built == []
+    assert rows_built == []
 
 
-def test_truncate_refuses_a_wrong_block_count(structures_built):
+def test_truncate_refuses_a_wrong_block_count(rows_built):
     # v = 19 and k = 3 pass truncation_degrees, but an STS(19) has 57 blocks
     with pytest.raises(DesignError) as err:
         steiner_truncate(Design(19, ((0, 1, 2),)))
     assert str(err.value) == "a 2-(19, 3, 1) design has 57 blocks, got 1"
-    assert structures_built == []
+    assert rows_built == []
 
 
 # Validate a one-block design on 2^20 points under a 256 MiB address-space
@@ -394,6 +414,20 @@ def test_truncate_turns_a_bad_block_into_a_design_error(bad, message):
     broken = Design(13, d.blocks[:-1] + ((7, 8, bad),))
     with pytest.raises(ValueError, match=message):
         IncidenceStructure([None] * 13, broken.blocks)
-    with pytest.raises(DesignError) as err:
-        steiner_truncate(broken, 0)
-    assert str(err.value) == message
+    for point in (0, 7):  # block 25 misses point 0 and goes through point 7
+        with pytest.raises(DesignError) as err:
+            steiner_truncate(broken, point)
+        assert str(err.value) == message
+
+
+def test_truncate_checks_every_range_before_any_repeat():
+    # block 3 repeats a point and block 25 is out of range: the host reference
+    # met the range first, and so does the row builder
+    d = sts_generate(13)
+    blocks = list(d.blocks)
+    blocks[3], blocks[25] = (0, 5, 5), (7, 8, 13)
+    broken = Design(13, tuple(blocks))
+    for truncate in (steiner_truncate, reference_steiner_truncate):
+        with pytest.raises(DesignError) as err:
+            truncate(broken, 0)
+        assert str(err.value) == "block 25 has out-of-range point index 13"

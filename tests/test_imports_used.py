@@ -9,10 +9,10 @@ The text "violated invariant" appears only in graphs.expect, the one place a
 construction contract fails, and ConstructionError is raised only there and
 by the three searches that can come up empty.  A BipartiteGraph is constructed
 only by the three builders in graphs, levi, induced_subgraph and
-graph_from_edges, and by the two affine constructions, which write their rows
-in closed form.  An IncidenceStructure is constructed only by the two
-constructions that start from blocks (the quadric polygons and the Steiner
-truncation), so a deletion is always an induced subgraph of its host's
+graph_from_edges, and by the three constructions that write their rows
+directly: the two affine ones, in closed form, and the Steiner truncation,
+from the blocks.  An IncidenceStructure is constructed only by the quadric
+polygons, so a deletion is always an induced subgraph of its host's
 incidence graph, never a rebuilt structure.  No
 module imports deque: graphs.bfs_order is the one breadth-first search."""
 
@@ -273,9 +273,10 @@ def test_bipartite_graph_calls_detector():
     assert found == ["graphs:levi", "prune:affine", "prune:C", "prune:<module>"]
 
 
-def test_graphs_built_only_by_the_five_builders():
+def test_graphs_built_only_by_the_six_builders():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("BipartiteGraph", sources)) == [
+        "designs:steiner_truncate",
         "graphs:graph_from_edges",
         "graphs:induced_subgraph",
         "graphs:levi",
@@ -294,10 +295,9 @@ def test_global_adjacency_built_only_by_the_prunes():
     ]
 
 
-def test_incidence_structures_built_only_by_the_two_constructions():
+def test_incidence_structures_built_only_by_the_quadric_polygons():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sorted(constructor_calls("IncidenceStructure", sources)) == [
-        "designs:steiner_truncate",
         "polygons:quadric_structure",
     ]
 

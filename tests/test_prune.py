@@ -592,3 +592,51 @@ def test_default_anchor_puts_the_smaller_degree_at_v():
     partner = dual.adjacency()[0][0]
     assert mixed_degree_prune(dual, edge=(partner, 0)).adj_a == g.adj_a
     assert mixed_degree_prune(dual, edge=(0, partner)).degree_sets() == ({3}, {4})
+
+
+def _complete(n_a, n_b):
+    return BipartiteGraph(n_a, n_b, [range(n_b)] * n_a)
+
+
+def _cycle(n):
+    k = n // 2  # A-vertex i meets B-vertices i and i + 1 (mod k)
+    return BipartiteGraph(k, k, [sorted({i, (i + 1) % k}) for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "host",
+    [_complete(2, 2), _complete(2, 3), _complete(3, 2), _cycle(6), _cycle(8), _cycle(12), _cycle(16)],
+    ids=["K22", "K23", "K32", "C6", "C8", "C12", "C16"],
+)
+def test_mixed_prune_refuses_a_thin_host(monkeypatch, host):
+    # the default anchor puts a degree-2 vertex at v, so s = 1: the thin
+    # generalized 2-, 3-, 4-, 6- and 8-gons are refused before any branch
+    # search, where they used to fail their own contract (ConstructionError)
+    monkeypatch.setattr(prune, "_branches", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=r"^thin host: anchor vertex \d+ has degree 2") as err:
+        mixed_degree_prune(host)
+    assert not isinstance(err.value, graphs.ConstructionError)
+
+
+@pytest.mark.parametrize("host,edge", [(_complete(3, 2), (0, 3)), (_complete(2, 3), (2, 0))])
+def test_mixed_prune_keeps_an_anchor_with_t_1(host, edge):
+    # the refusal is exactly s = 1: the same thin hosts anchored with their
+    # degree-3 end at v (s = 2, t = 1) give the (2, 2; 4) graph, the 4-cycle
+    g = mixed_degree_prune(host, edge=edge)
+    assert (g.n_vertices, g.degrees(), girth(g)) == (4, (2, 2), 4)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: affine_girth6_graph(3.0, 2, 2), "q 3.0 is not an int"),
+        (lambda: affine_slab_graph(3, 2, "2"), "n1 '2' is not an int"),
+        (lambda: mixed_degree_prune(levi(gq_q4(F2)), edge=(0.5, 3)),
+         "anchor u 0.5 is not an int"),
+    ],
+    ids=["affine_girth6_graph", "affine_slab_graph", "mixed_degree_prune"],
+)
+def test_a_non_int_argument_is_refused_by_name(build, message):
+    with pytest.raises(ValueError) as err:  # it used to end in TypeError
+        build()
+    assert str(err.value) == message
