@@ -329,10 +329,10 @@ def test_sts_at_the_cap_fits_the_bound():
     assert 1249 * 1248 // 6 <= designs.STS_CACHE_BLOCKS < 2 * (1249 * 1248 // 6)
 
 
-def test_truncations_build_rows_and_no_host(sts_cache, rows_built, monkeypatch):
-    # the cached design, an equal one and a design_load twin alike: no
-    # IncidenceStructure, and one graph per truncation, its result, so no
-    # levi graph and no induced subgraph of one
+@pytest.fixture
+def inits_counted(monkeypatch):
+    """The incidence structures and bipartite graphs constructed during one
+    test, as two lists in call order."""
     structures, graphs_made = [], []
     structure_init = IncidenceStructure.__init__
     graph_init = BipartiteGraph.__init__
@@ -347,6 +347,27 @@ def test_truncations_build_rows_and_no_host(sts_cache, rows_built, monkeypatch):
 
     monkeypatch.setattr(IncidenceStructure, "__init__", counting_structure)
     monkeypatch.setattr(BipartiteGraph, "__init__", counting_graph)
+    return structures, graphs_made
+
+
+def test_one_host_for_every_truncation_of_the_cached_design(sts_cache, rows_built, inits_counted):
+    # the rows come straight from the blocks: no IncidenceStructure, and one
+    # graph per truncation, its result, so no levi host and no induced
+    # subgraph of one
+    structures, graphs_made = inits_counted
+    d = sts_generate(19)
+    graphs = [steiner_truncate(d, x) for x in range(19)]
+    assert all(g._girth == 6 for g in graphs)
+    assert structures == []
+    assert graphs_made == graphs and len(rows_built) == 19
+    assert len(set(map(id, graphs))) == 19  # each truncation a fresh graph
+    assert list(sts_cache) == [19] and sts_cache[19] is d
+
+
+def test_equal_design_builds_its_own_host(sts_cache, rows_built, inits_counted):
+    # an equal design and a design_load twin truncate as the cached design
+    # does, each call writing its own rows and building nothing else
+    structures, graphs_made = inits_counted
     d = sts_generate(19)
     twins = [Design(d.v, d.blocks), design_load(design_save(d))]
     assert all(twin == d and twin is not d for twin in twins)
@@ -355,7 +376,7 @@ def test_truncations_build_rows_and_no_host(sts_cache, rows_built, monkeypatch):
         assert all(g._girth == 6 and g.adj_a == got[0].adj_a for g in got)
     assert structures == []
     assert len(graphs_made) == len(rows_built) == 3 * 19
-    assert len(set(map(id, graphs_made))) == 3 * 19  # each truncation a fresh graph
+    assert len(set(map(id, graphs_made))) == 3 * 19
     assert list(sts_cache) == [19] and sts_cache[19] is d
 
 
