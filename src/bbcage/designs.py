@@ -180,7 +180,7 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
     order (n/m + 1)(n+1)(m-1), where m is the block size, n is the
     replication less one (truncation_degrees) and b = v(v-1)/(k(k-1)).  Its
     rows are written from the blocks once all are in range and then all free
-    of repeats; a refusal names the block's index in design.blocks.
+    of repeats; a refusal names the first bad block's index in design.blocks.
     """
     if not isinstance(point, int):
         raise DesignError(f"point {point!r} is not an int")
@@ -190,12 +190,13 @@ def steiner_truncate(design: Design, point: int = 0) -> BipartiteGraph:
     b = design.v * (design.v - 1) // (m * (m - 1))  # an integer once n + 1 = 0 (mod m)
     if design.b != b:
         raise DesignError(f"a 2-({design.v}, {m}, 1) design has {b} blocks, got {design.b}")
-    bad = [f"block {bi} has out-of-range point index {x}"
-           for bi, blk in enumerate(design.blocks) for x in blk if not 0 <= x < design.v]
-    bad += [f"block {bi} repeats a point"
-            for bi, blk in enumerate(design.blocks) if len(set(blk)) < len(blk)]
-    if bad:
-        raise DesignError(bad[0])
+    for bi, blk in enumerate(design.blocks):
+        for x in blk:
+            if not 0 <= x < design.v:
+                raise DesignError(f"block {bi} has out-of-range point index {x}")
+    for bi, blk in enumerate(design.blocks):
+        if len(set(blk)) < len(blk):
+            raise DesignError(f"block {bi} repeats a point")
     kept = [blk for blk in design.blocks if point not in blk]
     rows = point_stars(design.v, kept)
     g = BipartiteGraph(design.v - 1, len(kept), rows[:point] + rows[point + 1:])

@@ -141,8 +141,10 @@ def split_cayley_hexagon(field: Field) -> IncidenceStructure:
     form = parabolic_form(6, field)
     s = quadric_structure(form, field, family="H(q)", order=(q, q), gonality=6)
     order = 2 * (q ** 6 - 1) // (q - 1)
-    g = expect_biregular(levi(s), q + 1, q + 1, 12, order, "hexagon")
-    expect(diameter(g) == 6, f"hexagon diameter {diameter(g)} != 6")
+    g = levi(s)
+    diam = diameter(g)  # first: its one full pass stores the girth the contract reads
+    expect_biregular(g, q + 1, q + 1, 12, order, "hexagon")
+    expect(diam == 6, f"hexagon diameter {diam} != 6")
     return s
 
 

@@ -190,9 +190,9 @@ def perp_lines(perps) -> list[tuple[int, ...]]:
 
 def _mask_index(point_coords, field: Field):
     """The hyperplane index of a point list: its coordinate masks (bit j of
-    masks[i][v] set when point j has coordinate i equal to v, each row
-    built when first read, see _Rows), the mask of all its points, their
-    ids, the split c = (d+1)//2, a memo per half (see _scan) and the field.
+    masks[i][v] set when point j has coordinate i equal to v, every row
+    built with the index), the mask of all its points, their ids, the split
+    c = (d+1)//2, a memo per half (see _scan) and the field.
     Its positions are the points, point j at bit j (_position_index)."""
     n = len(point_coords)
     return _position_index(point_coords, range(n - 1, -1, -1), tuple(range(n)), field)
@@ -225,19 +225,6 @@ _EMPTY = object()
 _PLANE = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
 
 
-class _Rows(dict):
-    """An index's coordinate masks: rows[i][v] is the mask of the positions
-    whose coordinate i is v, each row built by build(i) when a scan first
-    reads it, so a hyperplane with few nonzero coefficients builds few."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, i):
-        row = self[i] = self.build(i)
-        return row
-
-
 def _position_index(point_coords, at, ids, field: Field):
     """The _mask_index of positions: at names the point at each position,
     from the highest position down, or _EMPTY; a name that is no point
@@ -249,7 +236,8 @@ def _position_index(point_coords, at, ids, field: Field):
     coordinate over all positions is one strided slice, one translate to
     the digits 0 and 1 and one base-2 int; the mask of a value is the AND
     of its bits' planes, or of their complements, within the mask of all
-    points.  No mask is grown bit by bit."""
+    points.  No mask is grown bit by bit.  Every coordinate's row is built
+    here, so after this only the half memos change."""
     q, n = field.q, len(point_coords)
     d1 = len(point_coords[0]) if n else 0
     bits = (q - 1).bit_length()
@@ -264,8 +252,8 @@ def _position_index(point_coords, at, ids, field: Field):
     # str.join copies its parts; bytes.join would hold a buffer per part
     joined = "".join(map(cells.__getitem__, at)).encode("latin-1")
     full = int(joined[w - 1 :: w].translate(_PLANE[0]) or b"0", 2)
-
-    def build(i):
+    rows = []
+    for i in range(d1):
         planes = [
             int(joined[i * step + t // 8 :: w].translate(_PLANE[t % 8]) or b"0", 2)
             for t in range(bits)
@@ -276,19 +264,19 @@ def _position_index(point_coords, at, ids, field: Field):
             for t, plane in enumerate(planes):
                 mask &= plane if v >> t & 1 else ~plane
             row[v] = mask
-        return row
-
-    return _Rows(build), full, ids, d1 // 2, {}, {}, field
+        rows.append(row)
+    return rows, full, ids, d1 // 2, {}, {}, field
 
 
 # The one section cache: entries of _indexed for tuples of tuples, keyed by
 # the identity of build's arguments.  Each entry holds its arguments, so
-# their ids are not reused while it lives.  A block index is the largest
-# entry (CPython 3.11): at Q(5,7), 17,200 lines on 137,600 positions, it
-# keeps 1.6 MB of joined coordinates and ids, 0.7 MB of masks once every
-# row is read, and about 129 KB per memoized half; at Q(5,8), 33,345
-# lines, 3.3 MB, 1.7 MB and 306 KB.  A section memoizes at most 2 halves;
-# a sweep of every hyperplane all 2 q^3 of them, 88 MB and 314 MB.
+# their ids are not reused while it lives, and each index is whole when
+# cached: only its half memos grow.  A block index is the largest entry
+# (CPython 3.11): at Q(5,7), 17,200 lines on 137,600 positions, it keeps
+# 1.6 MB of joined coordinates and ids, 0.7 MB of masks, and about 129 KB
+# per memoized half; at Q(5,8), 33,345 lines, 3.3 MB, 1.7 MB and 306 KB.
+# A section memoizes at most 2 halves; a sweep of every hyperplane all
+# 2 q^3 of them, 88 MB and 314 MB.
 _BY_IDENTITY: dict = {}
 
 

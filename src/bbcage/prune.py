@@ -147,7 +147,9 @@ def mixed_degree_prune(
     first = next(w for w in adj[v] if w != u)
     dv, branch = _branches(adj, v, r - 1)
     keep = [w for w, d in enumerate(dv) if d >= r - 2 and branch[w] != first]
-    order = (s * t) ** (r // 2 - 1) * (s + t + 1)
+    # (st)^(r/2 - 1): a square root when r is odd, as then s = t (a projective
+    # plane's incidence graph, r = 3, gives an (s, s+1; 6) graph)
+    order = math.isqrt((s * t) ** (r - 2)) * (s + t + 1)
     return expect_biregular(induced_subgraph(g, keep), s, t + 1, 2 * r, order, "mixed prune")
 
 

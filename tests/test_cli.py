@@ -24,12 +24,58 @@ def run(capsys, *argv):
 
 def fresh_hosts():
     """Clear the cached host polygons and triple systems: levi stores each
-    host's graph, and so its measured invariants, on the structure, and a
-    cached STS keeps its truncation host, so a test that counts the
-    measurements or builds of a host builds it afresh."""
+    host's graph, and so its measured invariants, on the structure, so a
+    test that counts the measurements or builds of a host or a triple
+    system builds it afresh."""
     for build in (polygons.gq_q4, polygons.gq_q5, polygons.split_cayley_hexagon):
         build.cache_clear()
     designs._sts_cache.clear()
+
+
+# A slice of the sweep of small invocations: each family's smallest accepted
+# parameters, then the refused ones just below them and the first refused
+# above them (a non-prime-power q, a cap, or a degree out of range)
+_SWEEP = {
+    "q4": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "q5": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "hexagon": (["--q", "2"], ["--q", "1"], ["--q", "4"]),
+    "hexagon-hyperbolic-prune": (["--q", "2"], ["--q", "1"], ["--q", "4"]),
+    "q4-hyperbolic-prune": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "q4-ovoid-delete": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "q5-parabolic-prune": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "q5-subgq-delete": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "branch-prune": (
+        ["--q", "2", "--m1", "2", "--n1", "3"],
+        ["--q", "2", "--m1", "2", "--n1", "2"],
+        ["--q", "2", "--m1", "2", "--n1", "4"],
+    ),
+    "mixed-prune": (["--q", "2"], ["--q", "1"], ["--q", "6"]),
+    "t2-slab": (
+        ["--q", "2", "--m1", "2", "--n1", "2"],
+        ["--q", "2", "--m1", "1", "--n1", "2"],
+        ["--q", "2", "--m1", "2", "--n1", "4"],
+    ),
+    "ag2-girth6": (
+        ["--q", "2", "--m1", "2", "--n1", "2"],
+        ["--q", "2", "--m1", "1", "--n1", "2"],
+        ["--q", "2", "--m1", "2", "--n1", "3"],
+    ),
+    "steiner-cage": (["--v", "13"], ["--v", "12"], ["--v", "14"]),
+}
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_sweep_slice_exits_0_or_2(capsys, family):
+    # exit 3 would mean a construction broke its own contract on a small
+    # input; every refusal must be a ValueError that main turns into exit 2
+    accepted, *refused = _SWEEP[family]
+    code, out, err = run(capsys, "construct", "--family", family, *accepted)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["family"] == family
+    for params in refused:
+        code, out, err = run(capsys, "construct", "--family", family, *params)
+        assert (code, out) == (2, ""), params
+        assert err.startswith("bbcage: error: ") and err.count("\n") == 1, err
 
 
 def test_construct_cage_report(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -439,6 +440,23 @@ def test_truncate_turns_a_bad_block_into_a_design_error(bad, message):
         with pytest.raises(DesignError) as err:
             steiner_truncate(broken, point)
         assert str(err.value) == message
+
+
+def test_truncate_refuses_at_the_first_bad_block():
+    # every one of the 259,776 blocks of a v = 1249 design names a point out
+    # of range: the refusal names block 0 and formats no other message (one
+    # per out-of-range point was formatted first: a 51 MiB traced peak)
+    v = 1249
+    broken = Design(v, ((0, 1251, 1252),) * (v * (v - 1) // 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DesignError) as err:
+            steiner_truncate(broken)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "block 0 has out-of-range point index 1251"
+    assert peak < 2**20, peak
 
 
 def test_truncate_checks_every_range_before_any_repeat():

@@ -6,7 +6,7 @@ from conftest import (
     octonion_hexagon_lines, parabolic6_lines, quadric_form, zorn, zorn_is_zero, zorn_mul,
 )
 
-from bbcage import polygons, projective
+from bbcage import graphs, polygons, projective
 from bbcage.deletions import construct_named
 from bbcage.gf import Field, field_new
 from bbcage.graphs import ConstructionError, diameter, expect_biregular, girth, levi
@@ -109,6 +109,24 @@ def test_levi_is_one_graph_per_structure():
     copy = IncidenceStructure(s.points, s.blocks, tag=s.tag)
     assert levi(copy) is not levi(s)
     assert levi(copy).adj_a == levi(s).adj_a
+
+
+def test_hexagon_build_searches_its_graph_once(monkeypatch):
+    # the diameter's full pass stores the girth, so the girth contract that
+    # follows it searches nothing: one level pass per build (two when the
+    # contract's early-stop girth pass came first)
+    calls = []
+    levels = graphs._levels
+
+    def counting(g, roots, full):
+        calls.append(full)
+        return levels(g, roots, full)
+
+    monkeypatch.setattr(graphs, "_levels", counting)
+    split_cayley_hexagon.cache_clear()
+    s = split_cayley_hexagon(F3)
+    assert calls == [True]
+    assert (levi(s)._girth, levi(s)._diameter) == (12, 6)
 
 
 def test_hexagon_q3_counts():

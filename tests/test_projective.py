@@ -550,18 +550,28 @@ def test_section_over_wide_fields_matches_block_scan(q):
 
 
 @pytest.mark.parametrize("build,q", [(gq_q4, 3), (gq_q5, 2), (split_cayley_hexagon, 2)])
-def test_a_scan_builds_only_the_rows_it_reads(build, q):
-    # an index builds a coordinate's masks when a scan first reads them,
-    # and a scan reads only the coordinates of its nonzero coefficients
+def test_an_index_holds_every_row_once_built(build, q):
+    # an index is a list of one row per coordinate as soon as it is built:
+    # rows[i][v] is the mask of the positions whose point has coordinate i
+    # equal to v; a scan reads the rows and adds or changes none
     s = build(field_of_order(q))
     field = s.tag["field"]
     pts = [list(c) for c in s.points]
-    d1 = len(pts[0])
-    h = (0,) * (d1 - 2) + (1, 1)
-    for index in (projective._mask_index(pts, field), projective._block_index(pts, s.blocks, field)[0]):
-        assert not index[0]
-        projective._scan(index, index[1], h)
-        assert sorted(index[0]) == [d1 - 2, d1 - 1]
+    d1, b = len(pts[0]), len(s.blocks)
+    points_at = dict(enumerate(range(len(pts))))
+    blocks_at = {j * b + bi: x for bi, blk in enumerate(s.blocks) for j, x in enumerate(blk)}
+    for index, at in (
+        (projective._mask_index(pts, field), points_at),
+        (projective._block_index(pts, s.blocks, field)[0], blocks_at),
+    ):
+        rows = index[0]
+        want = [[0] * q for _ in range(d1)]
+        for position, x in at.items():
+            for i, v in enumerate(pts[x]):
+                want[i][v] |= 1 << position
+        assert type(rows) is list and rows == want
+        projective._scan(index, index[1], (0,) * (d1 - 2) + (1, 1))
+        assert index[0] is rows and rows == want
 
 
 def test_point_stars():

@@ -3,8 +3,9 @@ the per-root BFS oracles, the stored degree sets against an edge recount and
 the global adjacency, graph_from_edges against a union-find 2-colouring, the
 rows every graph builder makes, the file readers against hostile input,
 the generic line walker conftest.lines_in against a scan of every point
-pair, design_validate against the walk of every pair, and
-hyperplane_section against the per-block scan."""
+pair, design_validate against the walk of every pair,
+hyperplane_section against the per-block scan, and the prunes on small
+hosts, which meet their contract or refuse with a ValueError."""
 
 import math
 from collections import Counter
@@ -23,6 +24,7 @@ from bbcage import graphs
 from bbcage.designs import Design, DesignError, design_load, design_validate, sts_generate
 from bbcage.gf import field_of_order
 from bbcage.graphs import (
+    BipartiteGraph,
     GraphError,
     diameter,
     from_dimacs,
@@ -33,7 +35,9 @@ from bbcage.graphs import (
     levi,
 )
 from bbcage.incidence import IncidenceStructure
+from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
 from bbcage.projective import GeometryError, Hyperplane, hyperplane_section, pg_points
+from bbcage.prune import find_free_edge, induced_branch_graph, mixed_degree_prune
 
 
 @st.composite
@@ -451,3 +455,67 @@ def test_hyperplane_section_matches_block_scan(case):
         assert str(got.value) == str(exc)
     else:
         assert hyperplane_section(pts, blocks, h, field) == want
+
+
+@lru_cache(maxsize=None)
+def prune_hosts() -> tuple:
+    """Small biregular prune hosts: K(s, t) for s, t <= 5, the cycles on 4
+    to 20 vertices, the Heawood graph and the q = 2 polygons."""
+    complete = [BipartiteGraph(s, t, [range(t)] * s) for s in range(1, 6) for t in range(1, 6)]
+    cycles = [BipartiteGraph(k, k, [sorted({i, (i + 1) % k}) for i in range(k)]) for k in range(2, 11)]
+    heawood = BipartiteGraph(7, 7, [sorted({x, (x - 1) % 7, (x - 3) % 7}) for x in range(7)])
+    field = field_of_order(2)
+    polygons = [levi(build(field)) for build in (gq_q4, gq_q5, split_cayley_hexagon)]
+    return (*complete, *cycles, heawood, *polygons)
+
+
+@st.composite
+def anchored_hosts(draw):
+    """A prune host and one of its edges, in either orientation."""
+    g = draw(st.sampled_from(prune_hosts()))
+    u, v = draw(st.sampled_from(list(g.edges())))
+    return g, draw(st.sampled_from([(u, v), (v, u)]))
+
+
+def has_polygon_order(g, factor: int, order_product: int, r: int) -> bool:
+    """Whether g has factor * (st)^(r/2 - 1) vertices, st the host's
+    order_product and the power a square root for odd r."""
+    root, rest = divmod(g.n_vertices, factor)
+    return rest == 0 and root * root == order_product ** (r - 2)
+
+
+def built_or_refused(build):
+    """build(), or None when it refuses with a ValueError; any other error,
+    ConstructionError included, fails the property."""
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=anchored_hosts())
+def test_prunes_meet_their_contract_or_refuse(case):
+    # a ConstructionError means the package broke its own contract: an input
+    # outside a prune's hypothesis must be refused with a ValueError instead
+    g, (u, v) = case
+    adj = g.adjacency()
+    s, t = len(adj[v]) - 1, len(adj[u]) - 1
+    r = diameter(g)
+    mixed = built_or_refused(lambda: mixed_degree_prune(g, edge=(u, v)))
+    if mixed is not None:
+        assert mixed.degrees() in ((s, t + 1), (t + 1, s))
+        assert has_polygon_order(mixed, s + t + 1, s * t, r)
+        assert bfs_girth(mixed) == 2 * r
+    top = max(map(len, adj))
+    for m1 in range(2, top + 2):
+        for n1 in range(m1, top + 2):
+            branch = built_or_refused(lambda: induced_branch_graph(g, m1, n1, edge=(u, v)))
+            if branch is not None:
+                assert branch.degrees() in ((m1, n1), (n1, m1))
+                assert has_polygon_order(branch, m1 + n1, s * t, r)
+                assert bfs_girth(branch) == 2 * r
+    free = built_or_refused(lambda: find_free_edge(g))
+    if free is not None:
+        point, block = free
+        assert block in g.adj_a[point]

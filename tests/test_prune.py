@@ -15,7 +15,9 @@ from bbcage.gf import Field, FieldError, field_new, field_of_order
 from bbcage.graphs import (
     BipartiteGraph, diameter, expect_biregular, girth, induced_subgraph, levi, to_graph6,
 )
+from bbcage.incidence import IncidenceStructure
 from bbcage.polygons import gq_q4, gq_q5, split_cayley_hexagon
+from bbcage.projective import pg_points
 from bbcage.prune import (
     affine_girth6_graph,
     affine_girth6_order,
@@ -185,6 +187,22 @@ def test_mixed_prune_of_a_complete_bipartite_host():
         g = mixed_degree_prune(host)
         assert g.n_vertices == s + t + 1 and g.num_edges == s * (t + 1)
         assert len(reference_mixed_keep(adj, 2, u, v)) == s + t
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_mixed_prune_of_a_projective_plane(q):
+    # the incidence graph of PG(2, q) is a generalized 3-gon of order (q, q):
+    # the prune gives a (q, q+1; 6) graph on q(2q + 1) vertices, where the
+    # order (st)^(r/2 - 1)(s + t + 1) has the half-integer exponent 1/2 (it
+    # was rounded down to 0, and the contract failed on a correct graph)
+    field = field_of_order(q)
+    points = pg_points(2, field)
+    blocks = [tuple(x.id for x in points if field.dot(h.coords, x.coords) == 0) for h in points]
+    host = levi(IncidenceStructure(points, blocks))
+    for edge in ((0, host.n_a + host.adj_a[0][0]), (host.n_a + host.adj_a[0][0], 0)):
+        g = mixed_degree_prune(host, edge=edge)
+        assert g.n_vertices == q * (2 * q + 1)
+        assert sorted(g.degrees()) == [q, q + 1] and brute_girth(g, 6) == 6
 
 
 @pytest.mark.parametrize(
@@ -505,7 +523,7 @@ def test_affine_girth6_p5():
     assert (g.n_a, g.n_b) == (15, 20)
     assert affine_girth6_order(5, 3, 4) == g.n_vertices
     assert expect_biregular(g, 3, 4, 6, g.n_vertices, "affine girth-6 graph") is g
-    assert brute_girth(g) == 6
+    assert brute_girth(g, 6) == 6
 
 
 def test_affine_girth6_degenerate_parameters():
